@@ -65,10 +65,11 @@ def _check_twiddle(twiddle: np.ndarray) -> tuple[int, int]:
             f"twiddle must have shape (log_n, n/2, 2, 2), got {twiddle.shape}"
         )
     log_n = twiddle.shape[0]
-    n = 2 * twiddle.shape[1]
-    if n != (1 << log_n):
+    n = 1 << log_n
+    if twiddle.shape[1] != n // 2:
         raise ValueError(
-            f"twiddle implies n={n} but has {log_n} levels (need n = 2**levels)"
+            f"twiddle has {log_n} levels (n={n}) but {twiddle.shape[1]} "
+            f"pairs per level (need n/2 = {n // 2})"
         )
     return log_n, n
 

@@ -29,7 +29,6 @@ from repro.ipu.machine import GC200, IPUSpec
 from repro.ipu.poptorch import IPUModule
 from repro.ipu.vertices import (
     CODELETS,
-    Codelet,
     VERTEX_OVERHEAD_CYCLES,
     register_codelet,
 )
@@ -115,9 +114,7 @@ def amp_butterfly_ablation(
             # host_io off: isolate the compute headroom (streaming would
             # otherwise mask it — see Ablation 1).
             stock_speedup = _bf_speedup(n, spec, host_io=False)
-            register_codelet(
-                Codelet("ButterflyStage", amp_cycles, stock.execute)
-            )
+            register_codelet(dataclasses.replace(stock, cycles=amp_cycles))
             amp_speedup = _bf_speedup(n, spec, host_io=False)
             register_codelet(stock)
             rows.append(

@@ -20,9 +20,8 @@ in Fig 6.
 from __future__ import annotations
 
 import hashlib
-from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -262,13 +261,16 @@ class CompiledGraph:
     graph: Graph | GraphSummary
     spec: IPUSpec
     memory: MemoryReport
-    per_cs_tiles: list[set[int]] = field(default_factory=list)
     excluded_tiles: frozenset[int] = frozenset()
     tile_map: np.ndarray | None = None
     #: Slot assignment when compiled with ``plan_memory=True`` (None for
     #: unplanned compiles and for planned cache hits, where
     #: :meth:`memory_plan` recomputes it deterministically on demand).
     plan: MemoryPlan | None = None
+    #: Per-compute-set :class:`~repro.ipu.executor.StepTiming` memo, filled
+    #: lazily by the executor.  Never set at compile time nor cached:
+    #: codelet cost models can be swapped between compiles (ablations).
+    cs_timings: list | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_surviving_tiles(self) -> int:
@@ -314,6 +316,24 @@ class CompiledGraph:
         )
 
 
+def cs_tile_sum(
+    cs: np.ndarray,
+    tile: np.ndarray,
+    weights: np.ndarray,
+    n_cs: int,
+    n_tiles: int,
+) -> np.ndarray:
+    """``(n_cs, n_tiles)`` grid of per-vertex *weights* summed by key.
+
+    ``np.bincount`` adds the weights in vertex order, so the float sums
+    match a vertex-by-vertex walk bit for bit.
+    """
+    sums = np.bincount(
+        cs * n_tiles + tile, weights=weights, minlength=n_cs * n_tiles
+    )
+    return sums.reshape(n_cs, n_tiles)
+
+
 def _tile_fold_map(
     n_tiles: int, excluded: frozenset[int]
 ) -> np.ndarray:
@@ -334,16 +354,30 @@ def _tile_fold_map(
 # -- content addressing --------------------------------------------------------
 
 
+def _update_param(h, value: Any) -> None:
+    """Feed one param value (column, tuple or scalar) to *h*."""
+    if isinstance(value, np.ndarray) and value.dtype != object:
+        h.update(f"a{value.dtype.str}{value.shape}|".encode())
+        h.update(np.ascontiguousarray(value).tobytes())
+    elif isinstance(value, (tuple, list, np.ndarray)):
+        h.update(f"t{len(value)}|".encode())
+        for item in value:
+            _update_param(h, item)
+    else:
+        h.update(f"s{value!r}|".encode())
+
+
 def graph_fingerprint(graph: Graph) -> str:
     """Structural hash of everything the memory accounting reads.
 
-    Covers tile count, every variable's layout, every vertex (codelet,
-    tile, edge endpoints/sizes/locality, params), compute-set membership
-    and the program — but *not* the graph's display name, so two
-    identically-built graphs hash equal regardless of labelling.  The
-    full walk costs O(graph); builders that can name their output
-    cheaply attach ``graph.provenance`` instead (see
-    :func:`compile_cache_key`).
+    Covers tile count, every variable's layout, every vertex batch
+    (compute set, codelet, tile column, each port's variable, direction,
+    locality and ``n_elements`` column, and every param column or
+    broadcast value) and the compute-set names and program — but *not*
+    edge keys nor the graph's display name, so two identically-built
+    graphs hash equal regardless of labelling.  The walk costs one hash
+    update per column; builders that can name their output cheaply
+    attach ``graph.provenance`` instead (see :func:`compile_cache_key`).
     """
     h = hashlib.blake2b(digest_size=16)
     h.update(f"tiles|{graph.n_tiles}\n".encode())
@@ -353,17 +387,18 @@ def graph_fingerprint(graph: Graph) -> str:
             f"V|{name}|{v.shape}|{v.element_bytes}"
             f"|{v.home_tile}|{v.tile_span}\n".encode()
         )
-    for vertex in graph.vertices:
-        parts = [f"X|{vertex.codelet}|{vertex.tile}"]
-        for edge in vertex.inputs:
-            parts.append(f"i|{edge.var}|{edge.n_elements}|{int(edge.local)}")
-        for edge in vertex.outputs:
-            parts.append(f"o|{edge.var}|{edge.n_elements}|{int(edge.local)}")
-        parts.append(f"p|{sorted(vertex.params.items())}")
-        h.update(("|".join(parts) + "\n").encode())
+    for batch in graph.batches:
+        h.update(f"B|{batch.cs}|{batch.codelet}|{batch.n}\n".encode())
+        h.update(batch.tiles.tobytes())
+        for direction, edges in (("i", batch.inputs), ("o", batch.outputs)):
+            for edge in edges:
+                h.update(f"{direction}|{edge.var}|{int(edge.local)}|".encode())
+                h.update(edge.n_elements.tobytes())
+        for name in sorted(batch.params):
+            h.update(f"p|{name}|".encode())
+            _update_param(h, batch.params[name])
     for cs in graph.compute_sets:
-        ids = ",".join(str(vid) for vid in cs.vertex_ids)
-        h.update(f"C|{cs.name}|{ids}\n".encode())
+        h.update(f"C|{cs.name}\n".encode())
     for step in graph.program:
         h.update(f"P|{step.kind}|{step.ref}\n".encode())
     return h.hexdigest()
@@ -421,13 +456,6 @@ def _record_from(compiled: CompiledGraph) -> CacheRecord:
     """Encode a compilation's artefacts as a cacheable record."""
     g = compiled.graph
     b = compiled.memory.breakdown
-    cs_lens = np.array(
-        [len(tiles) for tiles in compiled.per_cs_tiles], dtype=np.int64
-    )
-    cs_tiles = np.array(
-        [t for tiles in compiled.per_cs_tiles for t in sorted(tiles)],
-        dtype=np.int64,
-    )
     arrays = {
         "per_tile_bytes": np.asarray(
             compiled.memory.per_tile_bytes, dtype=np.float64
@@ -443,8 +471,6 @@ def _record_from(compiled: CompiledGraph) -> CacheRecord:
             ],
             dtype=np.float64,
         ),
-        "cs_lens": cs_lens,
-        "cs_tiles": cs_tiles,
         "excluded": np.array(
             sorted(compiled.excluded_tiles), dtype=np.int64
         ),
@@ -497,14 +523,6 @@ def _compiled_from_record(
         breakdown=breakdown,
         no_reuse_per_tile_bytes=arrays.get("no_reuse_per_tile"),
     )
-    per_cs_tiles: list[set[int]] = []
-    offset = 0
-    flat = arrays["cs_tiles"]
-    for length in arrays["cs_lens"]:
-        per_cs_tiles.append(
-            {int(t) for t in flat[offset : offset + int(length)]}
-        )
-        offset += int(length)
     tile_map = arrays.get("tile_map")
     if graph is None:
         info = record.meta["graph"]
@@ -521,7 +539,6 @@ def _compiled_from_record(
         graph=graph,
         spec=spec,
         memory=memory,
-        per_cs_tiles=per_cs_tiles,
         excluded_tiles=frozenset(int(t) for t in arrays["excluded"]),
         tile_map=tile_map if tile_map is not None else None,
     )
@@ -645,44 +662,44 @@ def compile_graph(
         else:
             per_tile += var_share
 
-        # Vertex state and edge code on the vertex's tile.
-        vertex_total = 0.0
-        edge_total = 0.0
-        codelets_per_tile: dict[int, set[str]] = defaultdict(set)
+        # Every per-tile charge below is added in vertex order (np.add.at
+        # applies its updates sequentially), so the float sums match an
+        # object-by-object walk bit for bit.
         with tracer.span("compile.map_vertices", category="compile"):
-            for vertex in graph.vertices:
-                per_tile[vertex.tile] += spec.vertex_state_bytes
-                vertex_total += spec.vertex_state_bytes
-                edge_bytes = vertex.n_edges * spec.edge_code_bytes
-                per_tile[vertex.tile] += edge_bytes
-                edge_total += edge_bytes
-                codelets_per_tile[vertex.tile].add(vertex.codelet)
+            vertices = graph.vertex_table()
+            n_vertices = len(vertices.tile)
+            # Vertex state and edge code on the vertex's tile, interleaved
+            # per vertex.
+            edge_bytes = vertices.n_edges * spec.edge_code_bytes
+            charges = np.empty((n_vertices, 2), dtype=np.float64)
+            charges[:, 0] = spec.vertex_state_bytes
+            charges[:, 1] = edge_bytes
+            np.add.at(per_tile, np.repeat(vertices.tile, 2), charges.ravel())
+            vertex_total = float(n_vertices * spec.vertex_state_bytes)
+            edge_total = float(edge_bytes.sum())
 
             # Codelet code: once per codelet type per instantiating tile.
-            codelet_total = 0.0
-            for tile, names in codelets_per_tile.items():
-                nbytes = len(names) * spec.codelet_code_bytes
-                per_tile[tile] += nbytes
-                codelet_total += nbytes
+            present = np.zeros(
+                (spec.n_tiles, len(vertices.codelets)), dtype=bool
+            )
+            present[vertices.tile, vertices.codelet] = True
+            per_tile += present.sum(axis=1) * spec.codelet_code_bytes
+            codelet_total = float(present.sum() * spec.codelet_code_bytes)
 
         # Control code per compute set on each participating tile, and
         # exchange receive buffers sized by the heaviest superstep per tile.
-        control_total = 0.0
-        per_cs_tiles: list[set[int]] = []
-        recv_peak = np.zeros(spec.n_tiles, dtype=np.float64)
         with tracer.span("compile.account_supersteps", category="compile"):
-            for cs in graph.compute_sets:
-                tiles: set[int] = set()
-                recv_this = defaultdict(float)
-                for vertex in graph.vertices_in(cs):
-                    tiles.add(vertex.tile)
-                    recv_this[vertex.tile] += vertex.remote_input_bytes()
-                for tile in tiles:
-                    per_tile[tile] += spec.cs_control_bytes
-                    control_total += spec.cs_control_bytes
-                for tile, nbytes in recv_this.items():
-                    recv_peak[tile] = max(recv_peak[tile], nbytes)
-                per_cs_tiles.append(tiles)
+            def grid(weights: np.ndarray) -> np.ndarray:
+                return cs_tile_sum(
+                    vertices.cs, vertices.tile, weights,
+                    graph.n_compute_sets, spec.n_tiles,
+                )
+
+            recv = grid(vertices.remote_in_elements * 4)
+            _, participating = np.nonzero(grid(np.ones(n_vertices)))
+            np.add.at(per_tile, participating, float(spec.cs_control_bytes))
+            control_total = float(len(participating) * spec.cs_control_bytes)
+            recv_peak = recv.max(axis=0, initial=0.0)
             per_tile += recv_peak
         exchange_total = float(recv_peak.sum())
 
@@ -787,7 +804,6 @@ def compile_graph(
         graph=graph,
         spec=spec,
         memory=report,
-        per_cs_tiles=per_cs_tiles,
         excluded_tiles=excluded,
         tile_map=tile_map,
         plan=plan,

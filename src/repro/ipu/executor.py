@@ -25,7 +25,6 @@ pre-fault executor.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -43,9 +42,9 @@ from repro.faults.plan import (
     TRANSIENT_COMPUTE,
     FaultEvent,
 )
-from repro.ipu.compiler import CompiledGraph
+from repro.ipu.compiler import CompiledGraph, cs_tile_sum
 from repro.ipu.exchange import ExchangeModel
-from repro.ipu.vertices import CODELETS, vertex_cycles
+from repro.ipu.vertices import CODELETS, batch_cycles
 from repro.obs import get_logger, get_registry, get_tracer
 from repro.utils import format_seconds
 
@@ -161,6 +160,8 @@ class Executor:
         self.graph = compiled.graph
         self.exchange = ExchangeModel(self.spec)
         self.injector = injector if injector is not None else NULL_INJECTOR
+        #: Vertex records per compute set, built on first numeric use.
+        self._records: dict[int, list] = {}
         #: Per-step fault windows of the most recent execution, parallel
         #: to ``report.steps``: (event, [(span name, category, seconds)]).
         self._fault_windows: list[
@@ -169,34 +170,50 @@ class Executor:
 
     # -- timing ---------------------------------------------------------------
 
-    def _compute_set_timing(self, cs_index: int) -> StepTiming:
-        cs = self.graph.compute_sets[cs_index]
-        cycles_per_tile: dict[int, float] = defaultdict(float)
-        recv_per_tile: dict[int, int] = defaultdict(int)
-        tile_map = self.compiled.tile_map
-        for vertex in self.graph.vertices_in(cs):
-            tile = (
-                vertex.tile if tile_map is None else int(tile_map[vertex.tile])
+    def _compute_set_timings(self) -> list[StepTiming]:
+        """Every compute set's timing, computed once per compiled graph.
+
+        Cycles and receive bytes are summed per (compute set, physical
+        tile) with ``np.bincount``, which adds in vertex order — the same
+        float sums as a vertex-by-vertex walk.
+        """
+        compiled = self.compiled
+        if compiled.cs_timings is not None:
+            return compiled.cs_timings
+        graph, spec = self.graph, self.spec
+        vertices = graph.vertex_table()
+        cycles = np.empty(len(vertices.tile), dtype=np.float64)
+        for batch in graph.batches:
+            cycles[batch.start : batch.stop] = batch_cycles(batch, spec)
+        tiles = vertices.tile
+        if compiled.tile_map is not None:
+            tiles = compiled.tile_map[tiles]
+        n_cs = len(graph.compute_sets)
+        tile_cycles = cs_tile_sum(vertices.cs, tiles, cycles, n_cs, spec.n_tiles)
+        tile_recv = cs_tile_sum(
+            vertices.cs, tiles, vertices.remote_in_elements * 4, n_cs,
+            spec.n_tiles,
+        )
+        # Cycle costs are non-negative, so idle tiles (0) never win a max
+        # and a compute set without vertices costs nothing.
+        compute_s = tile_cycles.max(axis=1, initial=0.0) / spec.clock_hz
+        worst_recv = tile_recv.max(axis=1, initial=0.0)
+        recv_bytes = tile_recv.sum(axis=1)
+        sync_s = spec.sync_cycles / spec.clock_hz
+        compiled.cs_timings = [
+            StepTiming(
+                name=cs.name,
+                kind="compute",
+                compute_s=float(compute_s[i]),
+                exchange_s=self.exchange.gather_time(
+                    {0: int(worst_recv[i])} if worst_recv[i] > 0 else {}
+                ),
+                sync_s=sync_s,
+                exchange_bytes=int(recv_bytes[i]),
             )
-            cycles_per_tile[tile] += vertex_cycles(vertex, self.spec)
-            recv_per_tile[tile] += vertex.remote_input_bytes()
-        compute_s = (
-            max(cycles_per_tile.values()) / self.spec.clock_hz
-            if cycles_per_tile
-            else 0.0
-        )
-        exchange_s = self.exchange.gather_time(
-            {t: b for t, b in recv_per_tile.items() if b > 0}
-        )
-        sync_s = self.spec.sync_cycles / self.spec.clock_hz
-        return StepTiming(
-            name=cs.name,
-            kind="compute",
-            compute_s=compute_s,
-            exchange_s=exchange_s,
-            sync_s=sync_s,
-            exchange_bytes=int(sum(recv_per_tile.values())),
-        )
+            for i, cs in enumerate(graph.compute_sets)
+        ]
+        return compiled.cs_timings
 
     def _copy_timing(self, src: str, dst: str) -> StepTiming:
         src_var = self.graph.variables[src]
@@ -332,7 +349,7 @@ class Executor:
     def _step_timing(self, step_index: int, step) -> StepTiming:
         """Timing of one program step, faults included when injecting."""
         if step.kind == "compute":
-            timing = self._compute_set_timing(step.ref)
+            timing = self._compute_set_timings()[step.ref]
         elif step.kind == "copy":
             timing = self._copy_timing(*step.ref)
         else:
@@ -516,8 +533,11 @@ class Executor:
     def _apply_step(self, step, state: dict[str, np.ndarray]) -> None:
         """Apply one program step's numerics to *state*, in place."""
         if step.kind == "compute":
-            cs = self.graph.compute_sets[step.ref]
-            for vertex in self.graph.vertices_in(cs):
+            records = self._records.get(step.ref)
+            if records is None:
+                records = list(self.graph.vertices_in(step.ref))
+                self._records[step.ref] = records
+            for vertex in records:
                 CODELETS[vertex.codelet].execute(vertex, state)
         elif step.kind == "copy":
             src, dst = step.ref
@@ -568,10 +588,9 @@ class Executor:
         guarantee against an unplanned replay and raises on divergence.
         """
         unknown = {
-            v.codelet
-            for v in self.graph.vertices
-            if CODELETS.get(v.codelet) is None
-            or CODELETS[v.codelet].execute is None
+            name
+            for name in self.graph.codelets_used()
+            if CODELETS.get(name) is None or CODELETS[name].execute is None
         }
         if unknown:
             raise RuntimeError(

@@ -124,73 +124,70 @@ class LivenessReport:
         )
 
 
-def _first_def_coverage(graph: Graph) -> dict[str, int]:
-    """Elements written to each variable at its first defining step."""
-    first_def_step: dict[str, int] = {}
-    coverage: dict[str, int] = {}
-    for step_idx, step in enumerate(graph.program):
-        if step.kind == "compute":
-            cs = graph.compute_sets[step.ref]
-            for vertex in graph.vertices_in(cs):
-                for edge in vertex.outputs:
-                    if edge.var not in first_def_step:
-                        first_def_step[edge.var] = step_idx
-                        coverage[edge.var] = 0
-                    if first_def_step[edge.var] == step_idx:
-                        coverage[edge.var] += edge.n_elements
-        elif step.kind == "copy":
-            _, dst = step.ref
-            if dst not in first_def_step:
-                first_def_step[dst] = step_idx
-                coverage[dst] = graph.variables[dst].n_elements
-        elif step.kind == "host_write":
-            if step.ref not in first_def_step:
-                first_def_step[step.ref] = step_idx
-                coverage[step.ref] = graph.variables[step.ref].n_elements
-    return coverage
-
-
 def compute_liveness(graph: Graph) -> LivenessReport:
     """Compute variable live ranges over *graph*'s program order."""
     n_steps = len(graph.program)
-    first_def: dict[str, int] = {}
-    first_use: dict[str, int] = {}
-    last_use: dict[str, int] = {}
-
-    def note_def(var: str, step: int) -> None:
-        if var not in first_def:
-            first_def[var] = step
-        last_use[var] = max(last_use.get(var, step), step)
-
-    def note_use(var: str, step: int) -> None:
-        if var not in first_use:
-            first_use[var] = step
-        last_use[var] = max(last_use.get(var, step), step)
-
+    names = list(graph.variables)
+    var_ids = {name: i for i, name in enumerate(names)}
+    none = n_steps + 1
+    # Per variable: first def, first use and last def-or-use step, read
+    # off the edge table; copies and host I/O are folded in per step.
+    first_def = np.full(len(names), none, dtype=np.int64)
+    first_use = np.full(len(names), none, dtype=np.int64)
+    last_use = np.full(len(names), -1, dtype=np.int64)
+    step_cs = np.full(n_steps, -1, dtype=np.int64)
+    cs_first = np.full(len(graph.compute_sets), none, dtype=np.int64)
+    cs_last = np.full(len(graph.compute_sets), -1, dtype=np.int64)
     for step_idx, step in enumerate(graph.program):
         if step.kind == "compute":
-            cs = graph.compute_sets[step.ref]
-            for vertex in graph.vertices_in(cs):
-                for edge in vertex.inputs:
-                    note_use(edge.var, step_idx)
-                for edge in vertex.outputs:
-                    note_def(edge.var, step_idx)
-        elif step.kind == "copy":
-            src, dst = step.ref
-            note_use(src, step_idx)
-            note_def(dst, step_idx)
+            step_cs[step_idx] = step.ref
+            cs_first[step.ref] = min(cs_first[step.ref], step_idx)
+            cs_last[step.ref] = step_idx
+            continue
+        if step.kind == "copy":
+            used, defined = step.ref
         elif step.kind == "host_write":
-            note_def(step.ref, step_idx)
-        elif step.kind == "host_read":
-            note_use(step.ref, step_idx)
+            used, defined = None, step.ref
+        else:
+            used, defined = step.ref, None
+        if used is not None:
+            u = var_ids[used]
+            first_use[u] = min(first_use[u], step_idx)
+            last_use[u] = max(last_use[u], step_idx)
+        if defined is not None:
+            d = var_ids[defined]
+            first_def[d] = min(first_def[d], step_idx)
+            last_use[d] = max(last_use[d], step_idx)
 
-    coverage = _first_def_coverage(graph)
+    edges = graph.edge_table()
+    edge_cs = graph.vertex_table().cs[edges.vertex]
+    scheduled = cs_last[edge_cs] >= 0
+    var, cs = edges.var[scheduled], edge_cs[scheduled]
+    out = edges.output[scheduled]
+    np.minimum.at(first_def, var[out], cs_first[cs[out]])
+    np.minimum.at(first_use, var[~out], cs_first[cs[~out]])
+    np.maximum.at(last_use, var, cs_last[cs])
+
+    # Elements written at each variable's first defining step: the sum
+    # of its output edges in that step's compute set, or every element
+    # for a copy / host write.
+    def_var = var[out]
+    at_first = step_cs[first_def[def_var]] == cs[out]
+    coverage = np.bincount(
+        def_var[at_first],
+        weights=edges.n_elements[scheduled][out][at_first],
+        minlength=len(names),
+    )
+    defined = first_def < none
+    by_transfer = np.zeros(len(names), dtype=bool)
+    by_transfer[defined] = step_cs[first_def[defined]] < 0
+
     intervals: list[LiveInterval] = []
     always_live_ivs: list[LiveInterval] = []
     always_live = 0
     last_step = max(n_steps - 1, 0)
-    for name, var in graph.variables.items():
-        if name not in first_def:
+    for i, (name, var) in enumerate(graph.variables.items()):
+        if not defined[i]:
             # Never written inside the program: an external input or a
             # parameter — conservatively live throughout.
             always_live += var.total_bytes
@@ -208,21 +205,22 @@ def compute_liveness(graph: Graph) -> LivenessReport:
                 )
             )
             continue
-        upward_exposed = first_use.get(name, n_steps) < first_def[name]
+        def_step = int(first_def[i])
+        use_step = int(first_use[i])
+        upward_exposed = use_step < def_step
         # Used before its first def: it must already hold external data,
         # so the footprint exists from program start.
-        start = 0 if upward_exposed else first_def[name]
-        end = last_use.get(name, first_def[name])
+        start = 0 if upward_exposed else def_step
+        written = var.n_elements if by_transfer[i] else coverage[i]
         intervals.append(
             LiveInterval(
                 var=name,
                 start=start,
-                end=end,
+                end=int(last_use[i]),
                 nbytes=var.total_bytes,
                 upward_exposed=upward_exposed,
-                fully_defined=coverage.get(name, 0) >= var.n_elements,
-                def_before_use=first_use.get(name, n_steps + 1)
-                > first_def[name],
+                fully_defined=written >= var.n_elements,
+                def_before_use=use_step > def_step,
                 home_tile=var.home_tile,
                 tile_span=var.tile_span,
             )

@@ -21,10 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.ipu.compiler import compile_graph
-from repro.ipu.exchange import ExchangeModel
 from repro.ipu.executor import ExecutionReport, Executor
-from repro.ipu.graph import Edge, Graph, Vertex
+from repro.ipu.graph import Edge, Graph
 from repro.ipu.machine import IPUSpec
 from repro.ipu.vertices import VERTEX_OVERHEAD_CYCLES
 
@@ -108,74 +109,91 @@ class MatMulPlan:
         return self.element_bytes * (mt * kt + kt * nt)
 
 
-def _plan_time(plan: MatMulPlan, spec: IPUSpec) -> float:
-    """Cheap analytic estimate used only to rank candidate grids."""
-    mt, nt, kt = plan.chunk
-    amp_eff = min(1.0, kt / 16.0)
-    per_vertex_cycles = VERTEX_OVERHEAD_CYCLES + (
-        mt * nt * kt / (spec.amp_macs_per_cycle * max(amp_eff, 1e-3))
+def _candidates(
+    m: int, n: int, k: int, max_cells: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every ``(pm, pn, pk)`` power-of-two grid, in scan order.
+
+    Scan order is pm-major, then pn, then pk, each ascending; a pm stops
+    at the first pn with ``pm * pn > max_cells`` and each (pm, pn) tries
+    pk up to ``min(k, max_cells // (pm * pn))``.
+    """
+    pm, pn = np.meshgrid(
+        _pow2_candidates(m), _pow2_candidates(n), indexing="ij"
     )
-    exchange = ExchangeModel(spec)
-    per_step_exchange = exchange.gather_time(
-        {0: plan.exchange_bytes_per_vertex()}
-    )
-    steps = plan.supersteps
-    sync_s = steps * spec.sync_cycles / spec.clock_hz
-    return (
-        steps * per_vertex_cycles / spec.clock_hz
-        + steps * per_step_exchange
-        + sync_s
-    )
+    pm, pn = pm.ravel(), pn.ravel()
+    keep = pm * pn <= max_cells
+    pm, pn = pm[keep], pn[keep]
+    pk_limit = np.minimum(k, max_cells // (pm * pn))
+    n_pk = np.array([int(x).bit_length() for x in pk_limit], dtype=np.int64)
+    group_start = np.repeat(np.cumsum(n_pk) - n_pk, n_pk)
+    pk = 1 << (np.arange(n_pk.sum()) - group_start)
+    return np.repeat(pm, n_pk), np.repeat(pn, n_pk), pk
+
+
+def _ceil_div(a, b):
+    return -(-a // b)
 
 
 def choose_grid(
     spec: IPUSpec, m: int, n: int, k: int, element_bytes: int = 4
 ) -> MatMulPlan:
-    """Pick the fastest memory-feasible partition grid for a GEMM."""
+    """Pick the fastest memory-feasible partition grid for a GEMM.
+
+    Every candidate grid is costed at once: per-tile memory
+    (:meth:`MatMulPlan.tile_memory_bytes`) and a cheap analytic time —
+    serial supersteps of one AMP partial, its operand exchange and a
+    sync each.
+    """
     if min(m, n, k) <= 0:
         raise ValueError(f"matmul dims must be positive, got {(m, n, k)}")
     budget = spec.usable_tile_memory * 0.8  # leave headroom for code/buffers
-    max_cells = 64 * spec.n_tiles
-    feasible: list[tuple[float, MatMulPlan]] = []
-    best_infeasible: tuple[float, MatMulPlan] | None = None
-    for pm in _pow2_candidates(m):
-        for pn in _pow2_candidates(n):
-            if pm * pn > max_cells:
-                break
-            for pk in _pow2_candidates(min(k, max_cells // (pm * pn))):
-                plan = MatMulPlan(
-                    m, n, k, pm, pn, pk, element_bytes, spec.n_tiles
-                )
-                if plan.tile_memory_bytes() <= budget:
-                    feasible.append((_plan_time(plan, spec), plan))
-                else:
-                    mem = plan.tile_memory_bytes()
-                    if best_infeasible is None or mem < best_infeasible[0]:
-                        best_infeasible = (mem, plan)
-    if feasible:
+    pm, pn, pk = _candidates(m, n, k, 64 * spec.n_tiles)
+    mt, nt, kt = _ceil_div(m, pm), _ceil_div(n, pn), _ceil_div(k, pk)
+    memory = element_bytes * (mt * kt + kt * nt + mt * nt)
+    feasible = np.flatnonzero(memory <= budget)
+    if not len(feasible):
+        # Nothing fits: return the least-bad plan; compile_graph will raise.
+        best = int(np.argmin(memory))
+    else:
+        pm, pn, pk = pm[feasible], pn[feasible], pk[feasible]
+        mt, nt, kt = mt[feasible], nt[feasible], kt[feasible]
+        amp_eff = np.minimum(1.0, kt / 16.0)
+        per_vertex_cycles = VERTEX_OVERHEAD_CYCLES + (
+            mt * nt * kt / (spec.amp_macs_per_cycle * np.maximum(amp_eff, 1e-3))
+        )
+        # ExchangeModel.transfer_cycles of each vertex's operand bytes.
+        exchange_bytes = element_bytes * (mt * kt + kt * nt)
+        per_step_exchange = (
+            spec.exchange_setup_cycles
+            + np.ceil(exchange_bytes / spec.exchange_bytes_per_cycle)
+        ) / spec.clock_hz
+        ij = pm * pn
+        steps = np.ceil(ij / np.minimum(ij, spec.n_tiles)).astype(np.int64) * pk
+        sync_s = steps * spec.sync_cycles / spec.clock_hz
+        times = (
+            steps * per_vertex_cycles / spec.clock_hz
+            + steps * per_step_exchange
+            + sync_s
+        )
         # Among near-optimal plans (within 10 % of the fastest), prefer the
         # smallest grid: fewer vertices/edges means less code and control
         # memory — the same economy real poplin applies, and the reason the
-        # Fig 5 graph statistics grow with problem size.
-        best_t = min(t for t, _ in feasible)
-        near = [p for t, p in feasible if t <= 1.10 * best_t]
-        return min(near, key=lambda p: p.cells)
-    # Nothing fits: return the least-bad plan; compile_graph will raise.
-    assert best_infeasible is not None
-    return best_infeasible[1]
+        # Fig 5 graph statistics grow with problem size.  Ties go to the
+        # first plan in scan order.
+        near = np.flatnonzero(times <= 1.10 * times.min())
+        best = int(near[np.argmin((pm * pn * pk)[near])])
+    return MatMulPlan(
+        m, n, k, int(pm[best]), int(pn[best]), int(pk[best]),
+        element_bytes, spec.n_tiles,
+    )
 
 
-def _ranges(total: int, parts: int) -> list[tuple[int, int]]:
-    """Split [0, total) into *parts* near-even contiguous ranges."""
-    base = total // parts
-    rem = total % parts
-    out = []
-    start = 0
-    for i in range(parts):
-        size = base + (1 if i < rem else 0)
-        out.append((start, start + size))
-        start += size
-    return out
+def _bounds(total: int, parts: int) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and stops of *parts* near-even contiguous ranges of [0, total)."""
+    sizes = total // parts + (np.arange(parts) < total % parts)
+    stops = np.cumsum(sizes)
+    return stops - sizes, stops
 
 
 def emit_matmul(
@@ -193,70 +211,53 @@ def emit_matmul(
 ) -> MatMulPlan:
     """Emit a planned GEMM ``C = A @ B`` into an existing graph.
 
-    Variables *a* (m,k), *b* (k,n) and *c* (m,n) must already exist; a
-    partials variable is created when the plan splits ``k``.  Used both by
-    :func:`build_matmul_graph` and by the PopTorch-style layer lowering in
-    :mod:`repro.ipu.poptorch`.
+    Variables *a* (m,k), *b* (k,n) and *c* (m,n) must already exist.
+    Used both by :func:`build_matmul_graph` and by the PopTorch-style
+    layer lowering in :mod:`repro.ipu.poptorch`.
     """
     if plan is None:
         plan = choose_grid(spec, m, n, k)
     name = name or f"{c}_mm"
 
-    row_ranges = _ranges(m, plan.pm)
-    col_ranges = _ranges(n, plan.pn)
-    k_ranges = _ranges(k, plan.pk)
+    r0, r1 = _bounds(m, plan.pm)
+    c0, c1 = _bounds(n, plan.pn)
+    k0, k1 = _bounds(k, plan.pk)
 
-    # Serialised schedule: all k-chunks of an output cell share a tile and
-    # accumulate in place; each tile's vertices are spread over sequential
-    # compute sets so only one chunk set is live per superstep.
-    compute_sets: list[int] = []
-    vertices_on_tile: dict[int, int] = {}
-    for ij_index, ((i0, i1), (j0, j1)) in enumerate(
-        ((r, c_) for r in row_ranges for c_ in col_ranges)
-    ):
-        tile = ij_index % plan.tiles_used
-        for kk, (k0, k1) in enumerate(k_ranges):
-            step = vertices_on_tile.get(tile, 0)
-            vertices_on_tile[tile] = step + 1
-            while step >= len(compute_sets):
-                compute_sets.append(
-                    graph.add_compute_set(
-                        f"{name}/partials{len(compute_sets)}"
-                    )
-                )
-            graph.add_vertex(
-                compute_sets[step],
-                Vertex(
-                    codelet=codelet,
-                    tile=tile,
-                    inputs=[
-                        Edge(
-                            a,
-                            (i1 - i0) * (k1 - k0),
-                            key=(slice(i0, i1), slice(k0, k1)),
-                        ),
-                        Edge(
-                            b,
-                            (k1 - k0) * (j1 - j0),
-                            key=(slice(k0, k1), slice(j0, j1)),
-                        ),
-                    ],
-                    outputs=[
-                        Edge(
-                            c,
-                            (i1 - i0) * (j1 - j0),
-                            key=(slice(i0, i1), slice(j0, j1)),
-                            local=True,
-                        )
-                    ],
-                    params={
-                        "m": i1 - i0,
-                        "n": j1 - j0,
-                        "k": k1 - k0,
-                        "accumulate": kk > 0,
-                    },
-                ),
-            )
+    # Serialised schedule: output cell ij sits on tile ij % tiles_used and
+    # all its k-chunks accumulate there in place; a tile's q-th cell runs
+    # its k-chunks in supersteps q*pk .. q*pk + pk - 1, so only one chunk
+    # set is live per superstep.  Superstep s holds k-chunk s % pk of the
+    # cells [q*T, (q+1)*T) with q = s // pk.
+    cells = plan.pm * plan.pn
+    per_tile = plan.tiles_used
+    for step in range(plan.supersteps):
+        cs = graph.add_compute_set(f"{name}/partials{step}")
+        q, kk = divmod(step, plan.pk)
+        ij = np.arange(q * per_tile, min((q + 1) * per_tile, cells))
+        i, j = ij // plan.pn, ij % plan.pn
+        rows = slice(r0[i], r1[i])
+        cols = slice(c0[j], c1[j])
+        depth = slice(int(k0[kk]), int(k1[kk]))
+        kb = int(k1[kk] - k0[kk])
+        graph.add_vertices(
+            cs,
+            codelet,
+            ij - q * per_tile,
+            inputs=[
+                Edge(a, (r1 - r0)[i] * kb, key=(rows, depth)),
+                Edge(b, kb * (c1 - c0)[j], key=(depth, cols)),
+            ],
+            outputs=[
+                Edge(c, (r1 - r0)[i] * (c1 - c0)[j], key=(rows, cols),
+                     local=True),
+            ],
+            params={
+                "m": (r1 - r0)[i],
+                "n": (c1 - c0)[j],
+                "k": kb,
+                "accumulate": kk > 0,
+            },
+        )
     return plan
 
 
@@ -350,11 +351,15 @@ def build_blocked_matmul_graph(
     # "too much temporal data" of the paper's Note 3.
     graph.add_variable("P", (phases, m, n))
 
-    row_ranges = _ranges(m, pm_b)
-    col_ranges = _ranges(n, pn_b)
-
-    def block_tile(bi: int, bj: int) -> int:
-        return (bi * pn_b + bj) % spec.n_tiles
+    r0, r1 = _bounds(m, pm_b)
+    c0, c1 = _bounds(n, pn_b)
+    rows_b, cols_b = r1 - r0, c1 - c0
+    # Block (bi, bj) of the output grid, row-major.
+    bi = np.repeat(np.arange(pm_b), pn_b)
+    bj = np.tile(np.arange(pn_b), pm_b)
+    block_rows, block_cols = slice(r0[bi], r1[bi]), slice(c0[bj], c1[bj])
+    block_tiles = (bi * pn_b + bj) % spec.n_tiles
+    cells = rows_b[bi] * cols_b[bj]
 
     for phase in range(phases):
         k0 = phase * block
@@ -363,122 +368,52 @@ def build_blocked_matmul_graph(
         # Stage the operand panels through temporaries: a full extra
         # superstep of exchange per phase ("many copies taking place").
         cs_copy = graph.add_compute_set(f"{name}/copy_in_{phase}")
-        for bi, (i0, i1) in enumerate(row_ranges):
-            graph.add_vertex(
-                cs_copy,
-                Vertex(
-                    codelet="Copy",
-                    tile=block_tile(bi, 0),
-                    inputs=[
-                        Edge(
-                            "A",
-                            (i1 - i0) * kb,
-                            key=(slice(i0, i1), slice(k0, k1)),
-                        )
-                    ],
-                    outputs=[
-                        Edge(
-                            "tmpA",
-                            (i1 - i0) * kb,
-                            key=(slice(i0, i1), slice(0, kb)),
-                        )
-                    ],
-                ),
-            )
-        for bj, (j0, j1) in enumerate(col_ranges):
-            graph.add_vertex(
-                cs_copy,
-                Vertex(
-                    codelet="Copy",
-                    tile=block_tile(0, bj),
-                    inputs=[
-                        Edge(
-                            "B",
-                            kb * (j1 - j0),
-                            key=(slice(k0, k1), slice(j0, j1)),
-                        )
-                    ],
-                    outputs=[
-                        Edge(
-                            "tmpB",
-                            kb * (j1 - j0),
-                            key=(slice(0, kb), slice(j0, j1)),
-                        )
-                    ],
-                ),
-            )
+        a_rows = slice(r0, r1)
+        graph.add_vertices(
+            cs_copy,
+            "Copy",
+            np.arange(pm_b) * pn_b % spec.n_tiles,
+            inputs=[Edge("A", rows_b * kb, key=(a_rows, slice(k0, k1)))],
+            outputs=[Edge("tmpA", rows_b * kb, key=(a_rows, slice(0, kb)))],
+        )
+        b_cols = slice(c0, c1)
+        graph.add_vertices(
+            cs_copy,
+            "Copy",
+            np.arange(pn_b) % spec.n_tiles,
+            inputs=[Edge("B", kb * cols_b, key=(slice(k0, k1), b_cols))],
+            outputs=[Edge("tmpB", kb * cols_b, key=(slice(0, kb), b_cols))],
+        )
         cs_mm = graph.add_compute_set(f"{name}/mm_{phase}")
-        for bi, (i0, i1) in enumerate(row_ranges):
-            for bj, (j0, j1) in enumerate(col_ranges):
-                graph.add_vertex(
-                    cs_mm,
-                    Vertex(
-                        # A hand-written codelet drives neither the AMP
-                        # pipeline nor the SIMD path (the paper's blocked
-                        # variant performs below even the naive one:
-                        # Table 2's 93 vs 525 GFLOPS).
-                        codelet="MatMulPartialScalar",
-                        tile=block_tile(bi, bj),
-                        inputs=[
-                            Edge(
-                                "tmpA",
-                                (i1 - i0) * kb,
-                                key=(slice(i0, i1), slice(0, kb)),
-                            ),
-                            Edge(
-                                "tmpB",
-                                kb * (j1 - j0),
-                                key=(slice(0, kb), slice(j0, j1)),
-                            ),
-                        ],
-                        outputs=[
-                            Edge(
-                                "P",
-                                (i1 - i0) * (j1 - j0),
-                                key=(
-                                    phase,
-                                    slice(i0, i1),
-                                    slice(j0, j1),
-                                ),
-                                local=True,
-                            )
-                        ],
-                        params={
-                            "m": i1 - i0,
-                            "n": j1 - j0,
-                            "k": kb,
-                        },
-                    ),
-                )
+        graph.add_vertices(
+            cs_mm,
+            # A hand-written codelet drives neither the AMP pipeline nor
+            # the SIMD path (the paper's blocked variant performs below
+            # even the naive one: Table 2's 93 vs 525 GFLOPS).
+            "MatMulPartialScalar",
+            block_tiles,
+            inputs=[
+                Edge("tmpA", rows_b[bi] * kb, key=(block_rows, slice(0, kb))),
+                Edge("tmpB", kb * cols_b[bj], key=(slice(0, kb), block_cols)),
+            ],
+            outputs=[
+                Edge("P", cells, key=(phase, block_rows, block_cols),
+                     local=True),
+            ],
+            params={"m": rows_b[bi], "n": cols_b[bj], "k": kb},
+        )
 
     cs_red = graph.add_compute_set(f"{name}/reduce")
-    for bi, (i0, i1) in enumerate(row_ranges):
-        for bj, (j0, j1) in enumerate(col_ranges):
-            elements = (i1 - i0) * (j1 - j0)
-            graph.add_vertex(
-                cs_red,
-                Vertex(
-                    codelet="ReduceAdd",
-                    tile=block_tile(bi, bj),
-                    inputs=[
-                        Edge(
-                            "P",
-                            elements,
-                            key=(phase, slice(i0, i1), slice(j0, j1)),
-                            local=True,
-                        )
-                        for phase in range(phases)
-                    ],
-                    outputs=[
-                        Edge(
-                            "C",
-                            elements,
-                            key=(slice(i0, i1), slice(j0, j1)),
-                            local=True,
-                        )
-                    ],
-                ),
-            )
+    graph.add_vertices(
+        cs_red,
+        "ReduceAdd",
+        block_tiles,
+        inputs=[
+            Edge("P", cells, key=(phase, block_rows, block_cols), local=True)
+            for phase in range(phases)
+        ],
+        outputs=[Edge("C", cells, key=(block_rows, block_cols), local=True)],
+    )
     graph.provenance = ("poplin.blocked_matmul", m, n, k, block)
     return graph
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.ipu.compiler import compile_graph
 from repro.ipu.executor import ExecutionReport, Executor
-from repro.ipu.graph import Edge, Graph, Vertex
+from repro.ipu.graph import Edge, Graph
 from repro.ipu.machine import IPUSpec
 from repro.linalg.sparse import COOMatrix, CSRMatrix
 
@@ -67,81 +67,82 @@ def build_spmm_graph(
 
     cs = graph.add_compute_set(f"{name}/spmm")
     if isinstance(a, CSRMatrix):
-        ranges = _csr_row_partition(a, spec.n_tiles)
-        for tile, (r0, r1) in enumerate(ranges):
-            lo, hi = int(a.indptr[r0]), int(a.indptr[r1])
-            nnz = hi - lo
-            chunk_indices = a.indices[lo:hi]
-            unique_cols = (
-                len(np.unique(chunk_indices)) if nnz else 0
-            )
-            graph.add_vertex(
-                cs,
-                Vertex(
-                    codelet="SparseRowDotCSR",
-                    tile=tile,
-                    inputs=[
-                        Edge("B", unique_cols * n_cols),
-                        Edge("A_values", nnz, local=True),
-                    ],
-                    outputs=[
-                        Edge(
-                            "C",
-                            (r1 - r0) * n_cols,
-                            key=(slice(r0, r1), slice(0, n_cols)),
-                            local=True,
-                        )
-                    ],
-                    params={
-                        "nnz": nnz,
-                        "n_cols": n_cols,
-                        "indptr": (a.indptr[r0 : r1 + 1] - lo),
-                        "indices": chunk_indices,
-                        "data": a.data[lo:hi],
-                    },
-                ),
-            )
+        ranges = np.array(_csr_row_partition(a, spec.n_tiles), dtype=np.int64)
+        r0, r1 = ranges[:, 0], ranges[:, 1]
+        lo, hi = a.indptr[r0], a.indptr[r1]
+        nnz = hi - lo
+        # Vertex t reads the B rows of the distinct column indices among
+        # its nonzeros [lo_t, hi_t); the parts tile [0, nnz) in order.
+        unique_cols = _distinct_per_part(nnz, a.indices)
+        graph.add_vertices(
+            cs,
+            "SparseRowDotCSR",
+            np.arange(len(ranges)),
+            inputs=[
+                Edge("B", unique_cols * n_cols),
+                Edge("A_values", nnz, local=True),
+            ],
+            outputs=[
+                Edge(
+                    "C",
+                    (r1 - r0) * n_cols,
+                    key=(slice(r0, r1), slice(0, n_cols)),
+                    local=True,
+                )
+            ],
+            params={
+                "nnz": nnz,
+                "n_cols": n_cols,
+                "row0": r0,
+                "row1": r1,
+                "csr": (a.indptr, a.indices, a.data),
+            },
+        )
     else:
         n_parts = min(spec.n_tiles, m)
         rows_per = math.ceil(m / n_parts)
+        r0 = np.arange(n_parts) * rows_per
+        r1 = np.minimum(r0 + rows_per, m)
         order = np.argsort(a.row, kind="stable")
         rows_sorted = a.row[order]
-        for tile in range(n_parts):
-            r0 = tile * rows_per
-            r1 = min(r0 + rows_per, m)
-            lo = int(np.searchsorted(rows_sorted, r0, side="left"))
-            hi = int(np.searchsorted(rows_sorted, r1, side="left"))
-            idx = order[lo:hi]
-            nnz = len(idx)
-            unique_cols = len(np.unique(a.col[idx])) if nnz else 0
-            graph.add_vertex(
-                cs,
-                Vertex(
-                    codelet="SparseDotCOO",
-                    tile=tile,
-                    inputs=[
-                        Edge("B", unique_cols * n_cols),
-                        Edge("A_values", nnz, local=True),
-                    ],
-                    outputs=[
-                        Edge(
-                            "C",
-                            (r1 - r0) * n_cols,
-                            key=(slice(r0, r1), slice(0, n_cols)),
-                            local=True,
-                        )
-                    ],
-                    params={
-                        "nnz": nnz,
-                        "n_cols": n_cols,
-                        "rows": a.row[idx] - r0,
-                        "cols": a.col[idx],
-                        "data": a.data[idx],
-                        "n_rows": r1 - r0,
-                    },
-                ),
-            )
+        lo = np.searchsorted(rows_sorted, r0, side="left")
+        hi = np.searchsorted(rows_sorted, r1, side="left")
+        nnz = hi - lo
+        unique_cols = _distinct_per_part(nnz, a.col[order])
+        graph.add_vertices(
+            cs,
+            "SparseDotCOO",
+            np.arange(n_parts),
+            inputs=[
+                Edge("B", unique_cols * n_cols),
+                Edge("A_values", nnz, local=True),
+            ],
+            outputs=[
+                Edge(
+                    "C",
+                    (r1 - r0) * n_cols,
+                    key=(slice(r0, r1), slice(0, n_cols)),
+                    local=True,
+                )
+            ],
+            params={
+                "nnz": nnz,
+                "n_cols": n_cols,
+                "row0": r0,
+                "n_rows": r1 - r0,
+                "lo": lo,
+                "hi": hi,
+                "coo": (rows_sorted, a.col[order], a.data[order]),
+            },
+        )
     return graph
+
+
+def _distinct_per_part(sizes: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Distinct entries in each of the consecutive parts of *values*."""
+    part = np.repeat(np.arange(len(sizes)), sizes)
+    pairs = np.unique(np.stack([part, values[: len(part)]]), axis=1)
+    return np.bincount(pairs[0], minlength=len(sizes))
 
 
 def spmm_report(

@@ -31,9 +31,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.ipu.compiler import CompiledGraph, GraphProfile, compile_graph
 from repro.ipu.executor import ExecutionReport, Executor
-from repro.ipu.graph import Edge, Graph, Vertex
+from repro.ipu.graph import Edge, Graph
 from repro.ipu.machine import GC200, IPUSpec
 from repro.ipu.poplin import emit_matmul
 from repro.nn.layers import (
@@ -72,10 +74,9 @@ def _tiles_for(
     return max(1, min(spec.n_tiles, elements // min_per_vertex))
 
 
-def _chunks(total: int, parts: int) -> list[int]:
-    """Split *total* into *parts* near-even positive chunk sizes."""
-    base, rem = divmod(total, parts)
-    return [base + (1 if i < rem else 0) for i in range(parts)]
+def _chunks(total: int, parts: int) -> np.ndarray:
+    """Split *total* into *parts* near-even chunk sizes."""
+    return total // parts + (np.arange(parts) < total % parts)
 
 
 class _Lowering:
@@ -118,20 +119,15 @@ class _Lowering:
         """One compute set of elementwise vertices spread across tiles."""
         cs = self.graph.add_compute_set(cs_name)
         n_tiles = _tiles_for(elements, self.spec)
-        for tile, chunk in enumerate(_chunks(elements, n_tiles)):
-            self.graph.add_vertex(
-                cs,
-                Vertex(
-                    codelet=codelet,
-                    tile=tile,
-                    inputs=[
-                        Edge(v, chunk, local=not remote_inputs)
-                        for v in in_vars
-                    ],
-                    outputs=[Edge(out_var, chunk, local=True)],
-                    params=dict(params or {}),
-                ),
-            )
+        chunk = _chunks(elements, n_tiles)
+        self.graph.add_vertices(
+            cs,
+            codelet,
+            np.arange(n_tiles),
+            inputs=[Edge(v, chunk, local=not remote_inputs) for v in in_vars],
+            outputs=[Edge(out_var, chunk, local=True)],
+            params=params,
+        )
 
     def emit_stage_pyramid(
         self,
@@ -161,22 +157,20 @@ class _Lowering:
             cs = self.graph.add_compute_set(f"{cs_prefix}/level{level}")
             total_pairs = (features // 2) * self.batch
             n_tiles = _tiles_for(total_pairs * 2, self.spec)
-            for tile, pairs in enumerate(_chunks(total_pairs, n_tiles)):
-                inputs = [Edge(cur, 2 * pairs)]
-                if aux_var is not None:
-                    inputs.append(
-                        Edge(aux_var, aux_elements_per_vertex, local=True)
-                    )
-                self.graph.add_vertex(
-                    cs,
-                    Vertex(
-                        codelet=codelet,
-                        tile=tile,
-                        inputs=inputs,
-                        outputs=[Edge(nxt, 2 * pairs, local=True)],
-                        params=params_per_vertex(level, pairs),
-                    ),
+            pairs = _chunks(total_pairs, n_tiles)
+            inputs = [Edge(cur, 2 * pairs)]
+            if aux_var is not None:
+                inputs.append(
+                    Edge(aux_var, aux_elements_per_vertex, local=True)
                 )
+            self.graph.add_vertices(
+                cs,
+                codelet,
+                np.arange(n_tiles),
+                inputs=inputs,
+                outputs=[Edge(nxt, 2 * pairs, local=True)],
+                params=params_per_vertex(level, pairs),
+            )
             cur = nxt
         return cur
 
@@ -298,24 +292,20 @@ def _lower_pixelfly(
     n_tiles = max(
         1, min(low.spec.n_tiles, pattern.n_blocks * batch_chunks)
     )
-    for tile, nblk in enumerate(_chunks(pattern.n_blocks, n_tiles)):
-        if nblk == 0:
-            continue
-        low.graph.add_vertex(
-            cs,
-            Vertex(
-                codelet="BlockSparseMatMul",
-                tile=tile,
-                inputs=[
-                    Edge(x, nblk * bs * low.batch),
-                    Edge(blocks, nblk * bs * bs, local=True),
-                ],
-                outputs=[
-                    Edge(sparse_out, nblk * bs * low.batch, local=True)
-                ],
-                params={"flops": total_flops // n_tiles},
-            ),
-        )
+    nblk = _chunks(pattern.n_blocks, n_tiles)
+    busy = np.flatnonzero(nblk)
+    nblk = nblk[busy]
+    low.graph.add_vertices(
+        cs,
+        "BlockSparseMatMul",
+        busy,
+        inputs=[
+            Edge(x, nblk * bs * low.batch),
+            Edge(blocks, nblk * bs * bs, local=True),
+        ],
+        outputs=[Edge(sparse_out, nblk * bs * low.batch, local=True)],
+        params={"flops": total_flops // n_tiles},
+    )
     # Scatter-reduce: blocks mapping to the same output row-block are summed.
     reduced = low.new_activation(n, hint="pxf_reduced")
     low.emit_elementwise(
@@ -424,18 +414,16 @@ def _lower_circulant(
         cs = low.graph.add_compute_set(f"circulant/{hint}")
         # Library-fused FFT spreads much finer than per-stage generic code.
         n_tiles = _tiles_for(pairs * 2, low.spec, min_per_vertex=64)
-        for tile, chunk in enumerate(_chunks(pairs, n_tiles)):
-            low.graph.add_vertex(
-                cs,
-                Vertex(
-                    codelet="FFTStage",
-                    tile=tile,
-                    inputs=[Edge(cur, 2 * chunk)],
-                    outputs=[Edge(out, 2 * chunk, local=True)],
-                    # Fused library FFT: all log n stages inside the vertex.
-                    params={"n_pairs": chunk * levels},
-                ),
-            )
+        chunk = _chunks(pairs, n_tiles)
+        low.graph.add_vertices(
+            cs,
+            "FFTStage",
+            np.arange(n_tiles),
+            inputs=[Edge(cur, 2 * chunk)],
+            outputs=[Edge(out, 2 * chunk, local=True)],
+            # Fused library FFT: all log n stages inside the vertex.
+            params={"n_pairs": chunk * levels},
+        )
         return out
 
     cur = fft_cs(x, "rfft")
@@ -650,7 +638,7 @@ class IPUModule:
         """True iff the forward graph fits in tile memory."""
         return self.compile().memory.fits
 
-    def forward(self, x) -> "np.ndarray":
+    def forward(self, x) -> np.ndarray:
         """Numeric forward of up to ``batch`` input rows.
 
         The device executes one fixed compiled batch shape, so fewer
@@ -663,8 +651,6 @@ class IPUModule:
         ``batched_forward`` verify oracle and
         ``tests/ipu/test_batched_forward.py``.
         """
-        import numpy as np
-
         from repro.nn.tensor import Tensor
 
         x = np.asarray(x, dtype=float)

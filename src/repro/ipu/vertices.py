@@ -1,10 +1,17 @@
-"""Codelet registry: per-vertex cycle models and numeric executors.
+"""Codelet registry: cycle models and numeric executors.
 
 Each codelet couples a *cycle cost function* (architecture-derived, used by
 the executor's timing) with an optional *execute function* (numpy numerics,
 used to validate the simulator against ground truth).  Codelets without an
 execute function can still be compiled and timed — the Fig 6/Fig 7 layer
 sweeps only need costs, while the Table 2 matmul paths are fully executable.
+
+Cost functions are evaluated per batch of vertices: they take a
+:class:`~repro.ipu.graph.VertexBatch` (param and port ``n_elements``
+columns) and return one cycle count per vertex, or a scalar that
+broadcasts.  Written with numpy operators only, the same function also
+costs a single :class:`~repro.ipu.graph.Vertex` record (scalar fields).
+Execute functions run one vertex record at a time.
 
 Cycle models follow one of three rate classes from the machine spec:
 
@@ -18,16 +25,23 @@ Cycle models follow one of three rate classes from the machine spec:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
-from repro.ipu.graph import Vertex
 from repro.ipu.machine import IPUSpec
 
-__all__ = ["Codelet", "CODELETS", "register_codelet", "vertex_cycles"]
+if TYPE_CHECKING:
+    from repro.ipu.graph import Vertex, VertexBatch
+
+__all__ = [
+    "Codelet",
+    "CODELETS",
+    "register_codelet",
+    "vertex_cycles",
+    "batch_cycles",
+]
 
 #: Pipeline fill / loop setup overhead charged once per vertex invocation.
 VERTEX_OVERHEAD_CYCLES = 60
@@ -44,8 +58,11 @@ class Codelet:
     """A codelet: cost model plus optional numeric implementation."""
 
     name: str
-    cycles: Callable[[Vertex, IPUSpec], float]
+    cycles: Callable[[VertexBatch | Vertex, IPUSpec], Any]
     execute: Callable[[Vertex, dict[str, np.ndarray]], None] | None = None
+    #: Cost params every vertex must carry; ``Graph.add_vertices`` rejects
+    #: batches that lack one.
+    params: tuple[str, ...] = ()
 
 
 CODELETS: dict[str, Codelet] = {}
@@ -57,12 +74,23 @@ def register_codelet(codelet: Codelet) -> Codelet:
     return codelet
 
 
-def vertex_cycles(vertex: Vertex, spec: IPUSpec) -> float:
-    """Cycle cost of one vertex on *spec*."""
-    codelet = CODELETS.get(vertex.codelet)
+def _lookup(name: str) -> Codelet:
+    codelet = CODELETS.get(name)
     if codelet is None:
-        raise KeyError(f"unknown codelet {vertex.codelet!r}")
-    return codelet.cycles(vertex, spec)
+        raise KeyError(f"unknown codelet {name!r}")
+    return codelet
+
+
+def vertex_cycles(vertex: Vertex, spec: IPUSpec) -> float:
+    """Cycle cost of one vertex record on *spec*."""
+    return float(_lookup(vertex.codelet).cycles(vertex, spec))
+
+
+def batch_cycles(batch: VertexBatch, spec: IPUSpec) -> np.ndarray:
+    """Cycle cost of every vertex of *batch* on *spec* (float64 column)."""
+    cycles = np.empty(batch.n, dtype=np.float64)
+    cycles[:] = _lookup(batch.codelet).cycles(batch, spec)
+    return cycles
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +98,10 @@ def vertex_cycles(vertex: Vertex, spec: IPUSpec) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _matmul_dims(vertex: Vertex) -> tuple[int, int, int]:
+_MATMUL_PARAMS = ("m", "n", "k")
+
+
+def _matmul_dims(vertex):
     try:
         return vertex.params["m"], vertex.params["n"], vertex.params["k"]
     except KeyError as exc:
@@ -79,17 +110,19 @@ def _matmul_dims(vertex: Vertex) -> tuple[int, int, int]:
         ) from exc
 
 
-def _amp_cycles(vertex: Vertex, spec: IPUSpec) -> float:
+def _amp_cycles(vertex, spec: IPUSpec):
     m, n, k = _matmul_dims(vertex)
     macs = m * n * k
     # Short accumulation chains underfill the AMP pipeline.
-    efficiency = min(1.0, k / 16.0)
+    efficiency = np.minimum(1.0, k / 16.0)
     return VERTEX_OVERHEAD_CYCLES + macs / (
-        spec.amp_macs_per_cycle * max(efficiency, 1e-3)
+        spec.amp_macs_per_cycle * np.maximum(efficiency, 1e-3)
     )
 
 
-def _execute_matmul_partial(vertex: Vertex, state: dict[str, np.ndarray]) -> None:
+def _execute_matmul_partial(
+    vertex: Vertex, state: dict[str, np.ndarray]
+) -> None:
     a_edge, b_edge = vertex.inputs[0], vertex.inputs[1]
     out_edge = vertex.outputs[0]
     a = state[a_edge.var][a_edge.key]
@@ -101,21 +134,27 @@ def _execute_matmul_partial(vertex: Vertex, state: dict[str, np.ndarray]) -> Non
 
 
 register_codelet(
-    Codelet("MatMulPartialAMP", _amp_cycles, _execute_matmul_partial)
+    Codelet(
+        "MatMulPartialAMP", _amp_cycles, _execute_matmul_partial,
+        _MATMUL_PARAMS,
+    )
 )
 
 
-def _scalar_matmul_cycles(vertex: Vertex, spec: IPUSpec) -> float:
+def _scalar_matmul_cycles(vertex, spec: IPUSpec):
     m, n, k = _matmul_dims(vertex)
     return VERTEX_OVERHEAD_CYCLES + 2.0 * m * n * k / spec.scalar_flops_per_cycle
 
 
 register_codelet(
-    Codelet("MatMulPartialScalar", _scalar_matmul_cycles, _execute_matmul_partial)
+    Codelet(
+        "MatMulPartialScalar", _scalar_matmul_cycles,
+        _execute_matmul_partial, _MATMUL_PARAMS,
+    )
 )
 
 
-def _vector_matmul_cycles(vertex: Vertex, spec: IPUSpec) -> float:
+def _vector_matmul_cycles(vertex, spec: IPUSpec):
     # Hand-vectorised but non-AMP inner loop (the paper's blocked variant:
     # a custom codelet cannot reach the AMP pipeline).
     m, n, k = _matmul_dims(vertex)
@@ -123,7 +162,10 @@ def _vector_matmul_cycles(vertex: Vertex, spec: IPUSpec) -> float:
 
 
 register_codelet(
-    Codelet("MatMulPartialVector", _vector_matmul_cycles, _execute_matmul_partial)
+    Codelet(
+        "MatMulPartialVector", _vector_matmul_cycles,
+        _execute_matmul_partial, _MATMUL_PARAMS,
+    )
 )
 
 
@@ -132,7 +174,7 @@ register_codelet(
 # ---------------------------------------------------------------------------
 
 
-def _reduce_cycles(vertex: Vertex, spec: IPUSpec) -> float:
+def _reduce_cycles(vertex, spec: IPUSpec):
     n_inputs = max(1, len(vertex.inputs))
     elements = vertex.outputs[0].n_elements
     return VERTEX_OVERHEAD_CYCLES + (
@@ -140,7 +182,9 @@ def _reduce_cycles(vertex: Vertex, spec: IPUSpec) -> float:
     )
 
 
-def _execute_reduce_add(vertex: Vertex, state: dict[str, np.ndarray]) -> None:
+def _execute_reduce_add(
+    vertex: Vertex, state: dict[str, np.ndarray]
+) -> None:
     out_edge = vertex.outputs[0]
     acc = None
     for edge in vertex.inputs:
@@ -152,7 +196,7 @@ def _execute_reduce_add(vertex: Vertex, state: dict[str, np.ndarray]) -> None:
 register_codelet(Codelet("ReduceAdd", _reduce_cycles, _execute_reduce_add))
 
 
-def _copy_cycles(vertex: Vertex, spec: IPUSpec) -> float:
+def _copy_cycles(vertex, spec: IPUSpec):
     elements = vertex.outputs[0].n_elements
     # SRAM copy: one 4-byte element per cycle per worker context.
     return VERTEX_OVERHEAD_CYCLES + elements
@@ -184,7 +228,7 @@ _UNARY_OPS = {
 }
 
 
-def _elementwise_cycles(vertex: Vertex, spec: IPUSpec) -> float:
+def _elementwise_cycles(vertex, spec: IPUSpec):
     elements = vertex.outputs[0].n_elements
     return VERTEX_OVERHEAD_CYCLES + elements / spec.vector_flops_per_cycle
 
@@ -236,23 +280,30 @@ SPMM_PANEL_COLS = 16
 SPMM_PANEL_OVERHEAD_CYCLES = 1700
 
 
-def _sparse_row_cycles(vertex: Vertex, spec: IPUSpec) -> float:
+def _sparse_row_cycles(vertex, spec: IPUSpec):
     nnz = vertex.params["nnz"]
     n_cols = vertex.params["n_cols"]
     # Panel-wise SpMM: per SPMM_PANEL_COLS-wide output panel, restream the
     # index array (2 cycles/nnz) on top of the panel setup; per nonzero an
     # indirect B-row gather plus a vectorised axpy over the panel.
-    panels = math.ceil(n_cols / SPMM_PANEL_COLS)
+    panels = np.ceil(n_cols / SPMM_PANEL_COLS)
     panel_cost = panels * (SPMM_PANEL_OVERHEAD_CYCLES + 2.0 * nnz)
     gather = nnz * spec.gather_cycles_per_element
     flops = 2.0 * nnz * n_cols / spec.vector_flops_per_cycle
     return VERTEX_OVERHEAD_CYCLES + panel_cost + gather + flops
 
 
-def _execute_sparse_row_dot(vertex: Vertex, state: dict[str, np.ndarray]) -> None:
-    indptr = vertex.params["indptr"]
-    indices = vertex.params["indices"]
-    data = vertex.params["data"]
+def _execute_sparse_row_dot(
+    vertex: Vertex, state: dict[str, np.ndarray]
+) -> None:
+    # The whole CSR operand is one broadcast param; the vertex owns rows
+    # [row0, row1).
+    all_indptr, all_indices, all_data = vertex.params["csr"]
+    r0, r1 = vertex.params["row0"], vertex.params["row1"]
+    lo, hi = int(all_indptr[r0]), int(all_indptr[r1])
+    indptr = all_indptr[r0 : r1 + 1] - lo
+    indices = all_indices[lo:hi]
+    data = all_data[lo:hi]
     b_edge = vertex.inputs[0]
     out_edge = vertex.outputs[0]
     b = state[b_edge.var][b_edge.key] if b_edge.key else state[b_edge.var]
@@ -269,18 +320,21 @@ def _execute_sparse_row_dot(vertex: Vertex, state: dict[str, np.ndarray]) -> Non
 
 
 register_codelet(
-    Codelet("SparseRowDotCSR", _sparse_row_cycles, _execute_sparse_row_dot)
+    Codelet(
+        "SparseRowDotCSR", _sparse_row_cycles, _execute_sparse_row_dot,
+        ("nnz", "n_cols"),
+    )
 )
 
 
-def _sparse_coo_cycles(vertex: Vertex, spec: IPUSpec) -> float:
+def _sparse_coo_cycles(vertex, spec: IPUSpec):
     nnz = vertex.params["nnz"]
     n_cols = vertex.params["n_cols"]
     # COO pays two index loads per nonzero and scatter-adds its output
     # (read-modify-write), hence the higher per-nnz cost vs CSR — the
     # paper's Note 2 (CSR beats COO on both devices).  Same panel chain as
     # the CSR codelet, with both index arrays restreamed.
-    panels = math.ceil(n_cols / SPMM_PANEL_COLS)
+    panels = np.ceil(n_cols / SPMM_PANEL_COLS)
     panel_cost = panels * (SPMM_PANEL_OVERHEAD_CYCLES + 4.0 * nnz)
     gather = nnz * (2.0 * spec.gather_cycles_per_element)
     flops = 3.0 * nnz * n_cols / spec.vector_flops_per_cycle
@@ -288,9 +342,13 @@ def _sparse_coo_cycles(vertex: Vertex, spec: IPUSpec) -> float:
 
 
 def _execute_sparse_coo(vertex: Vertex, state: dict[str, np.ndarray]) -> None:
-    rows = vertex.params["rows"]
-    cols = vertex.params["cols"]
-    data = vertex.params["data"]
+    # The row-sorted COO operand is one broadcast param; the vertex owns
+    # entries [lo, hi), which fall in rows [row0, row0 + n_rows).
+    all_rows, all_cols, all_data = vertex.params["coo"]
+    lo, hi = vertex.params["lo"], vertex.params["hi"]
+    rows = all_rows[lo:hi] - vertex.params["row0"]
+    cols = all_cols[lo:hi]
+    data = all_data[lo:hi]
     n_rows = vertex.params["n_rows"]
     b_edge = vertex.inputs[0]
     out_edge = vertex.outputs[0]
@@ -301,7 +359,10 @@ def _execute_sparse_coo(vertex: Vertex, state: dict[str, np.ndarray]) -> None:
 
 
 register_codelet(
-    Codelet("SparseDotCOO", _sparse_coo_cycles, _execute_sparse_coo)
+    Codelet(
+        "SparseDotCOO", _sparse_coo_cycles, _execute_sparse_coo,
+        ("nnz", "n_cols"),
+    )
 )
 
 
@@ -310,7 +371,7 @@ register_codelet(
 # ---------------------------------------------------------------------------
 
 
-def _butterfly_stage_cycles(vertex: Vertex, spec: IPUSpec) -> float:
+def _butterfly_stage_cycles(vertex, spec: IPUSpec):
     # One butterfly level over `n_pairs` (pair, batch-row) elements: loads
     # two strided activations and four twiddles, 8 flops, two strided
     # stores — indirect addressing dominates, hence the gather rate.
@@ -320,18 +381,22 @@ def _butterfly_stage_cycles(vertex: Vertex, spec: IPUSpec) -> float:
     )
 
 
-register_codelet(Codelet("ButterflyStage", _butterfly_stage_cycles))
+register_codelet(
+    Codelet("ButterflyStage", _butterfly_stage_cycles, params=("n_pairs",))
+)
 
 
-def _block_sparse_cycles(vertex: Vertex, spec: IPUSpec) -> float:
+def _block_sparse_cycles(vertex, spec: IPUSpec):
     flops = vertex.params["flops"]
     return VERTEX_OVERHEAD_CYCLES + flops / BLOCK_FLOPS_PER_CYCLE
 
 
-register_codelet(Codelet("BlockSparseMatMul", _block_sparse_cycles))
+register_codelet(
+    Codelet("BlockSparseMatMul", _block_sparse_cycles, params=("flops",))
+)
 
 
-def _fwht_stage_cycles(vertex: Vertex, spec: IPUSpec) -> float:
+def _fwht_stage_cycles(vertex, spec: IPUSpec):
     # Add/sub over strided pairs: the same strided-access class as a
     # butterfly level (no twiddle loads, but the PyTorch per-stage lowering
     # still materialises intermediates).
@@ -341,10 +406,12 @@ def _fwht_stage_cycles(vertex: Vertex, spec: IPUSpec) -> float:
     )
 
 
-register_codelet(Codelet("FWHTStage", _fwht_stage_cycles))
+register_codelet(
+    Codelet("FWHTStage", _fwht_stage_cycles, params=("elements",))
+)
 
 
-def _fft_stage_cycles(vertex: Vertex, spec: IPUSpec) -> float:
+def _fft_stage_cycles(vertex, spec: IPUSpec):
     # Complex butterfly stage: ~10 real flops per pair plus strided access.
     n_pairs = vertex.params["n_pairs"]
     return VERTEX_OVERHEAD_CYCLES + (
@@ -353,15 +420,19 @@ def _fft_stage_cycles(vertex: Vertex, spec: IPUSpec) -> float:
     )
 
 
-register_codelet(Codelet("FFTStage", _fft_stage_cycles))
+register_codelet(
+    Codelet("FFTStage", _fft_stage_cycles, params=("n_pairs",))
+)
 
 
-def _diag_scale_cycles(vertex: Vertex, spec: IPUSpec) -> float:
+def _diag_scale_cycles(vertex, spec: IPUSpec):
     elements = vertex.outputs[0].n_elements
     return VERTEX_OVERHEAD_CYCLES + elements / spec.vector_flops_per_cycle
 
 
-def _execute_diag_scale(vertex: Vertex, state: dict[str, np.ndarray]) -> None:
+def _execute_diag_scale(
+    vertex: Vertex, state: dict[str, np.ndarray]
+) -> None:
     x_edge, d_edge = vertex.inputs[0], vertex.inputs[1]
     dst = vertex.outputs[0]
     x = state[x_edge.var][x_edge.key] if x_edge.key else state[x_edge.var]

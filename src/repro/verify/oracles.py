@@ -94,12 +94,14 @@ def codelet_doubles():
     variable, so unsound buffer aliasing or an unrecovered fault shows
     up as divergence rather than silence.
     """
-    from repro.ipu.vertices import CODELETS, Codelet, register_codelet
+    from repro.ipu.vertices import CODELETS, register_codelet
 
     originals = {name: CODELETS[name] for name in ESTIMATE_ONLY}
     try:
-        for name, codelet in originals.items():
-            register_codelet(Codelet(name, codelet.cycles, _double_execute))
+        for codelet in originals.values():
+            register_codelet(
+                dataclasses.replace(codelet, execute=_double_execute)
+            )
         yield
     finally:
         for codelet in originals.values():
@@ -108,7 +110,7 @@ def codelet_doubles():
 
 def external_inputs(graph, seed: int) -> dict:
     """Seeded values for every variable the program never writes."""
-    written = {e.var for v in graph.vertices for e in v.outputs}
+    written = graph.vertex_output_variables()
     for step in graph.program:
         if step.kind == "copy":
             written.add(step.ref[1])

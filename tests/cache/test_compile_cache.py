@@ -97,7 +97,7 @@ class TestKeys:
 
     def test_fingerprint_sees_vertex_params(self):
         a, b = small_graph(), small_graph()
-        b.vertices[0].params["flops"] = 12345
+        b.batches[0].params["flops"] = 12345
         assert graph_fingerprint(a) != graph_fingerprint(b)
 
 

@@ -116,6 +116,19 @@ class TestMultiply:
             butterfly_multiply(identity_twiddle(32), x), x
         )
 
+    def test_zero_level_butterfly_is_identity(self, rng):
+        # n = 1: no levels, so every operation is the identity.
+        tw = identity_twiddle(1)
+        assert tw.shape == (0, 0, 2, 2)
+        x = rng.standard_normal((3, 1))
+        np.testing.assert_array_equal(butterfly_multiply(tw, x), x)
+        y, inputs = butterfly_multiply_with_intermediates(tw, x)
+        np.testing.assert_array_equal(y, x)
+        grad_t, grad_x = butterfly_multiply_backward(tw, inputs, 2 * x)
+        assert grad_t.shape == tw.shape
+        np.testing.assert_array_equal(grad_x, 2 * x)
+        np.testing.assert_array_equal(butterfly_to_dense(tw), np.eye(1))
+
 
 class TestFFT:
     @pytest.mark.parametrize("n", [2, 4, 8, 16, 64, 256])

@@ -1,5 +1,6 @@
 """Tests for the IPU dataflow graph and the memory-accounting compiler."""
 
+import numpy as np
 import pytest
 
 from repro.ipu.compiler import IPUOutOfMemoryError, compile_graph
@@ -92,6 +93,90 @@ class TestGraphConstruction:
 
     def test_repr(self):
         assert "tiny" in repr(tiny_graph())
+
+
+class TestAddVertices:
+    """Batch emission: columns in, typed errors naming what is wrong."""
+
+    @staticmethod
+    def graph():
+        g = Graph(8, name="batch")
+        g.add_variable("x", (4, 8))
+        g.add_variable("y", (4, 8))
+        return g, g.add_compute_set("scale")
+
+    def test_batch_matches_single_vertex_records(self):
+        g, cs = self.graph()
+        ids = g.add_vertices(
+            cs,
+            "ElementwiseUnary",
+            [0, 1],
+            inputs=[Edge("x", np.array([16, 16]), key=(slice(None), 0))],
+            outputs=[
+                Edge(
+                    "y",
+                    16,
+                    key=(slice(np.array([0, 2]), np.array([2, 4])),),
+                    local=True,
+                )
+            ],
+            params={"op": "relu", "lane": np.array([3, 5])},
+        )
+        assert list(ids) == [0, 1]
+        assert (g.n_vertices, g.n_edges) == (2, 4)
+        v = g.vertex(1)
+        assert (v.codelet, v.tile, v.params) == (
+            "ElementwiseUnary", 1, {"op": "relu", "lane": 5},
+        )
+        assert v.inputs[0].key == (slice(0, 4), 0)
+        assert v.outputs[0].key == (slice(2, 4),)
+        assert v.outputs[0].local and not v.inputs[0].local
+        table = g.vertex_table()
+        assert table.remote_in_elements.tolist() == [16, 16]
+        assert table.out_elements.tolist() == [16, 16]
+
+    def test_unregistered_codelet(self):
+        g, cs = self.graph()
+        with pytest.raises(ValueError, match="'NoSuchCodelet'.*not registered"):
+            g.add_vertices(cs, "NoSuchCodelet", [0])
+
+    def test_column_length_mismatch(self):
+        g, cs = self.graph()
+        with pytest.raises(ValueError, match="edge to 'x': n_elements has shape"):
+            g.add_vertices(
+                cs, "Copy", [0, 1], inputs=[Edge("x", np.array([1, 2, 3]))]
+            )
+        with pytest.raises(ValueError, match=r"param 'lane'.*shape \(3,\)"):
+            g.add_vertices(
+                cs, "Copy", [0, 1], params={"lane": np.arange(3)}
+            )
+
+    def test_negative_n_elements(self):
+        g, cs = self.graph()
+        with pytest.raises(ValueError, match="'scale'.*'y'.*negative"):
+            g.add_vertices(
+                cs, "Copy", [0, 1], outputs=[Edge("y", np.array([4, -1]))]
+            )
+
+    def test_tile_out_of_range(self):
+        g, cs = self.graph()
+        with pytest.raises(ValueError, match="Copy.*'scale'.*tile 8"):
+            g.add_vertices(cs, "Copy", [0, 8])
+
+    def test_compute_set_out_of_range(self):
+        g, _ = self.graph()
+        with pytest.raises(ValueError, match="compute set with index 3"):
+            g.add_vertices(3, "Copy", [0])
+
+    def test_unknown_variable(self):
+        g, cs = self.graph()
+        with pytest.raises(ValueError, match="'scale'.*unknown variable 'z'"):
+            g.add_vertices(cs, "Copy", [0], inputs=[Edge("z", 1)])
+
+    def test_missing_cost_param(self):
+        g, cs = self.graph()
+        with pytest.raises(ValueError, match="ButterflyStage.*'n_pairs'"):
+            g.add_vertices(cs, "ButterflyStage", [0], params={"pairs": 4})
 
 
 class TestCompiler:

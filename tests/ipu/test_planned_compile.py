@@ -31,7 +31,7 @@ def mlp_module(depth=4, dim=48, batch=16):
 
 def external_inputs(graph, seed=0):
     """Deterministic values for every variable the program never writes."""
-    written = {e.var for v in graph.vertices for e in v.outputs}
+    written = graph.vertex_output_variables()
     for step in graph.program:
         if step.kind == "copy":
             written.add(step.ref[1])

@@ -89,7 +89,7 @@ METHODS = [
 
 
 def external_inputs(graph, seed):
-    written = {e.var for v in graph.vertices for e in v.outputs}
+    written = graph.vertex_output_variables()
     for step in graph.program:
         if step.kind == "copy":
             written.add(step.ref[1])

@@ -194,3 +194,10 @@ class TestOraclesOnGeneratedCases:
         case = generate_case(0, index)
         ran = check_case(case)
         assert "forward_dense" in ran
+
+    def test_one_feature_butterfly_case_green(self):
+        # Seed 2, case 68 draws ButterflyLinear(1, 1): a 0-level twiddle.
+        case = generate_case(2, 68)
+        assert case.layers[0].kind == "butterfly"
+        ran = check_case(case)
+        assert "forward_dense" in ran and "backward_dense" in ran
