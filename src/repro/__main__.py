@@ -232,9 +232,12 @@ def _default_journal_dir() -> pathlib.Path:
 def _add_guard_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group(
         "supervised execution",
-        "passing any of these wraps grid experiments in repro.guard: "
-        "per-cell deadlines, seeded retries, quarantine and a resumable "
-        "completion journal (docs/RESILIENCE.md, 'Supervised grids')",
+        "grids with --jobs N > 1 always run on the repro.guard "
+        "supervisor, by default with no retries and failing on any "
+        "failed cell; passing any of these (at any --jobs) sets its "
+        "policy: per-cell deadlines, seeded retries, quarantine and a "
+        "resumable completion journal (docs/RESILIENCE.md, "
+        "'Supervised grids')",
     )
     group.add_argument(
         "--cell-timeout",

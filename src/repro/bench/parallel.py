@@ -3,9 +3,13 @@
 Grid experiments (fig5/fig6/fig7/table2/table5) are embarrassingly
 parallel: each configuration compiles and times its graphs independently
 of every other.  :func:`run_grid` fans a top-level worker function out
-over a process pool while keeping every result bitwise identical to a
+over worker processes while keeping every result bitwise identical to a
 serial run:
 
+* **One engine** — ``jobs=1`` without a guard policy runs the cells in
+  process; everything else goes through :mod:`repro.guard`'s supervised
+  worker pool.  Without a policy that means no retries and ``strict``:
+  any failed cell raises :class:`WorkerError` once the grid completes.
 * **Seeding** — each configuration gets its own child of
   ``numpy.random.SeedSequence(seed)`` (spawned in config order), so the
   stream a config sees does not depend on which worker ran it or in what
@@ -13,28 +17,18 @@ serial run:
 * **Ordering** — results come back in submission (config) order
   regardless of completion order, and worker metric/cache statistics are
   merged into the parent in that same order.
-* **Crash surfacing** — an exception inside a worker is returned as a
-  pickled traceback string and re-raised in the parent as
-  :class:`WorkerError`; a worker process dying outright
-  (``BrokenProcessPool``) is wrapped the same way instead of surfacing
-  as an opaque pool error.  Every outcome is collected before raising:
-  the exception names *all* failing configs and carries the completed
-  results (``exc.failures`` / ``exc.results``), so one bad cell no
-  longer discards its siblings' work.
-* **Supervision** — passing a :class:`~repro.guard.GuardPolicy` via
-  ``guard=`` swaps the shared pool for :mod:`repro.guard`'s supervised
-  process-per-cell runner: per-cell deadlines, seeded retry/backoff for
-  transient failures, quarantine of poisoned configs, and a resumable
-  completion journal.  Under guard, failed cells yield ``None`` in the
-  result list (or, with ``strict=True``, a :class:`WorkerError` after
-  the grid has been driven to completion).
+* **Crash surfacing** — an exception inside a worker, or a worker
+  process dying outright, fails only its own cell.  Every outcome is
+  collected before raising: the :class:`WorkerError` names *all*
+  failing configs and carries the completed results (``exc.failures`` /
+  ``exc.results``), so one bad cell does not discard its siblings' work.
 * **Caching** — workers open the same on-disk
   :class:`~repro.cache.CompilationCache` directory (safe: entry writes
   are atomic per-process temp files + rename), so one worker's compile
   is every other worker's hit.  Their hit/miss counters merge into the
   parent cache's stats.
 
-Worker functions must be defined at module top level (the pool uses the
+Worker functions must be defined at module top level (workers use the
 ``spawn`` start method — fork is unsafe with threaded BLAS — and spawn
 pickles by reference).  They receive ``(config, seed_seq)`` and return
 any picklable value.
@@ -42,25 +36,24 @@ any picklable value.
 
 from __future__ import annotations
 
-import traceback
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from multiprocessing import get_context
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.cache import CompilationCache, caching, get_cache
 from repro.guard.policy import GuardPolicy
 from repro.guard.supervisor import run_supervised_grid
 from repro.obs.context import derive_run_id, worker_track
 from repro.obs.log import get_logger
-from repro.obs.metrics import MetricRegistry, collecting, get_registry
+from repro.obs.metrics import MetricRegistry
 from repro.obs.propagate import obs_spec, worker_observability
 from repro.obs.tracer import get_tracer
 
 __all__ = ["WorkerError", "run_grid"]
+
+#: The policy for ``jobs > 1`` grids run without one: no retries, and a
+#: :class:`WorkerError` naming every failed cell once the grid completes.
+_UNGUARDED = GuardPolicy(retries=0, strict=True)
 
 
 class WorkerError(RuntimeError):
@@ -95,53 +88,6 @@ class WorkerError(RuntimeError):
         super().__init__(message)
 
 
-def _run_in_worker(
-    worker: Callable,
-    config: Any,
-    seed_seq: np.random.SeedSequence,
-    cache_dir: str | None,
-    spec: dict | None = None,
-) -> tuple[str, Any, list[dict], dict, dict, list[dict]]:
-    """Top-level trampoline executed inside a pool process.
-
-    Installs a fresh metric registry, (when a cache directory is
-    shared) a disk-backed compilation cache, and whatever observability
-    *spec* requests (see :func:`repro.obs.propagate.obs_spec`), runs
-    *worker*, and ships back ``("ok", result, metrics_snapshot,
-    cache_stats, trace_snapshot, log_snapshot)``.  Exceptions become
-    ``("error", traceback_text, ...)`` so the parent can re-raise with
-    full remote context — with the trace/log buffers the worker flushed
-    before dying still attached, so a failed cell is not a blind spot.
-    """
-    cache = (
-        CompilationCache(path=cache_dir)
-        if cache_dir is not None
-        else CompilationCache()
-    )
-    tracer, runlog = None, None
-    try:
-        with collecting() as registry, caching(cache), \
-                worker_observability(spec) as (tracer, runlog):
-            result = worker(config, seed_seq)
-        return (
-            "ok",
-            result,
-            registry.snapshot(),
-            cache.stats.as_dict(),
-            tracer.snapshot(),
-            runlog.snapshot(),
-        )
-    except Exception:
-        return (
-            "error",
-            traceback.format_exc(),
-            [],
-            cache.stats.as_dict(),
-            tracer.snapshot() if tracer is not None else {},
-            runlog.snapshot() if runlog is not None else [],
-        )
-
-
 def run_grid(
     worker: Callable,
     configs: Sequence[Any],
@@ -155,83 +101,44 @@ def run_grid(
 ) -> list[Any]:
     """Run ``worker(config, seed_seq)`` for every config; ordered results.
 
-    ``jobs=1`` runs serially in-process (same seed spawning, current
-    global cache/registry — zero pickling), so parallel and serial runs
-    of the same grid are interchangeable.  ``jobs>1`` fans out over a
-    spawn-context process pool; *worker* must then be picklable (module
-    top level) and *cache_dir* points every worker at one shared on-disk
-    cache — defaulting to the ambient global cache's directory, so
-    ``python -m repro fig5 --jobs 4`` shares its cache with the workers
-    without any experiment-level plumbing.
+    ``jobs=1`` without *guard* runs serially in-process (same seed
+    spawning, current global cache/registry — zero pickling), and a
+    worker exception propagates as is.  Any other call is delegated to
+    :func:`repro.guard.run_supervised_grid` (even ``jobs=1`` with a
+    guard — the watchdog and journal need a subprocess): *worker* must
+    then be picklable (module top level) and *cache_dir* points every
+    worker at one shared on-disk cache — defaulting to the ambient
+    global cache's directory, so ``python -m repro fig5 --jobs 4``
+    shares its cache with the workers without any experiment-level
+    plumbing.  Worker metric snapshots merge into *registry* (default:
+    the global one) and worker cache stats merge into the parent's
+    global cache, in config order.
 
-    Worker metric snapshots merge into *registry* (default: the global
-    one) and worker cache stats merge into the parent's global cache, in
-    config order.
-
-    With *guard* set, execution is delegated to
-    :func:`repro.guard.run_supervised_grid` (even at ``jobs=1`` — the
-    watchdog and journal need a subprocess): cells that fail permanently
-    or exhaust their retries come back as ``None``, unless
-    ``guard.strict`` is set, in which case a :class:`WorkerError` naming
-    every failed cell is raised after the grid completes.  *name* labels
-    the resulting :class:`~repro.guard.GridReport`.
-
-    Without *guard*, an error in any worker raises :class:`WorkerError`
-    — but only after every outcome has been collected, so the exception
-    carries all failures and the completed results (see
-    :class:`WorkerError`).
+    *guard* defaults to no retries and ``strict``.  Under a strict
+    policy a :class:`WorkerError` naming every failed cell is raised
+    after the grid completes; otherwise failed cells come back as
+    ``None``.  *name* labels the resulting
+    :class:`~repro.guard.GridReport`.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     configs = list(configs)
 
-    if guard is not None:
-        results, report = run_supervised_grid(
-            worker,
-            configs,
-            policy=guard,
-            jobs=jobs,
-            seed=seed,
-            cache_dir=cache_dir,
-            registry=registry,
-            name=name,
-        )
-        if guard.strict and not report.ok:
-            failures = [
-                (configs[cell.index], cell.error or cell.status)
-                for cell in report.failed_cells()
-            ]
-            raise WorkerError(
-                failures[0][0],
-                failures[0][1],
-                failures=failures,
-                results=results,
-            )
-        return results
-
-    seed_seqs = np.random.SeedSequence(seed).spawn(len(configs))
-    grid_name = name or getattr(worker, "__qualname__", "grid")
-    run_id = derive_run_id(grid_name, seed, len(configs))
-    specs = [obs_spec(run_id, grid_name, i) for i in range(len(configs))]
-    parent_tracer = get_tracer()
-    parent_log = get_logger()
-
-    if jobs == 1:
-        if not any(specs):
-            # Observability off: the historical zero-overhead path,
-            # byte-identical to every run before tracing existed.
-            return [
-                worker(config, seed_seq)
-                for config, seed_seq in zip(configs, seed_seqs)
-            ]
-        # Each cell gets the same fresh per-cell instruments a spawned
-        # worker would, merged back under the same cell{i}/... tracks —
+    if jobs == 1 and guard is None:
+        seed_seqs = np.random.SeedSequence(seed).spawn(len(configs))
+        grid_name = name or getattr(worker, "__qualname__", "grid")
+        run_id = derive_run_id(grid_name, seed, len(configs))
+        parent_tracer = get_tracer()
+        parent_log = get_logger()
+        # Each cell gets the same fresh per-cell instruments a worker
+        # process would, merged back under the same cell{i}/... tracks —
         # so a serial grid's merged timeline is identical to a parallel
-        # one.  A worker exception still propagates (as always on this
-        # path), but only after the cell's partial buffers are merged.
+        # one.  With observability off the spec is None and the null
+        # instruments install and record nothing.
         results = []
         for index, (config, seed_seq) in enumerate(zip(configs, seed_seqs)):
-            with worker_observability(specs[index]) as (tracer, runlog):
+            spec = obs_spec(run_id, grid_name, index)
+            with worker_observability(spec) as (tracer, runlog):
                 try:
                     results.append(worker(config, seed_seq))
                 finally:
@@ -243,56 +150,22 @@ def run_grid(
                     )
         return results
 
-    registry = registry if registry is not None else get_registry()
-    parent_cache = get_cache()
-    if cache_dir is None and parent_cache.enabled:
-        cache_dir = parent_cache.path
-    cache_dir = str(cache_dir) if cache_dir is not None else None
-    with ProcessPoolExecutor(
-        max_workers=min(jobs, len(configs)) or 1,
-        mp_context=get_context("spawn"),
-    ) as pool:
-        futures = [
-            pool.submit(
-                _run_in_worker, worker, config, seed_seq, cache_dir, spec
-            )
-            for config, seed_seq, spec in zip(configs, seed_seqs, specs)
+    policy = guard if guard is not None else _UNGUARDED
+    results, report = run_supervised_grid(
+        worker,
+        configs,
+        policy=policy,
+        jobs=jobs,
+        seed=seed,
+        cache_dir=cache_dir,
+        registry=registry,
+        name=name,
+    )
+    if policy.strict and not report.ok:
+        failures = [
+            (configs[cell.index], cell.error or cell.status)
+            for cell in report.failed_cells()
         ]
-        # Collect every outcome before judging any: a broken pool fails
-        # the still-pending futures, not the ones that already finished.
-        outcomes = []
-        for future in futures:
-            try:
-                outcomes.append(future.result())
-            except BrokenProcessPool as exc:
-                outcomes.append(
-                    (
-                        "error",
-                        f"a worker process died abruptly ({exc})",
-                        [],
-                        {},
-                        {},
-                        [],
-                    )
-                )
-
-    results: list[Any] = []
-    failures: list[tuple[Any, str]] = []
-    for index, (config, outcome) in enumerate(zip(configs, outcomes)):
-        status, payload, metrics, cache_stats, trace_snap, log_snap = outcome
-        # Merge observability for failed cells too: whatever the worker
-        # flushed before the exception is part of the record.
-        parent_tracer.merge_snapshot(trace_snap, prefix=worker_track(index))
-        parent_log.merge_snapshot(log_snap, worker=index)
-        if status == "error":
-            failures.append((config, payload))
-            results.append(None)
-            continue
-        registry.merge_snapshot(metrics)
-        if parent_cache.enabled:  # never mutate the NULL_CACHE singleton
-            parent_cache.stats.merge(cache_stats)
-        results.append(payload)
-    if failures:
         raise WorkerError(
             failures[0][0],
             failures[0][1],

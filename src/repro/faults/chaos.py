@@ -368,8 +368,8 @@ def _guard_grid_worker(config, seed_seq) -> float:
     """Chaos-grid worker: misbehave once, then compute the honest value.
 
     ``config`` is ``(n, behaviour, marker_dir)``.  Marker files carry
-    the "already misbehaved" bit across attempts — each attempt runs in
-    a fresh process, so module state cannot:
+    the "already misbehaved" bit across attempts — a retry never runs
+    in the process whose attempt failed, so module state cannot:
 
     * ``kill`` — first attempt dies with ``os._exit`` (no traceback, no
       exception: the supervisor sees only pipe EOF);

@@ -2,12 +2,12 @@
 
 The paper's artefacts are long-running sweeps (the fig5/6/7
 compile-and-profile grids, the Table 5 pixelfly hyper-parameter sweep).
-:mod:`repro.bench.parallel` made them parallel; this package makes them
-*survivable*: a grid cell that hangs, crashes or fails transiently no
-longer discards every completed sibling.  The supervisor gives
-:func:`~repro.bench.parallel.run_grid` the same treatment
-:mod:`repro.faults` gave the simulated hardware — failures are expected,
-bounded, observable, and recoverable:
+This package's supervisor is the worker pool that runs every
+multi-process :func:`~repro.bench.parallel.run_grid`, and it makes the
+sweeps *survivable*: a grid cell that hangs, crashes or fails
+transiently never discards a completed sibling.  It gives grids the
+same treatment :mod:`repro.faults` gave the simulated hardware —
+failures are expected, bounded, observable, and recoverable:
 
 * **Deadlines** — a per-cell wall-clock budget enforced by a watchdog
   that kills the hung worker process and replaces it
@@ -28,8 +28,9 @@ bounded, observable, and recoverable:
   and config), so ``resume=True`` after a mid-grid kill re-executes
   only the missing cells with bit-identical results.
 
-Enable it by passing a :class:`GuardPolicy` to ``run_grid(...,
-guard=policy)`` — or from the command line::
+``run_grid(..., jobs > 1)`` without a policy runs with no retries and
+``strict=True``.  Pass a :class:`GuardPolicy` as ``run_grid(...,
+guard=policy)`` for the rest — or from the command line::
 
     python -m repro fig5 --jobs 4 --cell-timeout 120 --retries 2 --resume
 

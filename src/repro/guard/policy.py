@@ -12,7 +12,7 @@ scheduling order — so two supervised runs of the same grid wait the
 same schedule and a replayed chaos run is exact.
 
 **Classification.**  A worker failure is either *transient* (worth a
-fresh process and a retry: crashes, deadline kills,
+retry in another process: crashes, deadline kills,
 :class:`TransientError`, connection drops, and
 :class:`~repro.faults.injector.UnrecoveredFaultError` for the fault
 kinds :mod:`repro.faults` itself models as transient) or *permanent*
@@ -24,6 +24,7 @@ object is still available.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -95,7 +96,9 @@ class GuardPolicy:
     quarantines instead of raising.  ``strict=True`` preserves the
     historical contract: the grid is still driven to completion, then a
     :class:`~repro.bench.parallel.WorkerError` naming *every* failed
-    cell is raised with the completed results attached.
+    cell is raised with the completed results attached.  ``run_grid``
+    runs ``jobs > 1`` grids given no policy under
+    ``GuardPolicy(retries=0, strict=True)``.
     """
 
     #: Wall-clock budget per attempt; ``None`` disables the watchdog.
@@ -121,14 +124,23 @@ class GuardPolicy:
     resume: bool = False
 
     def __post_init__(self) -> None:
-        if self.cell_timeout_s is not None and self.cell_timeout_s <= 0:
+        # isfinite also rejects NaN, which slips past any "<= 0" test,
+        # and inf, which multiprocessing's wait() cannot take as a timeout.
+        if self.cell_timeout_s is not None and not (
+            math.isfinite(self.cell_timeout_s) and self.cell_timeout_s > 0
+        ):
             raise ValueError(
-                f"cell_timeout_s must be positive, got {self.cell_timeout_s}"
+                "cell_timeout_s must be a positive finite number of "
+                f"seconds, got {self.cell_timeout_s}"
             )
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if self.backoff_base_s < 0 or self.backoff_max_s < 0:
-            raise ValueError("backoff_base_s and backoff_max_s must be >= 0")
+        for name in ("backoff_base_s", "backoff_max_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{name} must be a finite number >= 0, got {value}"
+                )
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
         if self.max_pool_rebuilds < 0:

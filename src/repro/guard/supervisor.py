@@ -1,14 +1,22 @@
-"""The supervised process pool: one watched process per grid cell.
+"""The supervised worker pool: every multi-process grid runs here.
 
-:mod:`repro.bench.parallel` fans cells out over a shared
-``ProcessPoolExecutor``; its failure mode is the reason this module
-exists — one worker dying abruptly breaks the *pool* (every sibling
-future collapses into ``BrokenProcessPool``), and a hung worker cannot
-be killed at all without tearing the pool down blind.  The supervisor
-therefore owns its processes directly: every attempt of every cell runs
-in a fresh ``spawn`` process with a private pipe, so the watchdog can
-kill exactly the hung cell, an ``os._exit`` loses exactly one attempt,
-and siblings never observe each other's deaths.
+The supervisor owns its ``spawn`` worker processes directly, each with
+a private duplex pipe, so the watchdog can kill exactly the hung cell,
+an ``os._exit`` loses exactly one attempt, and siblings never observe
+each other's deaths.
+
+Worker lifecycle
+----------------
+
+A worker loops over ``(worker, config, seed_seq, cache_dir, obs_spec)``
+tasks, running each through one cell body with a fresh metric
+registry, compilation cache and observability.  It is reused only
+after it delivered a result; after an error, a crash or a deadline kill
+it is retired, so a retry never runs in the process whose attempt
+failed.  An idle worker with no pending cell to take is told to exit
+at once (its pipe is closed), so its teardown overlaps the siblings'
+remaining work; a retry that wakes from its backoff later gets a fresh
+worker.
 
 Event loop
 ----------
@@ -32,10 +40,11 @@ attempt ends in one of four ways:
   cell is retried; a cell whose *last* failure was a deadline kill is
   reported ``timed_out`` rather than ``quarantined``.
 
-Every replaced worker process (crash or deadline kill) counts as a pool
-rebuild; past :attr:`GuardPolicy.max_pool_rebuilds` the supervisor
-degrades to serial execution (one live worker) for the remaining cells,
-bounding the blast radius of a misbehaving environment.
+Every worker lost to a crash or a deadline kill counts as a pool
+rebuild (retiring one after an error does not); past
+:attr:`GuardPolicy.max_pool_rebuilds` the supervisor degrades to serial
+execution (one live worker) for the remaining cells, bounding the blast
+radius of a misbehaving environment.
 
 Determinism
 -----------
@@ -86,29 +95,27 @@ __all__ = ["GUARD_TRACK", "run_supervised_grid"]
 #: Virtual trace track carrying one ``guard.cell`` span per attempt.
 GUARD_TRACK = "guard"
 
-#: How long to wait for a worker that already delivered its message (or
-#: was terminated) to actually exit before escalating to SIGKILL.
+#: How long to wait for a retired (or terminated) worker to actually
+#: exit before escalating to SIGKILL.
 _JOIN_GRACE_S = 10.0
 
 
-def _supervised_child(
-    conn: Connection,
+def _run_cell(
     worker: Callable,
     config: Any,
     seed_seq: np.random.SeedSequence,
     cache_dir: str | None,
-    spec: dict | None = None,
-) -> None:
-    """Child entry point: run one attempt, ship one message, exit.
+    spec: dict | None,
+) -> tuple:
+    """Run one attempt and build the message the supervisor expects.
 
-    Mirrors ``bench.parallel._run_in_worker`` (fresh metric registry,
-    shared disk cache, per-cell observability from *spec*) but
-    classifies failures while the live exception object is still in
+    The cell gets a fresh metric registry, compilation cache (sharing
+    the grid's disk directory) and per-cell observability from *spec*.
+    Failures are classified while the live exception object is still in
     hand — the verdict crosses the process boundary, the exception type
-    does not have to.  The trace/log buffers are flushed into the
-    message on the failure path too, *before* ``conn.send`` — whatever
-    a dying attempt recorded reaches the supervisor instead of dying
-    with the process.
+    does not have to — and the trace/log buffers ride along on the
+    failure path too, so whatever a dying attempt recorded reaches the
+    supervisor.
     """
     cache = (
         CompilationCache(path=cache_dir)
@@ -120,7 +127,7 @@ def _supervised_child(
         with collecting() as registry, caching(cache), \
                 worker_observability(spec) as (tracer, runlog):
             result = worker(config, seed_seq)
-        message = (
+        return (
             "ok",
             result,
             registry.snapshot(),
@@ -129,34 +136,48 @@ def _supervised_child(
             runlog.snapshot(),
         )
     except Exception as exc:
-        message = (
+        return (
             "error",
             traceback.format_exc(),
             classify_exception(exc),
             tracer.snapshot() if tracer is not None else {},
             runlog.snapshot() if runlog is not None else [],
         )
-    try:
-        conn.send(message)
-    except Exception:
-        # The result itself would not pickle: that is deterministic, so
-        # report it as a permanent failure rather than crashing (which
-        # would be retried pointlessly).
+
+
+def _supervised_child(conn: Connection) -> None:
+    """Child entry point: run tasks from *conn* until it is closed.
+
+    Each task is ``(worker, config, seed_seq, cache_dir, spec)`` and
+    gets exactly one message back.  The supervisor closes its end of the
+    pipe to retire the worker; the resulting EOF is the signal to exit.
+    """
+    while True:
         try:
-            conn.send(
-                (
-                    "error",
-                    f"result for config {config!r} is not picklable:\n"
-                    f"{traceback.format_exc()}",
-                    PERMANENT,
-                    tracer.snapshot() if tracer is not None else {},
-                    runlog.snapshot() if runlog is not None else [],
-                )
-            )
+            task = conn.recv()
+        except (EOFError, OSError):
+            return
+        message = _run_cell(*task)
+        try:
+            conn.send(message)
         except Exception:
-            pass
-    finally:
-        conn.close()
+            # The result itself would not pickle: that is deterministic,
+            # so report it as a permanent failure rather than crashing
+            # (which would be retried pointlessly).  Both message shapes
+            # end with the trace and log buffers.
+            try:
+                conn.send(
+                    (
+                        "error",
+                        f"result for config {task[1]!r} is not picklable:\n"
+                        f"{traceback.format_exc()}",
+                        PERMANENT,
+                        message[-2],
+                        message[-1],
+                    )
+                )
+            except Exception:
+                return
 
 
 @dataclass
@@ -179,26 +200,29 @@ class _Cell:
 
 
 @dataclass
-class _Running:
-    """One live worker process executing one attempt."""
+class _Child:
+    """One worker process and the supervisor's end of its pipe."""
 
-    cell: _Cell
     process: Any
     conn: Connection
+
+
+@dataclass
+class _Running:
+    """A worker executing one attempt of one cell."""
+
+    cell: _Cell
+    child: _Child
     started: float
     deadline: float | None
 
 
-def _reap(running: _Running, kill: bool = False) -> None:
-    """Join (optionally kill) a finished or condemned worker process."""
-    proc = running.process
-    if kill and proc.is_alive():
-        proc.terminate()
-    proc.join(_JOIN_GRACE_S)
-    if proc.is_alive():
-        proc.kill()
-        proc.join(_JOIN_GRACE_S)
-    running.conn.close()
+def _join(process: Any) -> None:
+    """Wait for *process* to exit, escalating to SIGKILL after a grace."""
+    process.join(_JOIN_GRACE_S)
+    if process.is_alive():
+        process.kill()
+        process.join(_JOIN_GRACE_S)
 
 
 def run_supervised_grid(
@@ -284,6 +308,8 @@ def run_supervised_grid(
     pending: list[_Cell] = [c for c in cells if not c.done]
     waiting: list[tuple[float, int, _Cell]] = []  # (wake time, index, cell)
     running: dict[Connection, _Running] = {}
+    idle: list[_Child] = []  # delivered a result, ready for another cell
+    retired: list[_Child] = []  # told to exit; joined after the grid
     ctx = get_context("spawn")
     max_workers = max(1, min(jobs, len(pending) or 1))
 
@@ -295,39 +321,50 @@ def run_supervised_grid(
             if registry.enabled:
                 registry.counter("guard.quarantined").inc()
 
+    def spawn() -> _Child:
+        parent_conn, child_conn = ctx.Pipe()
+        proc = ctx.Process(
+            target=_supervised_child, args=(child_conn,), daemon=True
+        )
+        proc.start()
+        # Close the parent's copy of the child's end: the pipe then hits
+        # EOF the moment the child dies, however it dies.
+        child_conn.close()
+        return _Child(process=proc, conn=parent_conn)
+
+    def retire(child: _Child, kill: bool = False) -> None:
+        """Tell *child* to exit (closing its pipe), or kill it."""
+        if kill and child.process.is_alive():
+            child.process.terminate()
+        child.conn.close()
+        retired.append(child)
+
     def launch(cell: _Cell) -> None:
         cell.attempt += 1
         cell.report.attempts = cell.attempt
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_supervised_child,
-            args=(
-                child_conn,
-                worker,
-                cell.config,
-                cell.seed_seq,
-                cache_dir,
-                obs_spec(run_id, grid_name, cell.index),
-            ),
-            daemon=True,
-        )
-        proc.start()
-        # Close the parent's copy of the write end: the pipe then hits
-        # EOF the moment the child dies, however it dies.
-        child_conn.close()
+        child = idle.pop() if idle else spawn()
         now = time.monotonic()
         deadline = (
             now + policy.cell_timeout_s
             if policy.cell_timeout_s is not None
             else None
         )
-        running[parent_conn] = _Running(
-            cell=cell,
-            process=proc,
-            conn=parent_conn,
-            started=now,
-            deadline=deadline,
+        # Registered before the send, so a task that fails to pickle
+        # leaves the worker where the exit path kills and joins it.
+        running[child.conn] = _Running(
+            cell=cell, child=child, started=now, deadline=deadline
         )
+        task = (
+            worker,
+            cell.config,
+            cell.seed_seq,
+            cache_dir,
+            obs_spec(run_id, grid_name, cell.index),
+        )
+        try:
+            child.conn.send(task)
+        except OSError:
+            pass  # died while idle: wait() sees the EOF, a crash
 
     def attempt_span(cell: _Cell, wall_s: float, outcome: str) -> None:
         cell.report.wall_s += wall_s
@@ -359,7 +396,7 @@ def run_supervised_grid(
         runlog.merge_snapshot(log_snap, worker=cell.index)
 
     def note_rebuild(cell: _Cell) -> None:
-        """A worker process had to be replaced (crash or deadline kill)."""
+        """A worker process was lost (crash or deadline kill)."""
         nonlocal max_workers
         report.pool_rebuilds += 1
         if registry.enabled:
@@ -413,16 +450,20 @@ def run_supervised_grid(
     def handle_message(run: _Running) -> None:
         cell = run.cell
         try:
-            message = run.conn.recv()
+            message = run.child.conn.recv()
         except (EOFError, OSError):
             message = None
         wall = time.monotonic() - run.started
-        _reap(run)
+        if message is not None and message[0] == "ok":
+            idle.append(run.child)
+        else:
+            retire(run.child)
         if message is None:
             # Died without a word: os._exit, SIGKILL, interpreter abort.
             # Nothing to salvage — the buffers died unsent with the
             # process (the except-path flush only covers exceptions).
-            exitcode = run.process.exitcode
+            _join(run.child.process)
+            exitcode = run.child.process.exitcode
             cell.report.crashes += 1
             attempt_span(cell, wall, "crash")
             if runlog.enabled:
@@ -485,7 +526,7 @@ def run_supervised_grid(
     def handle_deadline(run: _Running) -> None:
         cell = run.cell
         wall = time.monotonic() - run.started
-        _reap(run, kill=True)
+        retire(run.child, kill=True)
         cell.report.timeouts += 1
         if registry.enabled:
             registry.counter("guard.timeouts").inc()
@@ -517,6 +558,10 @@ def run_supervised_grid(
                     pending.append(cell)
                 while pending and len(running) < max_workers:
                     launch(pending.pop(0))
+                # A worker left with nothing to run exits now, its
+                # teardown overlapping the siblings' work.
+                while idle:
+                    retire(idle.pop())
 
                 bounds = [r.deadline for r in running.values() if r.deadline]
                 if waiting:
@@ -539,7 +584,11 @@ def run_supervised_grid(
                         handle_deadline(running.pop(conn))
         finally:
             for run in running.values():
-                _reap(run, kill=True)
+                retire(run.child, kill=True)
+            for child in idle:
+                retire(child)
+            for child in retired:
+                _join(child.process)
 
     # -- deterministic merge: config order, exactly like the serial path.
     # Successful cells' trace/log buffers (live or journalled) land on

@@ -1,10 +1,10 @@
 """Cross-process observability propagation for the grid runners.
 
-The parent side of a grid (:func:`repro.bench.parallel.run_grid`,
-:func:`repro.guard.run_supervised_grid`) cannot ship its live tracer or
-log into a ``spawn`` worker — neither pickles, and sharing one buffer
-across processes would serialize the grid.  What crosses the boundary
-instead is:
+The parent side of a grid (:func:`repro.guard.run_supervised_grid`,
+which runs every multi-process :func:`repro.bench.parallel.run_grid`)
+cannot ship its live tracer or log into a ``spawn`` worker — neither
+pickles, and sharing one buffer across processes would serialize the
+grid.  What crosses the boundary instead is:
 
 * **down**: an :func:`obs_spec` — a small picklable dict saying which
   instruments the parent has enabled plus the cell's trace context
@@ -17,9 +17,9 @@ instead is:
   (:meth:`~repro.obs.tracer.Tracer.merge_snapshot`).
 
 :func:`worker_observability` is the worker-side half: installed around
-the cell body in pool workers, supervised children *and* the serial
-in-process path, so ``--jobs 1`` and ``--jobs 4`` runs build their
-merged timelines through the identical mechanism.
+the cell body in supervised workers *and* the serial in-process path,
+so ``--jobs 1`` and ``--jobs 4`` runs build their merged timelines
+through the identical mechanism.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ def worker_observability(
     With a spec, fresh buffers and the cell's :class:`TraceContext` are
     installed for the block (null instruments for whichever side is
     off, so a worker never inherits a parent buffer in-process).  With
-    ``None``, the ambient state is left completely untouched — in the
-    serial runner that preserves today's zero-overhead path exactly.
+    ``None``, the ambient state is left completely untouched and the
+    null instruments are yielded, so callers need no disabled branch.
 
     The yielded objects outlive the block: snapshot them *after* (or
     in an ``except`` around) the cell body — spans closed by an

@@ -5,6 +5,11 @@ spawn start method pickles them by reference), hence the little zoo of
 ``_*_worker`` functions below.
 """
 
+import multiprocessing
+import os
+import pickle
+import time
+
 import numpy as np
 import pytest
 
@@ -27,6 +32,13 @@ def _failing_worker(config, seed_seq):
 def _multi_failing_worker(config, seed_seq):
     if config % 2:
         raise ValueError(f"odd config {config} rejected")
+    return config * 10
+
+
+def _exit_worker(config, seed_seq):
+    if config == 1:
+        os._exit(3)  # dies without a traceback: the parent sees only EOF
+    time.sleep(0.2)  # siblings are still running when config 1 dies
     return config * 10
 
 
@@ -113,6 +125,22 @@ class TestCrashSurfacing:
             run_grid(_multi_failing_worker, [0, 1, 2, 3, 4], jobs=2)
         results = excinfo.value.results
         assert results == [0, None, 20, None, 40]
+
+    def test_worker_death_fails_only_its_cell(self):
+        with pytest.raises(WorkerError) as excinfo:
+            run_grid(_exit_worker, [0, 1, 2, 3, 4], jobs=2)
+        err = excinfo.value
+        assert [config for config, _ in err.failures] == [1]
+        assert err.results == [0, None, 20, 30, 40]
+
+    def test_unpicklable_worker_leaves_no_process(self):
+        before = multiprocessing.active_children()
+        with pytest.raises((AttributeError, pickle.PicklingError)):
+            run_grid(lambda c, s: c, [1], jobs=2)
+        leaked = [
+            p for p in multiprocessing.active_children() if p not in before
+        ]
+        assert leaked == []
 
     def test_single_failure_keeps_plain_message(self):
         with pytest.raises(WorkerError) as excinfo:

@@ -94,8 +94,14 @@ def test_backoff_seed_changes_schedule():
     [
         {"cell_timeout_s": 0.0},
         {"cell_timeout_s": -1.0},
+        {"cell_timeout_s": float("inf")},
+        {"cell_timeout_s": float("nan")},
         {"retries": -1},
         {"backoff_base_s": -0.1},
+        {"backoff_base_s": float("nan")},
+        {"backoff_base_s": float("inf")},
+        {"backoff_max_s": float("nan")},
+        {"backoff_max_s": float("inf")},
         {"jitter": 1.5},
         {"max_pool_rebuilds": -1},
         {"resume": True},  # resume without a journal_dir

@@ -2,8 +2,9 @@
 
 Workers live at module top level so the ``spawn`` context can pickle
 them by reference (the convention of ``tests/bench/test_parallel.py``).
-Cross-attempt state lives in marker files — every attempt is a fresh
-process, so module globals reset between attempts.
+Cross-attempt state lives in marker files — every retry runs in a
+different process from the attempt that failed, so module globals do
+not carry over.
 
 Deadlines are generous (seconds) against a 600 s hang: the spawn
 interpreter startup counts toward the cell deadline, and these tests
@@ -73,6 +74,28 @@ def _kill_once_worker(config, seed_seq):
     return _plain_worker((n,), seed_seq)
 
 
+def _kill_once_slow_worker(config, seed_seq):
+    # The calm (pre-marked) cells are still running when the doomed one
+    # dies.
+    n, marker_dir = config
+    if (Path(marker_dir) / f"kill-{n}").exists():
+        time.sleep(0.5)
+    return _kill_once_worker(config, seed_seq)
+
+
+def _pid_worker(config, seed_seq):
+    return os.getpid()
+
+
+def _pid_flaky_worker(config, seed_seq):
+    n, marker_dir = config
+    marker = Path(marker_dir) / f"pid-{n}"
+    if not marker.exists():
+        marker.write_text(str(os.getpid()))
+        raise TransientError(f"transient glitch on {n}")
+    return os.getpid()
+
+
 def _hang_worker(config, seed_seq):
     time.sleep(600.0)
     return None  # pragma: no cover - always killed first
@@ -114,6 +137,27 @@ def test_clean_grid_matches_serial_run():
     assert [c.status for c in report.cells] == [STATUS_OK] * 3
     assert report.total_retries == 0
     assert report.pool_rebuilds == 0
+
+
+def test_workers_are_reused_across_cells():
+    # No benchmark grid has more cells than jobs, so this is what pins
+    # worker reuse against a slide back to one process per cell.
+    configs = [(n,) for n in range(6)]
+    results, report = run_supervised_grid(
+        _pid_worker, configs, policy=GuardPolicy(), jobs=2, seed=0
+    )
+    assert report.ok
+    assert len(set(results)) <= 2
+
+
+def test_retry_runs_in_a_new_process(tmp_path):
+    policy = GuardPolicy(retries=1, backoff_base_s=0.01, backoff_max_s=0.05)
+    results, report = run_supervised_grid(
+        _pid_flaky_worker, [(1, str(tmp_path))], policy=policy, seed=0
+    )
+    assert report.cells[0].status == STATUS_RETRIED
+    failed_pid = int((tmp_path / "pid-1").read_text())
+    assert results[0] != failed_pid
 
 
 def test_transient_failure_is_retried(tmp_path):
@@ -215,6 +259,23 @@ def test_serial_fallback_after_rebuild_budget(tmp_path):
     assert report.serial_fallback
     assert report.pool_rebuilds == 1
     assert "[serial fallback]" in report.render()
+
+
+def test_serial_fallback_while_siblings_run(tmp_path):
+    # The crash drops the pool to one worker while two siblings are
+    # still running and the retry backs off: the supervisor must wait
+    # them out, not tear the grid down.
+    calm = tmp_path / "calm"
+    calm.mkdir()
+    for n in (2, 3):
+        (calm / f"kill-{n}").write_text("runs clean")
+    configs = [(1, str(tmp_path))] + [(n, str(calm)) for n in (2, 3)]
+    policy = GuardPolicy(retries=1, max_pool_rebuilds=0)
+    results, report = run_supervised_grid(
+        _kill_once_slow_worker, configs, policy=policy, jobs=3, seed=0
+    )
+    assert all(r is not None for r in results)
+    assert report.serial_fallback
 
 
 # -- strict mode through run_grid ----------------------------------------------

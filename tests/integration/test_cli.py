@@ -30,6 +30,11 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["fig99"])
 
+    def test_infinite_cell_timeout_errors(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["fig6", "--jobs", "2", "--cell-timeout", "inf"])
+        assert "cell_timeout_s" in capsys.readouterr().err
+
     def test_out_directory(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
         assert main(
