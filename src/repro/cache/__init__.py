@@ -31,7 +31,6 @@ from repro.cache.store import (
     canonical_key,
     dataclass_key,
     get_cache,
-    set_cache,
 )
 
 __all__ = [
@@ -45,5 +44,4 @@ __all__ = [
     "canonical_key",
     "dataclass_key",
     "get_cache",
-    "set_cache",
 ]

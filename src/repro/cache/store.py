@@ -19,19 +19,20 @@ or compilers.  :mod:`repro.ipu.compiler` converts ``CompiledGraph`` to
 and from :class:`CacheRecord` and computes keys; experiment workers in
 different processes share a cache by pointing at the same directory.
 
-Like the tracer and metric registry, a process-global cache is installed
-with :func:`set_cache`/:func:`caching` and defaults to a disabled
-:data:`NULL_CACHE`, so the uncached path costs one attribute check.
+Like the tracer and metric registry, the installed cache is read with
+:func:`get_cache` and installed for a ``with`` block with
+:func:`caching` (an :class:`~repro.obs.context.Ambient` slot); the
+default is a disabled :data:`NULL_CACHE`, so the uncached path costs
+one attribute check.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
-from typing import Iterator
+from typing import ContextManager
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from repro.faults.checkpoint import (
     save_checkpoint,
 )
 from repro.obs import get_logger, get_registry, get_tracer
+from repro.obs.context import Ambient
 
 __all__ = [
     "CACHE_SCHEMA",
@@ -53,7 +55,6 @@ __all__ = [
     "canonical_key",
     "dataclass_key",
     "get_cache",
-    "set_cache",
 ]
 
 #: Entry format version; part of every key, so a layout change cannot
@@ -300,27 +301,16 @@ class NullCache(CompilationCache):
 #: The module-level singleton installed when caching is off.
 NULL_CACHE = NullCache()
 
-_current: CompilationCache = NULL_CACHE
+_CACHE: Ambient[CompilationCache] = Ambient(NULL_CACHE)
+
+#: The currently installed cache (the null cache by default).
+get_cache = _CACHE.get
 
 
-def get_cache() -> CompilationCache:
-    """The currently installed cache (the null cache by default)."""
-    return _current
-
-
-def set_cache(cache: CompilationCache | None) -> CompilationCache:
-    """Install *cache* globally (``None`` restores the null cache)."""
-    global _current
-    previous = _current
-    _current = cache if cache is not None else NULL_CACHE
-    return previous
-
-
-@contextmanager
 def caching(
     cache: CompilationCache | None = None,
     path: str | Path | None = None,
-) -> Iterator[CompilationCache]:
+) -> ContextManager[CompilationCache]:
     """Install a compilation cache for the duration of a ``with`` block.
 
     Creates a fresh (memory-only, unless *path* is given)
@@ -328,9 +318,6 @@ def caching(
     previously installed cache on exit, mirroring
     :func:`repro.obs.tracing` / :func:`repro.obs.collecting`.
     """
-    cache = cache if cache is not None else CompilationCache(path=path)
-    previous = set_cache(cache)
-    try:
-        yield cache
-    finally:
-        set_cache(previous)
+    return _CACHE.use(
+        cache if cache is not None else CompilationCache(path=path)
+    )

@@ -94,7 +94,9 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     if not path.exists():
         raise CheckpointError(f"checkpoint {path} does not exist")
     try:
-        with np.load(path, allow_pickle=False) as data:
+        # Given a path, np.load leaves a corrupt archive's file open
+        # until garbage collection; a handle opened here always closes.
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
             if _META_KEY not in data:
                 raise CheckpointError(
                     f"checkpoint {path} has no {_META_KEY} entry"

@@ -14,12 +14,13 @@ result — so a resume only ever replays an entry produced by an
 identical computation, and a changed worker, seed or config simply
 misses.
 
-An entry stores the cell's *result* (pickled) **and** the worker's
-metric snapshot + cache statistics captured when it originally ran;
-resuming merges those into the parent exactly as a live worker would,
-which is what makes a resumed run's manifest metrics bit-identical to
-an uninterrupted one.  Corrupt or foreign files are skipped (counted,
-never raised), mirroring the compilation cache's fallback contract.
+An entry stores the cell's *result* (pickled) **and** the ``side``
+dict its worker sent back with it — metric snapshot, cache statistics,
+trace and log buffers; resuming merges that side into the parent
+exactly as a live worker's, which is what makes a resumed run's
+manifest metrics and merged timeline bit-identical to an uninterrupted
+one.  Corrupt or foreign files are skipped (counted, never raised),
+mirroring the compilation cache's fallback contract.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ __all__ = ["JOURNAL_SCHEMA", "JournalEntry", "GridJournal", "cell_key"]
 
 #: Entry format tag; mixed into every key and checked on read, so a
 #: layout change invalidates old entries instead of misreading them.
-#: ``/2`` added the per-cell trace/log buffers, so a ``--resume``
-#: rebuilds the merged grid timeline bit-identically.
-JOURNAL_SCHEMA = "repro.guard.journal/2"
+#: ``/3`` stores the worker's side-band as one ``side`` dict; ``/2``
+#: entries miss once and re-run.
+JOURNAL_SCHEMA = "repro.guard.journal/3"
 
 
 def cell_key(worker: Callable, seed: int, index: int, config: Any) -> str:
@@ -67,22 +68,21 @@ def cell_key(worker: Callable, seed: int, index: int, config: Any) -> str:
 
 @dataclass(frozen=True)
 class JournalEntry:
-    """One journalled cell: its result plus the observability side-band.
+    """One journalled cell: its result plus the worker's side-band.
 
-    ``trace`` is the worker tracer's snapshot (spans + counters as plain
-    dicts, see :meth:`repro.obs.tracer.Tracer.snapshot`) and ``logs``
-    the worker's structured-log snapshot; both are empty when the cell
-    originally ran with observability disabled.
+    ``side`` is the dict the worker sent with its result: ``metrics``
+    (registry snapshot), ``cache`` (cache statistics), ``trace`` (the
+    tracer's snapshot, see :meth:`repro.obs.tracer.Tracer.snapshot`)
+    and ``logs`` (the structured-log snapshot); the trace and log
+    buffers are empty when the cell originally ran with observability
+    disabled.
     """
 
     key: str
     index: int
     config: str
     result: Any
-    metrics: list[dict]
-    cache_stats: dict
-    trace: dict
-    logs: list[dict]
+    side: dict
 
 
 class GridJournal:
@@ -108,10 +108,7 @@ class GridJournal:
         index: int,
         config: Any,
         result: Any,
-        metrics: list[dict],
-        cache_stats: dict,
-        trace: dict | None = None,
-        logs: list[dict] | None = None,
+        side: dict,
     ) -> Path:
         """Atomically append the completed cell under *key*."""
         payload = np.frombuffer(
@@ -123,10 +120,7 @@ class GridJournal:
             "key": key,
             "index": int(index),
             "config": repr(config),
-            "metrics": list(metrics),
-            "cache_stats": dict(cache_stats),
-            "trace": dict(trace) if trace else {},
-            "logs": list(logs) if logs else [],
+            "side": side,
         }
         return save_checkpoint(self._path(key), {"result": payload}, meta)
 
@@ -157,10 +151,7 @@ class GridJournal:
             index=int(meta["index"]),
             config=str(meta["config"]),
             result=result,
-            metrics=list(meta.get("metrics", [])),
-            cache_stats=dict(meta.get("cache_stats", {})),
-            trace=dict(meta.get("trace", {})),
-            logs=list(meta.get("logs", [])),
+            side=dict(meta.get("side", {})),
         )
 
     def keys(self) -> list[str]:

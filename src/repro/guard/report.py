@@ -10,8 +10,9 @@ built from: every retry, timeout, crash and quarantine in the run is
 accounted for exactly once.
 
 Because experiment drivers return row lists (not reports), the
-supervisor publishes each report to an ambient collector, mirroring
-``obs.tracing()``/``obs.collecting()``::
+supervisor publishes each report to an ambient collector — an
+:class:`~repro.obs.context.Ambient` slot like the tracer's, installed
+with :func:`reporting`::
 
     with guard.reporting() as reports:
         fig5.run(jobs=4, guard=policy)
@@ -20,9 +21,10 @@ supervisor publishes each report to an ambient collector, mirroring
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import ContextManager
+
+from repro.obs.context import Ambient
 
 __all__ = [
     "STATUS_OK",
@@ -189,32 +191,25 @@ class GridReport:
 # -- ambient collection --------------------------------------------------------
 
 #: The active collector, or None (collection off — reports are dropped).
-_collector: list[GridReport] | None = None
+_REPORTS: Ambient[list[GridReport] | None] = Ambient(None)
 
 
 def record_report(report: GridReport) -> None:
     """Publish *report* to the ambient collector, if one is active."""
-    if _collector is not None:
-        _collector.append(report)
+    reports = _REPORTS.get()
+    if reports is not None:
+        reports.append(report)
 
 
 def collected_reports() -> list[GridReport]:
     """The reports collected so far (empty when collection is off)."""
-    return list(_collector) if _collector is not None else []
+    return list(_REPORTS.get() or ())
 
 
-@contextmanager
-def reporting() -> Iterator[list[GridReport]]:
+def reporting() -> ContextManager[list[GridReport]]:
     """Collect every :class:`GridReport` published inside the block.
 
     Nestable: the inner collector shadows the outer one for its
     duration (reports land in exactly one collector).
     """
-    global _collector
-    previous = _collector
-    reports: list[GridReport] = []
-    _collector = reports
-    try:
-        yield reports
-    finally:
-        _collector = previous
+    return _REPORTS.use([])

@@ -26,13 +26,15 @@ The parent multiplexes all live workers with
 a running cell's deadline and (b) a backed-off retry's wake time.  An
 attempt ends in one of four ways:
 
-* **result** — the worker sent ``("ok", result, metrics, cache_stats,
-  trace, logs)``, the last two being its tracer/log snapshots
-  (:mod:`repro.obs.propagate`);
-* **failure** — it sent ``("error", traceback, verdict, trace, logs)``
-  with the transient/permanent verdict classified worker-side
-  (:func:`repro.guard.policy.classify_exception`) and whatever
-  observability the attempt flushed before dying;
+* **result** — the worker sent ``("ok", result, side)``, where the
+  ``side`` dict holds its metric snapshot (``metrics``), cache
+  statistics (``cache``) and tracer/log snapshots (``trace``, ``logs``;
+  see :mod:`repro.obs.propagate`);
+* **failure** — it sent ``("error", traceback, verdict, side)`` with
+  the transient/permanent verdict classified worker-side
+  (:func:`repro.guard.policy.classify_exception`) and a ``side`` of
+  just the ``trace`` and ``logs`` the attempt flushed before dying (a
+  failed attempt's metrics and cache counts are dropped);
 * **crash** — the pipe hit EOF without a message (``os._exit``, OOM
   kill, interpreter abort): the dead process is replaced and the cell
   retried as a transient failure;
@@ -49,14 +51,14 @@ radius of a misbehaving environment.
 Determinism
 -----------
 
-Results, metric merges, cache-stat merges and trace/log buffer merges
-are applied in config order after the grid completes — identical to the
-serial runner — and each cell's seed comes from the same
-``SeedSequence.spawn`` walk, so a supervised run's results are bitwise
-equal to a clean serial run regardless of retries, kills or worker
-count.  Worker span buffers land on ``cell{i}/...`` tracks under the
-grid's deterministic run id (:func:`repro.obs.context.derive_run_id`);
-the journal stores each cell's buffers, so ``--resume`` rebuilds the
+Results and every cell's ``side`` (metrics, cache stats, trace and log
+buffers) are merged in config order after the grid completes —
+identical to the serial runner — and each cell's seed comes from the
+same ``SeedSequence.spawn`` walk, so a supervised run's results are
+bitwise equal to a clean serial run regardless of retries, kills or
+worker count.  Worker span buffers land on ``cell{i}/...`` tracks under
+the grid's deterministic run id (:func:`repro.obs.context.derive_run_id`);
+the journal stores each cell's ``side``, so ``--resume`` rebuilds the
 merged timeline bit-identically.
 """
 
@@ -85,10 +87,10 @@ from repro.guard.report import (
     record_report,
 )
 from repro.obs.context import TraceContext, context as trace_context, derive_run_id, worker_track
-from repro.obs.log import get_logger
+from repro.obs.log import NULL_LOG, get_logger
 from repro.obs.metrics import MetricRegistry, collecting, get_registry
 from repro.obs.propagate import obs_spec, worker_observability
-from repro.obs.tracer import get_tracer
+from repro.obs.tracer import NULL_TRACER, get_tracer
 
 __all__ = ["GUARD_TRACK", "run_supervised_grid"]
 
@@ -117,32 +119,22 @@ def _run_cell(
     failure path too, so whatever a dying attempt recorded reaches the
     supervisor.
     """
-    cache = (
-        CompilationCache(path=cache_dir)
-        if cache_dir is not None
-        else CompilationCache()
-    )
-    tracer, runlog = None, None
+    cache = CompilationCache(path=cache_dir)
+    tracer, runlog = NULL_TRACER, NULL_LOG
     try:
         with collecting() as registry, caching(cache), \
                 worker_observability(spec) as (tracer, runlog):
             result = worker(config, seed_seq)
-        return (
-            "ok",
-            result,
-            registry.snapshot(),
-            cache.stats.as_dict(),
-            tracer.snapshot(),
-            runlog.snapshot(),
-        )
+        side = {
+            "metrics": registry.snapshot(),
+            "cache": cache.stats.as_dict(),
+            "trace": tracer.snapshot(),
+            "logs": runlog.snapshot(),
+        }
+        return ("ok", result, side)
     except Exception as exc:
-        return (
-            "error",
-            traceback.format_exc(),
-            classify_exception(exc),
-            tracer.snapshot() if tracer is not None else {},
-            runlog.snapshot() if runlog is not None else [],
-        )
+        side = {"trace": tracer.snapshot(), "logs": runlog.snapshot()}
+        return ("error", traceback.format_exc(), classify_exception(exc), side)
 
 
 def _supervised_child(conn: Connection) -> None:
@@ -164,7 +156,8 @@ def _supervised_child(conn: Connection) -> None:
             # The result itself would not pickle: that is deterministic,
             # so report it as a permanent failure rather than crashing
             # (which would be retried pointlessly).  Both message shapes
-            # end with the trace and log buffers.
+            # end with the side dict; a failure keeps only its buffers.
+            side = message[-1]
             try:
                 conn.send(
                     (
@@ -172,8 +165,7 @@ def _supervised_child(conn: Connection) -> None:
                         f"result for config {task[1]!r} is not picklable:\n"
                         f"{traceback.format_exc()}",
                         PERMANENT,
-                        message[-2],
-                        message[-1],
+                        {"trace": side["trace"], "logs": side["logs"]},
                     )
                 )
             except Exception:
@@ -191,10 +183,7 @@ class _Cell:
     report: CellReport
     attempt: int = 0  # attempts started so far
     result: Any = None
-    metrics: list = field(default_factory=list)
-    cache_stats: dict | None = None
-    trace: dict = field(default_factory=dict)  # successful attempt's spans
-    logs: list = field(default_factory=list)  # successful attempt's events
+    side: dict = field(default_factory=dict)  # successful attempt's side
     done: bool = False
     last_failure: str = ""  # "error" | "crash" | "timeout"
 
@@ -287,13 +276,10 @@ def run_supervised_grid(
                 if entry is None:
                     continue
                 cell.result = entry.result
-                cell.metrics = entry.metrics
-                cell.cache_stats = entry.cache_stats
-                # The journalled trace/log buffers replay through the
-                # same post-grid merge as a live worker's, which is
-                # what makes a resumed timeline bit-identical.
-                cell.trace = entry.trace
-                cell.logs = entry.logs
+                # The journalled side replays through the same post-grid
+                # merge as a live worker's, which is what makes a
+                # resumed manifest and timeline bit-identical.
+                cell.side = entry.side
                 cell.done = True
                 cell.report.status = STATUS_OK
                 cell.report.from_journal = True
@@ -378,21 +364,23 @@ def run_supervised_grid(
             outcome=outcome,
         )
 
-    def absorb_failed_buffers(
-        cell: _Cell, trace_snap: dict, log_snap: list
-    ) -> None:
-        """Keep what a failing attempt flushed before it died.
+    def merge(cell: _Cell, side: dict, track: str) -> None:
+        """Fold a worker's *side* into the parent's instruments.
 
-        Merged immediately (successful attempts merge post-grid in
-        config order) onto an attempt-suffixed track — a retried cell's
-        dead attempts stay distinguishable from its final clean run —
-        and counted on the cell report, so a quarantined cell still
-        shows how far it got.
+        Metrics and cache stats (present only on a result's side) merge
+        into the registry and the parent cache; spans land on *track*,
+        log events are attributed to the cell, and both are counted on
+        the cell report, so a quarantined cell still shows how far it
+        got.
         """
+        trace_snap = side.get("trace", {})
+        log_snap = side.get("logs", ())
         cell.report.n_spans += len(trace_snap.get("spans", ()))
         cell.report.n_log_events += len(log_snap)
-        prefix = f"{worker_track(cell.index)}.a{cell.attempt}"
-        tracer.merge_snapshot(trace_snap, prefix=prefix)
+        registry.merge_snapshot(side.get("metrics", ()))
+        if side.get("cache") and parent_cache.enabled:
+            parent_cache.stats.merge(side["cache"])
+        tracer.merge_snapshot(trace_snap, prefix=track)
         runlog.merge_snapshot(log_snap, worker=cell.index)
 
     def note_rebuild(cell: _Cell) -> None:
@@ -482,14 +470,7 @@ def run_supervised_grid(
             )
             return
         if message[0] == "ok":
-            _, result, metrics, cache_stats, trace_snap, log_snap = message
-            cell.result = result
-            cell.metrics = metrics
-            cell.cache_stats = cache_stats
-            cell.trace = trace_snap
-            cell.logs = log_snap
-            cell.report.n_spans += len(trace_snap.get("spans", ()))
-            cell.report.n_log_events += len(log_snap)
+            _, cell.result, cell.side = message
             attempt_span(cell, wall, "ok")
             finalize(
                 cell,
@@ -497,19 +478,15 @@ def run_supervised_grid(
             )
             if journal is not None:
                 journal.record(
-                    cell.key,
-                    cell.index,
-                    cell.config,
-                    result,
-                    metrics,
-                    cache_stats,
-                    trace=trace_snap,
-                    logs=log_snap,
+                    cell.key, cell.index, cell.config, cell.result, cell.side
                 )
             return
-        _, detail, verdict, trace_snap, log_snap = message
+        _, detail, verdict, side = message
         attempt_span(cell, wall, "error")
-        absorb_failed_buffers(cell, trace_snap, log_snap)
+        # Merged now (a result's side merges post-grid in config order)
+        # onto an attempt-suffixed track, so a retried cell's dead
+        # attempts stay distinguishable from its final clean run.
+        merge(cell, side, f"{worker_track(cell.index)}.a{cell.attempt}")
         if verdict == TRANSIENT:
             retry_or_quarantine(cell, "error", detail)
         else:
@@ -591,23 +568,9 @@ def run_supervised_grid(
                 _join(child.process)
 
     # -- deterministic merge: config order, exactly like the serial path.
-    # Successful cells' trace/log buffers (live or journalled) land on
-    # their cell{i}/... tracks here, regardless of completion order.
-    results: list[Any] = []
+    # Every result's side (live or journalled) lands here, its buffers
+    # on the cell{i}/... tracks, regardless of completion order.
     for cell in cells:
-        results.append(cell.result)
-        if cell.metrics:
-            registry.merge_snapshot(cell.metrics)
-        if cell.cache_stats and parent_cache.enabled:
-            parent_cache.stats.merge(cell.cache_stats)
-        if cell.trace:
-            tracer.merge_snapshot(
-                cell.trace, prefix=worker_track(cell.index)
-            )
-        if cell.logs:
-            runlog.merge_snapshot(cell.logs, worker=cell.index)
-        if cell.report.from_journal:
-            cell.report.n_spans += len(cell.trace.get("spans", ()))
-            cell.report.n_log_events += len(cell.logs)
+        merge(cell, cell.side, worker_track(cell.index))
     record_report(report)
-    return results, report
+    return [cell.result for cell in cells], report

@@ -40,7 +40,6 @@ from repro.obs.tracer import (
     Tracer,
     get_tracer,
     jsonable,
-    set_tracer,
     tracing,
 )
 from repro.obs.context import (
@@ -49,7 +48,6 @@ from repro.obs.context import (
     context,
     derive_run_id,
     get_context,
-    set_context,
     worker_track,
 )
 from repro.obs.log import (
@@ -61,7 +59,6 @@ from repro.obs.log import (
     get_logger,
     logging,
     read_jsonl,
-    set_logger,
     to_jsonl,
     write_jsonl,
 )
@@ -86,7 +83,6 @@ from repro.obs.metrics import (
     collecting,
     get_registry,
     log_bucket_edges,
-    set_registry,
 )
 from repro.obs.report import (
     ManifestError,
@@ -95,7 +91,6 @@ from repro.obs.report import (
     logs_section,
     read_manifest,
     render_report,
-    serve_section,
     smoke_manifest,
     verify_section,
     write_manifest,
@@ -110,14 +105,12 @@ __all__ = [
     "Tracer",
     "get_tracer",
     "jsonable",
-    "set_tracer",
     "tracing",
     "ROOT_CONTEXT",
     "TraceContext",
     "context",
     "derive_run_id",
     "get_context",
-    "set_context",
     "worker_track",
     "LOG_SCHEMA",
     "NULL_LOG",
@@ -127,7 +120,6 @@ __all__ = [
     "get_logger",
     "logging",
     "read_jsonl",
-    "set_logger",
     "to_jsonl",
     "write_jsonl",
     "flame_summary",
@@ -146,14 +138,12 @@ __all__ = [
     "collecting",
     "get_registry",
     "log_bucket_edges",
-    "set_registry",
     "ManifestError",
     "build_manifest",
     "cache_section",
     "logs_section",
     "read_manifest",
     "render_report",
-    "serve_section",
     "smoke_manifest",
     "verify_section",
     "write_manifest",

@@ -20,10 +20,14 @@ This module carries exactly that state:
   are keyed by **cell index**, never by pool-worker identity: which OS
   process ran a cell is scheduling noise, the cell index is not.
 
-Mirrors the tracer/registry ambient API (:func:`get_context` /
-:func:`set_context` / :func:`context`); the default
-:data:`ROOT_CONTEXT` has empty ids, costs nothing, and is what every
-non-grid (single-process) run sees.
+It also defines :class:`Ambient`, the one install mechanism behind
+every ambient instrument — the tracer, metric registry, run log, trace
+context, compilation cache and grid-report collector are each one
+``Ambient`` slot with a ``get_*`` reader and a ``with`` installer
+(here :func:`get_context` / :func:`context`).  It lives in this module
+because this is the one :mod:`repro.obs` module that imports nothing
+from ``repro``.  The default :data:`ROOT_CONTEXT` has empty ids, costs
+nothing, and is what every non-grid (single-process) run sees.
 """
 
 from __future__ import annotations
@@ -31,17 +35,47 @@ from __future__ import annotations
 import hashlib
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
+from typing import ContextManager, Generic, Iterator, TypeVar
 
 __all__ = [
+    "Ambient",
     "TraceContext",
     "ROOT_CONTEXT",
     "get_context",
-    "set_context",
     "context",
     "derive_run_id",
     "worker_track",
 ]
+
+T = TypeVar("T")
+
+
+class Ambient(Generic[T]):
+    """A process-wide slot holding the installed value of one instrument.
+
+    :meth:`get` returns the installed value (*default* until something
+    is installed); :meth:`use` installs a value for the duration of a
+    ``with`` block and restores the previous one on exit, so installs
+    nest and survive exceptions.  There is no setter: every install is
+    scoped to a block.
+    """
+
+    __slots__ = ("_value",)
+
+    def __init__(self, default: T) -> None:
+        self._value = default
+
+    def get(self) -> T:
+        return self._value
+
+    @contextmanager
+    def use(self, value: T) -> Iterator[T]:
+        previous = self._value
+        self._value = value
+        try:
+            yield value
+        finally:
+            self._value = previous
 
 
 @dataclass(frozen=True)
@@ -73,30 +107,15 @@ class TraceContext:
 #: The default context: no run, no parent, no worker.
 ROOT_CONTEXT = TraceContext()
 
-_current: TraceContext = ROOT_CONTEXT
+_CONTEXT: Ambient[TraceContext] = Ambient(ROOT_CONTEXT)
+
+#: The currently installed trace context (root by default).
+get_context = _CONTEXT.get
 
 
-def get_context() -> TraceContext:
-    """The currently installed trace context (root by default)."""
-    return _current
-
-
-def set_context(ctx: TraceContext | None) -> TraceContext:
-    """Install *ctx* globally (``None`` restores the root context)."""
-    global _current
-    previous = _current
-    _current = ctx if ctx is not None else ROOT_CONTEXT
-    return previous
-
-
-@contextmanager
-def context(ctx: TraceContext) -> Iterator[TraceContext]:
+def context(ctx: TraceContext) -> ContextManager[TraceContext]:
     """Install a trace context for the duration of a ``with`` block."""
-    previous = set_context(ctx)
-    try:
-        yield ctx
-    finally:
-        set_context(previous)
+    return _CONTEXT.use(ctx)
 
 
 def derive_run_id(*parts: object) -> str:

@@ -14,13 +14,14 @@ the correlation fields of the Dapper model:
   (:meth:`~repro.obs.tracer.Tracer.current_span`), correlating log
   lines with the trace timeline.
 
-The API mirrors the tracer exactly: a process-global instance via
-:func:`get_logger`/:func:`set_logger`, a :func:`logging` context
-manager, a zero-cost :class:`NullLogger` default (hot paths guard on
+The API mirrors the tracer exactly: :func:`get_logger` reads the
+installed log and :func:`logging` installs one for a ``with`` block; the
+default is a zero-cost :class:`NullLogger` (hot paths guard on
 ``log.enabled``; the disabled path is byte-identical and audited by the
-same null-contract test that covers ``NullTracer``), and
-``snapshot()``/``merge_snapshot()`` cross-process buffers that ride the
-same pipe/journal protocol as the tracer's.
+same null-contract test that covers ``NullTracer``); and
+``snapshot()``/``merge_snapshot()`` give the cross-process buffer that
+travels next to the tracer's in a grid cell's ``side`` dict (pipe
+message and journal entry).
 
 On disk, a log is JSON Lines: one header line
 ``{"schema": "repro.log/1", ...}`` then one event object per line
@@ -33,11 +34,10 @@ from __future__ import annotations
 import json
 import pathlib
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import ContextManager
 
-from repro.obs.context import get_context
+from repro.obs.context import Ambient, get_context
 from repro.obs.tracer import get_tracer, jsonable
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "NullLogger",
     "NULL_LOG",
     "get_logger",
-    "set_logger",
     "logging",
     "to_jsonl",
     "write_jsonl",
@@ -271,36 +270,20 @@ class NullLogger(RunLog):
 #: The module-level singleton installed when structured logging is off.
 NULL_LOG = NullLogger()
 
-_current: RunLog = NULL_LOG
+_LOG: Ambient[RunLog] = Ambient(NULL_LOG)
+
+#: The currently installed run log (the null logger by default).
+get_logger = _LOG.get
 
 
-def get_logger() -> RunLog:
-    """The currently installed run log (the null logger by default)."""
-    return _current
-
-
-def set_logger(log: RunLog | None) -> RunLog:
-    """Install *log* globally (``None`` restores the null logger)."""
-    global _current
-    previous = _current
-    _current = log if log is not None else NULL_LOG
-    return previous
-
-
-@contextmanager
-def logging(log: RunLog | None = None) -> Iterator[RunLog]:
+def logging(log: RunLog | None = None) -> ContextManager[RunLog]:
     """Install a run log for the duration of a ``with`` block.
 
     Creates a fresh :class:`RunLog` unless one is supplied; restores
     the previously installed log on exit (exception-safe), mirroring
     :func:`repro.obs.tracer.tracing`.
     """
-    log = log if log is not None else RunLog()
-    previous = set_logger(log)
-    try:
-        yield log
-    finally:
-        set_logger(previous)
+    return _LOG.use(log if log is not None else RunLog())
 
 
 # -- JSONL round trip ----------------------------------------------------------

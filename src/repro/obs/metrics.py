@@ -12,19 +12,21 @@ labelled instruments:
 * :class:`Histogram` — value distributions over **fixed log-spaced
   buckets**, so two runs' histograms are always bucket-compatible.
 
-Mirroring ``get_tracer()``/``set_tracer()``, a process-global default
-registry is installed via :func:`get_registry`/:func:`set_registry`; the
-default is a zero-cost :data:`NULL_REGISTRY` whose instruments discard
-every observation, so instrumented code costs one attribute check when
-metrics are off.  Snapshots order deterministically by (name, sorted
-labels), which keeps run manifests diffable (:mod:`repro.obs.regress`).
+Like the tracer, the installed registry is read with
+:func:`get_registry` and installed for a ``with`` block with
+:func:`collecting`; the default is a zero-cost :data:`NULL_REGISTRY`
+whose instruments discard every observation, so instrumented code costs
+one attribute check when metrics are off.  Snapshots order
+deterministically by (name, sorted labels), which keeps run manifests
+diffable (:mod:`repro.obs.regress`).
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from typing import Iterator
+from typing import ContextManager
+
+from repro.obs.context import Ambient
 
 __all__ = [
     "Counter",
@@ -35,7 +37,6 @@ __all__ = [
     "NULL_REGISTRY",
     "log_bucket_edges",
     "get_registry",
-    "set_registry",
     "collecting",
 ]
 
@@ -324,35 +325,21 @@ class NullRegistry(MetricRegistry):
 #: The module-level singleton installed when metrics are off.
 NULL_REGISTRY = NullRegistry()
 
-_current: MetricRegistry = NULL_REGISTRY
+_REGISTRY: Ambient[MetricRegistry] = Ambient(NULL_REGISTRY)
+
+#: The currently installed registry (the null registry by default).
+get_registry = _REGISTRY.get
 
 
-def get_registry() -> MetricRegistry:
-    """The currently installed registry (the null registry by default)."""
-    return _current
-
-
-def set_registry(registry: MetricRegistry | None) -> MetricRegistry:
-    """Install *registry* globally (``None`` restores the null registry)."""
-    global _current
-    previous = _current
-    _current = registry if registry is not None else NULL_REGISTRY
-    return previous
-
-
-@contextmanager
 def collecting(
     registry: MetricRegistry | None = None,
-) -> Iterator[MetricRegistry]:
+) -> ContextManager[MetricRegistry]:
     """Install a metric registry for the duration of a ``with`` block.
 
     Creates a fresh :class:`MetricRegistry` unless one is supplied;
     restores the previously installed registry on exit (exception-safe),
     mirroring :func:`repro.obs.tracer.tracing`.
     """
-    registry = registry if registry is not None else MetricRegistry()
-    previous = set_registry(registry)
-    try:
-        yield registry
-    finally:
-        set_registry(previous)
+    return _REGISTRY.use(
+        registry if registry is not None else MetricRegistry()
+    )

@@ -12,8 +12,9 @@ grid.  What crosses the boundary instead is:
   everything is disabled, so the disabled path ships nothing and
   installs nothing (byte-identical to an uninstrumented run).
 * **up**: the worker's ``tracer.snapshot()`` / ``runlog.snapshot()``
-  buffers, appended to the existing pipe message tuples; the parent
-  merges them onto ``cell{i}/...`` tracks
+  buffers, as the ``trace`` and ``logs`` entries of the one ``side``
+  dict each pipe message ends with; the parent merges them onto
+  ``cell{i}/...`` tracks
   (:meth:`~repro.obs.tracer.Tracer.merge_snapshot`).
 
 :func:`worker_observability` is the worker-side half: installed around

@@ -39,7 +39,6 @@ __all__ = [
     "memory_section",
     "liveness_section",
     "logs_section",
-    "serve_section",
     "verify_section",
     "hot_spans",
     "write_manifest",
@@ -238,21 +237,6 @@ def verify_section(report) -> dict:
     if report.plant:
         section["plant"] = report.plant
     return section
-
-
-def serve_section(results) -> dict:
-    """The inference-serving section of a manifest.
-
-    *results* is a list of per-method result dicts from
-    :meth:`~repro.serve.server.ServeResult.as_dict`; the section itself
-    is built by :func:`repro.serve.report.serve_section` (duck-typed
-    passthrough here to keep :mod:`repro.serve` out of this module's
-    import graph).  Everything in it is simulated-clock output, so it
-    participates in the byte-identity guarantees like any other section.
-    """
-    from repro.serve.report import serve_section as build
-
-    return build(results)
 
 
 def hot_spans(tracer: Tracer, top_k: int = 20) -> list[dict]:

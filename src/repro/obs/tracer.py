@@ -12,6 +12,11 @@ Two kinds of track coexist in one trace:
 
 All timestamps are seconds relative to the tracer's creation (host) or
 to zero (virtual), which keeps the exported Chrome trace timeline dense.
+
+Instrumented code reads the installed tracer with :func:`get_tracer`;
+:func:`tracing` installs one for a ``with`` block (an
+:class:`~repro.obs.context.Ambient` slot), and the default is the no-op
+:data:`NULL_TRACER`.
 """
 
 from __future__ import annotations
@@ -19,7 +24,9 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import ContextManager, Iterator
+
+from repro.obs.context import Ambient
 
 __all__ = [
     "SpanRecord",
@@ -28,7 +35,6 @@ __all__ = [
     "NullTracer",
     "NULL_TRACER",
     "get_tracer",
-    "set_tracer",
     "tracing",
     "jsonable",
 ]
@@ -377,33 +383,17 @@ class NullTracer(Tracer):
 #: The module-level singleton installed when tracing is off.
 NULL_TRACER = NullTracer()
 
-_current: Tracer = NULL_TRACER
+_TRACER: Ambient[Tracer] = Ambient(NULL_TRACER)
+
+#: The currently installed tracer (the null tracer by default).
+get_tracer = _TRACER.get
 
 
-def get_tracer() -> Tracer:
-    """The currently installed tracer (the null tracer by default)."""
-    return _current
-
-
-def set_tracer(tracer: Tracer | None) -> Tracer:
-    """Install *tracer* globally (``None`` restores the null tracer)."""
-    global _current
-    previous = _current
-    _current = tracer if tracer is not None else NULL_TRACER
-    return previous
-
-
-@contextmanager
-def tracing(tracer: Tracer | None = None) -> Iterator[Tracer]:
+def tracing(tracer: Tracer | None = None) -> ContextManager[Tracer]:
     """Install a tracer for the duration of a ``with`` block.
 
     Creates a fresh :class:`Tracer` unless one is supplied; restores the
     previously installed tracer on exit (exception-safe), so traced
     regions can nest.
     """
-    tracer = tracer if tracer is not None else Tracer()
-    previous = set_tracer(tracer)
-    try:
-        yield tracer
-    finally:
-        set_tracer(previous)
+    return _TRACER.use(tracer if tracer is not None else Tracer())

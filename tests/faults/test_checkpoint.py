@@ -1,5 +1,8 @@
 """Atomic checkpoints: roundtrip, rotation, corruption fallback."""
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -53,6 +56,20 @@ class TestSaveLoad:
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(CheckpointError, match="corrupt"):
             load_checkpoint(path)
+
+    def test_truncated_file_leaves_no_open_handle(self, tmp_path, arrays):
+        # The journal, the cache's disk tier and the manager's fallback
+        # all shrug off corrupt files, so each one must not leak its fd.
+        path = save_checkpoint(tmp_path / "c.npz", arrays, META)
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) // 2])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
+            gc.collect()
+        leaked = [w for w in caught if w.category is ResourceWarning]
+        assert not leaked, [str(w.message) for w in leaked]
 
     def test_garbage_file_is_clean_error(self, tmp_path):
         path = tmp_path / "c.npz"

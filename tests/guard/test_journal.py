@@ -20,7 +20,8 @@ def test_record_lookup_round_trip(tmp_path):
     result = {"rows": [1.0, 2.0], "arr": np.arange(4.0)}
     metrics = [{"name": "m", "kind": "counter", "points": [[0, 1.0]]}]
     stats = {"hits": 2, "misses": 1}
-    journal.record(key, 3, (64, "butterfly"), result, metrics, stats)
+    side = {"metrics": metrics, "cache": stats}
+    journal.record(key, 3, (64, "butterfly"), result, side)
 
     assert key in journal
     entry = journal.lookup(key)
@@ -29,8 +30,8 @@ def test_record_lookup_round_trip(tmp_path):
     assert entry.config == repr((64, "butterfly"))
     assert entry.result["rows"] == [1.0, 2.0]
     np.testing.assert_array_equal(entry.result["arr"], np.arange(4.0))
-    assert entry.metrics == metrics
-    assert entry.cache_stats == stats
+    assert entry.side["metrics"] == metrics
+    assert entry.side["cache"] == stats
     assert journal.corrupt == 0
     assert len(journal) == 1
 
@@ -55,7 +56,7 @@ def test_key_depends_on_every_input():
 def test_truncated_entry_counts_corrupt_not_raise(tmp_path):
     journal = GridJournal(tmp_path)
     key = cell_key(_worker_a, seed=0, index=0, config=("x",))
-    path = journal.record(key, 0, ("x",), [1.0], [], {})
+    path = journal.record(key, 0, ("x",), [1.0], {})
     path.write_bytes(path.read_bytes()[: max(1, path.stat().st_size // 2)])
     assert journal.lookup(key) is None
     assert journal.corrupt == 1
@@ -75,7 +76,7 @@ def test_keys_lists_entries_sorted(tmp_path):
         cell_key(_worker_a, seed=0, index=i, config=(i,)) for i in range(3)
     ]
     for i, key in enumerate(keys):
-        journal.record(key, i, (i,), i, [], {})
+        journal.record(key, i, (i,), i, {})
     assert journal.keys() == sorted(keys)
 
 

@@ -112,6 +112,25 @@ def _unpicklable_worker(config, seed_seq):
     return lambda: None  # functions defined here cannot cross the pipe
 
 
+def _observed_worker(config, seed_seq):
+    from repro.obs import get_logger, get_registry, get_tracer
+
+    (n,) = config
+    with get_tracer().span("test.cell", category="test", n=n):
+        get_logger().info("test.cell", n=n)
+        get_registry().counter("test.cells").inc()
+    return _plain_worker(config, seed_seq)
+
+
+def _flaky_observed_worker(config, seed_seq):
+    from repro.obs import get_registry, get_tracer
+
+    get_registry().counter("test.attempts").inc()
+    with get_tracer().span("test.attempt", category="test"):
+        pass
+    return _flaky_worker(config, seed_seq)
+
+
 def _traced_failing_worker(config, seed_seq):
     # Emits a span and a log event *before* dying, so the partial
     # buffers must still come back over the pipe (satellite 1).
@@ -354,6 +373,45 @@ def test_resume_serves_journal_and_matches_clean_run(tmp_path):
     assert all(c.attempts == 0 for c in resumed_report.cells)
 
 
+def test_resume_replays_journalled_buffers(tmp_path):
+    from repro import obs
+
+    configs = [(n,) for n in (1, 2, 3)]
+    journal_dir = tmp_path / "journal"
+
+    def run(resume):
+        with obs.tracing() as tracer, obs.logging() as runlog, \
+                collecting() as registry:
+            _, report = run_supervised_grid(
+                _observed_worker,
+                configs,
+                policy=GuardPolicy(journal_dir=journal_dir, resume=resume),
+                jobs=2,
+                seed=3,
+            )
+        spans = [
+            (s.track, s.name, s.category, s.depth, s.start_s, s.duration_s)
+            for s in tracer.spans
+            if s.track.startswith("cell")
+        ]
+        events = [
+            (e.event, e.worker, e.run_id, e.seq, e.time_s, e.fields)
+            for e in runlog.events
+            if e.event.startswith("test.")
+        ]
+        counts = [(c.n_spans, c.n_log_events) for c in report.cells]
+        return report, (spans, events, counts, registry.snapshot())
+
+    live_report, live = run(resume=False)
+    resumed_report, resumed = run(resume=True)
+    assert live_report.journal_hits == 0
+    assert resumed_report.journal_hits == len(configs)
+    spans, events, counts, _ = live
+    assert len(spans) == len(events) == len(configs)
+    assert counts == [(1, 1)] * len(configs)
+    assert resumed == live
+
+
 def test_resume_executes_only_missing_cells(tmp_path):
     configs = [(n,) for n in (1, 2, 3, 4)]
     seed = 5
@@ -478,6 +536,27 @@ def test_failed_cell_ships_partial_observability():
     ]
     assert len(quarantines) == 2
     assert all(e.level == "error" for e in quarantines)
+
+
+def test_failed_attempt_ships_buffers_but_not_metrics(tmp_path):
+    from repro import obs
+
+    configs = [(n, str(tmp_path)) for n in (1, 2)]
+    policy = GuardPolicy(retries=1, backoff_base_s=0.01, backoff_max_s=0.05)
+    with obs.tracing() as tracer, collecting() as registry:
+        _, report = run_supervised_grid(
+            _flaky_observed_worker, configs, policy=policy, jobs=2, seed=0
+        )
+    assert report.ok
+    by_name = {e["name"]: e for e in registry.snapshot()}
+    assert by_name["test.attempts"]["value"] == len(configs)
+    tracks = sorted(s.track for s in tracer.spans if s.name == "test.attempt")
+    assert tracks == sorted(
+        f"cell{i}{attempt}/host"
+        for i in range(len(configs))
+        for attempt in (".a1", "")
+    )
+    assert [c.n_spans for c in report.cells] == [2] * len(configs)
 
 
 def test_observability_off_ships_nothing():

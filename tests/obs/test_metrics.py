@@ -179,14 +179,6 @@ class TestGlobalRegistry:
                 raise RuntimeError()
         assert obs.get_registry() is before
 
-    def test_set_registry_none_restores_null(self):
-        obs.set_registry(obs.MetricRegistry())
-        try:
-            obs.set_registry(None)
-            assert obs.get_registry() is obs.NULL_REGISTRY
-        finally:
-            obs.set_registry(None)
-
     def test_null_registry_records_nothing(self):
         null = obs.NULL_REGISTRY
         null.counter("x", k=1).inc()

@@ -128,12 +128,3 @@ class TestInstallation:
             with obs.tracing() as inner:
                 assert obs.get_tracer() is inner
             assert obs.get_tracer() is outer
-
-    def test_set_tracer_none_restores_null(self):
-        tracer = obs.Tracer()
-        obs.set_tracer(tracer)
-        try:
-            assert obs.get_tracer() is tracer
-        finally:
-            obs.set_tracer(None)
-        assert obs.get_tracer() is obs.NULL_TRACER
