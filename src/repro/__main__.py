@@ -872,9 +872,13 @@ def regress_main(argv: list[str]) -> int:
     except obs.ManifestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    result = regress(
-        candidate, baseline, rules=rules, default_tol=args.default_tol
-    )
+    try:
+        result = regress(
+            candidate, baseline, rules=rules, default_tol=args.default_tol
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(result.render(show_all=args.all))
     return 0 if result.ok else 1
 
@@ -882,7 +886,6 @@ def regress_main(argv: list[str]) -> int:
 def serve_main(argv: list[str]) -> int:
     """``python -m repro serve``: the inference-serving simulation."""
     from repro.bench.parallel import run_grid
-    from repro.cache import NullCache
     from repro.serve import (
         SERVE_METHODS,
         ServeScenario,
@@ -1025,7 +1028,7 @@ def serve_main(argv: list[str]) -> int:
         "serve",
         registry=registry,
         tracer=tracer,
-        cache=NullCache(),
+        cache=NULL_CACHE,
         config=config,
         seed=args.seed,
         serve=serve_section(results),

@@ -26,7 +26,6 @@ from repro.cache.store import (
     CacheRecord,
     CacheStats,
     CompilationCache,
-    NullCache,
     caching,
     canonical_key,
     dataclass_key,
@@ -39,7 +38,6 @@ __all__ = [
     "CacheRecord",
     "CacheStats",
     "CompilationCache",
-    "NullCache",
     "caching",
     "canonical_key",
     "dataclass_key",

@@ -22,8 +22,9 @@ different processes share a cache by pointing at the same directory.
 Like the tracer and metric registry, the installed cache is read with
 :func:`get_cache` and installed for a ``with`` block with
 :func:`caching` (an :class:`~repro.obs.context.Ambient` slot); the
-default is a disabled :data:`NULL_CACHE`, so the uncached path costs
-one attribute check.
+default is :data:`NULL_CACHE`, a ``CompilationCache(enabled=False)``
+whose lookups miss without counting and whose stores do nothing, so the
+uncached path costs one attribute check.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ __all__ = [
     "CacheRecord",
     "CacheStats",
     "CompilationCache",
-    "NullCache",
     "NULL_CACHE",
     "caching",
     "canonical_key",
@@ -152,19 +152,24 @@ class CompilationCache:
     LRU to disk — which is how parallel experiment workers share work:
     they all point at one directory, and a key compiled by any worker is
     a disk hit for the rest.
-    """
 
-    enabled = True
+    With ``enabled=False`` (the :data:`NULL_CACHE` singleton) lookups
+    miss without counting anything and stores do nothing, so the cache
+    never holds state.
+    """
 
     def __init__(
         self,
         path: str | Path | None = None,
         memory_entries: int = DEFAULT_MEMORY_ENTRIES,
+        *,
+        enabled: bool = True,
     ) -> None:
         if memory_entries < 0:
             raise ValueError(
                 f"memory_entries must be >= 0, got {memory_entries}"
             )
+        self.enabled = enabled
         self.path = Path(path) if path is not None else None
         self.memory_entries = memory_entries
         self.stats = CacheStats()
@@ -220,6 +225,8 @@ class CompilationCache:
 
     def lookup(self, key: str) -> CacheRecord | None:
         """The record stored under *key*, or ``None`` (counted as a miss)."""
+        if not self.enabled:
+            return None
         tracer = get_tracer()
         registry = get_registry()
         with tracer.span(
@@ -254,6 +261,8 @@ class CompilationCache:
 
     def store(self, key: str, record: CacheRecord) -> None:
         """Insert *record* under *key* in both tiers."""
+        if not self.enabled:
+            return
         tracer = get_tracer()
         with tracer.span("cache.store", category="cache", key=key[:12]):
             self._memory_put(key, record)
@@ -279,27 +288,8 @@ class CompilationCache:
         )
 
 
-class NullCache(CompilationCache):
-    """Disabled cache: lookups always miss silently, stores are dropped.
-
-    Mirrors ``NullTracer``/``NullRegistry``: callers guard on
-    :attr:`enabled`, so the uncached path records no counters at all.
-    """
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__(path=None, memory_entries=0)
-
-    def lookup(self, key: str) -> CacheRecord | None:  # type: ignore[override]
-        return None
-
-    def store(self, key: str, record: CacheRecord) -> None:  # type: ignore[override]
-        return None
-
-
 #: The module-level singleton installed when caching is off.
-NULL_CACHE = NullCache()
+NULL_CACHE = CompilationCache(enabled=False)
 
 _CACHE: Ambient[CompilationCache] = Ambient(NULL_CACHE)
 

@@ -9,9 +9,10 @@ up into a :class:`FaultReport` — injected vs recovered vs fatal per kind —
 whose equality across two same-seed runs is the chaos suite's
 replay-determinism check.
 
-A :data:`NULL_INJECTOR` mirrors the :data:`repro.obs.NULL_TRACER` fast
-path: ``active`` is ``False`` and the executor skips every fault hook, so
-an un-injected run is byte-identical to the pre-fault code path.
+:data:`NULL_INJECTOR` is a plain ``FaultInjector()``: its plan is empty,
+so ``active`` is ``False`` and the executor skips every fault hook (the
+same fast path as ``Tracer.enabled``), and an un-injected run is
+byte-identical to the pre-fault code path.
 """
 
 from __future__ import annotations
@@ -265,13 +266,5 @@ class FaultInjector:
         )
 
 
-class _NullInjector(FaultInjector):
-    """Inactive singleton used when no faults are injected."""
-
-    def __init__(self) -> None:
-        super().__init__(FaultPlan.none())
-        self.active = False
-
-
 #: The module-level inactive injector (the executor default).
-NULL_INJECTOR = _NullInjector()
+NULL_INJECTOR = FaultInjector()

@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING, Any, Callable
 import numpy as np
 
 from repro.ipu.machine import IPUSpec
+from repro.linalg.sparse import COOMatrix, CSRMatrix
 
 if TYPE_CHECKING:
     from repro.ipu.graph import Vertex, VertexBatch
@@ -297,26 +298,17 @@ def _execute_sparse_row_dot(
     vertex: Vertex, state: dict[str, np.ndarray]
 ) -> None:
     # The whole CSR operand is one broadcast param; the vertex owns rows
-    # [row0, row1).
-    all_indptr, all_indices, all_data = vertex.params["csr"]
+    # [row0, row1) and multiplies them with the host CSR kernel.
+    indptr, indices, data = vertex.params["csr"]
     r0, r1 = vertex.params["row0"], vertex.params["row1"]
-    lo, hi = int(all_indptr[r0]), int(all_indptr[r1])
-    indptr = all_indptr[r0 : r1 + 1] - lo
-    indices = all_indices[lo:hi]
-    data = all_data[lo:hi]
-    b_edge = vertex.inputs[0]
-    out_edge = vertex.outputs[0]
+    lo, hi = int(indptr[r0]), int(indptr[r1])
+    b_edge, out_edge = vertex.inputs[0], vertex.outputs[0]
     b = state[b_edge.var][b_edge.key] if b_edge.key else state[b_edge.var]
-    n_rows = len(indptr) - 1
-    out = np.zeros((n_rows, b.shape[1]), dtype=b.dtype)
-    if len(data):
-        contrib = data[:, None] * b[indices]
-        nonempty = np.flatnonzero(np.diff(indptr) > 0)
-        if len(nonempty):
-            out[nonempty] = np.add.reduceat(contrib, indptr[nonempty])[
-                : len(nonempty)
-            ]
-    state[out_edge.var][out_edge.key] = out
+    own = CSRMatrix(
+        indptr[r0 : r1 + 1] - lo, indices[lo:hi], data[lo:hi],
+        (r1 - r0, b.shape[0]),
+    )
+    state[out_edge.var][out_edge.key] = own.matmul(b)
 
 
 register_codelet(
@@ -343,19 +335,17 @@ def _sparse_coo_cycles(vertex, spec: IPUSpec):
 
 def _execute_sparse_coo(vertex: Vertex, state: dict[str, np.ndarray]) -> None:
     # The row-sorted COO operand is one broadcast param; the vertex owns
-    # entries [lo, hi), which fall in rows [row0, row0 + n_rows).
-    all_rows, all_cols, all_data = vertex.params["coo"]
+    # entries [lo, hi), which fall in rows [row0, row0 + n_rows), and
+    # multiplies them with the host COO kernel.
+    rows, cols, data = vertex.params["coo"]
     lo, hi = vertex.params["lo"], vertex.params["hi"]
-    rows = all_rows[lo:hi] - vertex.params["row0"]
-    cols = all_cols[lo:hi]
-    data = all_data[lo:hi]
-    n_rows = vertex.params["n_rows"]
-    b_edge = vertex.inputs[0]
-    out_edge = vertex.outputs[0]
+    b_edge, out_edge = vertex.inputs[0], vertex.outputs[0]
     b = state[b_edge.var][b_edge.key] if b_edge.key else state[b_edge.var]
-    out = np.zeros((n_rows, b.shape[1]), dtype=b.dtype)
-    np.add.at(out, rows, data[:, None] * b[cols])
-    state[out_edge.var][out_edge.key] = out
+    own = COOMatrix(
+        rows[lo:hi] - vertex.params["row0"], cols[lo:hi], data[lo:hi],
+        (vertex.params["n_rows"], b.shape[0]),
+    )
+    state[out_edge.var][out_edge.key] = own.matmul(b)
 
 
 register_codelet(

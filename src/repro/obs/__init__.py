@@ -16,10 +16,10 @@ rendering a text table.  This package keeps them:
   tolerances (``python -m repro report`` / ``python -m repro regress``).
 
 Both tracing and metrics are **off by default** and zero-cost when
-disabled: the module installs :data:`NULL_TRACER` / :data:`NULL_REGISTRY`
-singletons whose every method is a no-op, so the instrumented code paths
-change neither behavior nor timing-model output.  Enable them around a
-region with::
+disabled: the module installs :data:`NULL_TRACER` / :data:`NULL_REGISTRY`,
+built with ``enabled=False``, whose recording methods return at once and
+which never hold state, so the instrumented code paths change neither
+behavior nor timing-model output.  Enable them around a region with::
 
     from repro import obs
 
@@ -35,7 +35,6 @@ or from the command line with ``python -m repro trace <artefact>``.
 from repro.obs.tracer import (
     NULL_TRACER,
     CounterRecord,
-    NullTracer,
     SpanRecord,
     Tracer,
     get_tracer,
@@ -54,7 +53,6 @@ from repro.obs.log import (
     LOG_SCHEMA,
     NULL_LOG,
     LogEvent,
-    NullLogger,
     RunLog,
     get_logger,
     logging,
@@ -79,7 +77,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricRegistry,
-    NullRegistry,
     collecting,
     get_registry,
     log_bucket_edges,
@@ -100,7 +97,6 @@ from repro.obs.regress import Tolerance, regress
 __all__ = [
     "NULL_TRACER",
     "CounterRecord",
-    "NullTracer",
     "SpanRecord",
     "Tracer",
     "get_tracer",
@@ -115,7 +111,6 @@ __all__ = [
     "LOG_SCHEMA",
     "NULL_LOG",
     "LogEvent",
-    "NullLogger",
     "RunLog",
     "get_logger",
     "logging",
@@ -134,7 +129,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricRegistry",
-    "NullRegistry",
     "collecting",
     "get_registry",
     "log_bucket_edges",

@@ -16,9 +16,10 @@ the correlation fields of the Dapper model:
 
 The API mirrors the tracer exactly: :func:`get_logger` reads the
 installed log and :func:`logging` installs one for a ``with`` block; the
-default is a zero-cost :class:`NullLogger` (hot paths guard on
-``log.enabled``; the disabled path is byte-identical and audited by the
-same null-contract test that covers ``NullTracer``); and
+default is :data:`NULL_LOG`, a ``RunLog(enabled=False)`` that records
+nothing (hot paths guard on ``log.enabled``; the disabled path is
+byte-identical and audited by the same null-contract test as the
+tracer's); and
 ``snapshot()``/``merge_snapshot()`` give the cross-process buffer that
 travels next to the tracer's in a grid cell's ``side`` dict (pipe
 message and journal entry).
@@ -45,7 +46,6 @@ __all__ = [
     "LEVELS",
     "LogEvent",
     "RunLog",
-    "NullLogger",
     "NULL_LOG",
     "get_logger",
     "logging",
@@ -116,11 +116,16 @@ class RunLog:
     are counted in :attr:`dropped` instead of growing memory without
     limit inside a long worker — the cap is always visible in the
     manifest ``logs`` section, never silent.
+
+    With ``enabled=False`` (the :data:`NULL_LOG` singleton) :meth:`log`
+    and :meth:`merge_snapshot` return early, so the log never holds
+    state.
     """
 
-    enabled = True
-
-    def __init__(self, max_events: int = 10_000) -> None:
+    def __init__(
+        self, max_events: int = 10_000, *, enabled: bool = True
+    ) -> None:
+        self.enabled = enabled
         self.events: list[LogEvent] = []
         self.dropped = 0
         self.max_events = max_events
@@ -129,6 +134,8 @@ class RunLog:
 
     def now(self) -> float:
         """Seconds since this log was created."""
+        if not self.enabled:
+            return 0.0
         return time.perf_counter() - self._origin
 
     # -- recording -------------------------------------------------------------
@@ -145,6 +152,8 @@ class RunLog:
         Correlation fields are stamped from the ambient trace context
         and the ambient tracer's open span at call time.
         """
+        if not self.enabled:
+            return None
         if len(self.events) >= self.max_events:
             self.dropped += 1
             return None
@@ -193,6 +202,8 @@ class RunLog:
         lack one, so buffers merged by the grid runners are always
         attributable to their cell even if the child had no context.
         """
+        if not self.enabled:
+            return
         for data in events:
             record = LogEvent.from_dict(data)
             if worker is not None and record.worker is None:
@@ -218,57 +229,8 @@ class RunLog:
         return {lvl: counts[lvl] for lvl in known + other}
 
 
-class NullLogger(RunLog):
-    """Disabled log: records nothing, every call is O(1) and tiny.
-
-    Hot loops additionally guard on :attr:`enabled`; every public
-    :class:`RunLog` method has an explicit no-op override (enforced by
-    the null-contract audit), so instrumented code never branches on
-    the logger's type.
-    """
-
-    enabled = False
-
-    def __init__(self) -> None:  # avoid perf_counter at import
-        self.events = []
-        self.dropped = 0
-        self.max_events = 0
-        self._origin = 0.0
-        self._seq = 0
-
-    def now(self) -> float:
-        return 0.0
-
-    def log(self, event, message="", level="info", **fields):
-        return None
-
-    def debug(self, event, message="", **fields):
-        return None
-
-    def info(self, event, message="", **fields):
-        return None
-
-    def warning(self, event, message="", **fields):
-        return None
-
-    def error(self, event, message="", **fields):
-        return None
-
-    def snapshot(self) -> list[dict]:
-        return []
-
-    def merge_snapshot(self, events, worker=None) -> None:
-        return None
-
-    def by_event(self) -> dict[str, int]:
-        return {}
-
-    def by_level(self) -> dict[str, int]:
-        return {}
-
-
 #: The module-level singleton installed when structured logging is off.
-NULL_LOG = NullLogger()
+NULL_LOG = RunLog(enabled=False)
 
 _LOG: Ambient[RunLog] = Ambient(NULL_LOG)
 

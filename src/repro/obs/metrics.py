@@ -14,11 +14,11 @@ labelled instruments:
 
 Like the tracer, the installed registry is read with
 :func:`get_registry` and installed for a ``with`` block with
-:func:`collecting`; the default is a zero-cost :data:`NULL_REGISTRY`
-whose instruments discard every observation, so instrumented code costs
-one attribute check when metrics are off.  Snapshots order
-deterministically by (name, sorted labels), which keeps run manifests
-diffable (:mod:`repro.obs.regress`).
+:func:`collecting`; the default is :data:`NULL_REGISTRY`, a
+``MetricRegistry(enabled=False)`` whose instruments are one shared
+no-op, so instrumented code costs one attribute check when metrics are
+off.  Snapshots order deterministically by (name, sorted labels), which
+keeps run manifests diffable (:mod:`repro.obs.regress`).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricRegistry",
-    "NullRegistry",
     "NULL_REGISTRY",
     "log_bucket_edges",
     "get_registry",
@@ -201,15 +200,19 @@ class MetricRegistry:
     always returns the same :class:`Counter` regardless of keyword
     order.  Requesting an existing name with a different instrument
     type raises — one name, one type, any number of label sets.
+
+    With ``enabled=False`` (the :data:`NULL_REGISTRY` singleton) every
+    instrument is the shared no-op, so the registry never holds state.
     """
 
-    enabled = True
-
-    def __init__(self) -> None:
+    def __init__(self, *, enabled: bool = True) -> None:
+        self.enabled = enabled
         self._metrics: dict[tuple, object] = {}
         self._types: dict[str, type] = {}
 
     def _get(self, cls: type, name: str, labels: dict, *args):
+        if not self.enabled:
+            return _NULL_INSTRUMENT
         known = self._types.get(name)
         if known is not None and known is not cls:
             raise TypeError(
@@ -296,34 +299,8 @@ class MetricRegistry:
                 raise ValueError(f"unknown metric type {kind!r}")
 
 
-class NullRegistry(MetricRegistry):
-    """Disabled registry: every instrument is the shared no-op.
-
-    Mirrors :class:`~repro.obs.tracer.NullTracer`: instrumented code
-    additionally guards hot loops on :attr:`enabled`, so the disabled
-    path costs a single attribute check.
-    """
-
-    enabled = False
-
-    def counter(self, name, **labels):  # type: ignore[override]
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name, **labels):  # type: ignore[override]
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name, edges=None, **labels):  # type: ignore[override]
-        return _NULL_INSTRUMENT
-
-    def snapshot(self) -> list[dict]:
-        return []
-
-    def merge_snapshot(self, entries: list[dict]) -> None:
-        return None
-
-
 #: The module-level singleton installed when metrics are off.
-NULL_REGISTRY = NullRegistry()
+NULL_REGISTRY = MetricRegistry(enabled=False)
 
 _REGISTRY: Ambient[MetricRegistry] = Ambient(NULL_REGISTRY)
 

@@ -52,12 +52,18 @@ class Tolerance:
     ``rel=None`` excludes matching metrics from the gate entirely;
     ``direction`` is ``"increase"`` (fail when the candidate exceeds
     baseline by more than ``rel``), ``"decrease"``, ``"both"``, or
-    ``"auto"`` (infer from the metric name).
+    ``"auto"`` (infer from the metric name).  A NaN or negative ``rel``
+    raises :class:`ValueError`: every comparison against NaN is False,
+    so it would pass any regression.
     """
 
     pattern: str
     rel: float | None
     direction: str = AUTO
+
+    def __post_init__(self) -> None:
+        if self.rel is not None and not self.rel >= 0:
+            raise ValueError(f"tolerance must be >= 0, got {self.rel}")
 
 
 #: Built-in rules, consulted after user rules.  Host wall-clock metrics
@@ -188,8 +194,6 @@ def parse_tolerance(spec: str) -> Tolerance:
         raise ValueError(
             f"tolerance {rel!r} in {spec!r} is not a number or 'none'"
         ) from None
-    if value < 0:
-        raise ValueError(f"tolerance must be >= 0, got {value}")
     return Tolerance(pattern, value)
 
 
@@ -252,8 +256,11 @@ def regress(
     """Gate *candidate* against *baseline*; both are manifest dicts.
 
     *rules* (user rules) are consulted before :data:`DEFAULT_RULES`;
-    unmatched metrics get *default_tol* with an auto direction.
+    unmatched metrics get *default_tol* with an auto direction.  A NaN
+    or negative *default_tol* raises :class:`ValueError`.
     """
+    if not default_tol >= 0:  # also rejects NaN
+        raise ValueError(f"default tolerance must be >= 0, got {default_tol}")
     all_rules = tuple(rules) + DEFAULT_RULES
     base_flat = flatten_metrics(baseline)
     cand_flat = flatten_metrics(candidate)

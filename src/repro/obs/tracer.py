@@ -15,8 +15,9 @@ to zero (virtual), which keeps the exported Chrome trace timeline dense.
 
 Instrumented code reads the installed tracer with :func:`get_tracer`;
 :func:`tracing` installs one for a ``with`` block (an
-:class:`~repro.obs.context.Ambient` slot), and the default is the no-op
-:data:`NULL_TRACER`.
+:class:`~repro.obs.context.Ambient` slot), and the default is
+:data:`NULL_TRACER`, a ``Tracer(enabled=False)`` whose recording
+methods return before touching any state.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "SpanRecord",
     "CounterRecord",
     "Tracer",
-    "NullTracer",
     "NULL_TRACER",
     "get_tracer",
     "tracing",
@@ -135,11 +135,17 @@ class CounterRecord:
 
 
 class Tracer:
-    """Records spans and counters; cheap enough to thread everywhere."""
+    """Records spans and counters; cheap enough to thread everywhere.
 
-    enabled = True
+    With ``enabled=False`` (the :data:`NULL_TRACER` singleton) every
+    recording method returns early, so the tracer never holds state and
+    its read methods give the empty answers.  Hot loops additionally
+    guard on :attr:`enabled`, so the disabled path costs one attribute
+    check per iteration.
+    """
 
-    def __init__(self) -> None:
+    def __init__(self, *, enabled: bool = True) -> None:
+        self.enabled = enabled
         self.spans: list[SpanRecord] = []
         self.counters: list[CounterRecord] = []
         self._origin = time.perf_counter()
@@ -150,18 +156,27 @@ class Tracer:
 
     def now(self) -> float:
         """Seconds since this tracer was created."""
+        if not self.enabled:
+            return 0.0
         return time.perf_counter() - self._origin
 
-    @contextmanager
     def span(
         self, name: str, category: str = "host", **attributes: object
-    ) -> Iterator[SpanRecord]:
+    ) -> ContextManager[SpanRecord]:
         """Measure a wall-clock interval on the host track.
 
         Yields the (mutable) record so callers can attach attributes
         discovered during the span.  Nesting depth follows the dynamic
         call structure.
         """
+        if not self.enabled:
+            return _NULL_SPAN_CONTEXT
+        return self._span(name, category, attributes)
+
+    @contextmanager
+    def _span(
+        self, name: str, category: str, attributes: dict
+    ) -> Iterator[SpanRecord]:
         record = SpanRecord(
             name=name,
             category=category,
@@ -201,6 +216,8 @@ class Tracer:
         cursor only advances for top-level (``depth == 0``) spans, so
         nested phase spans can be placed inside their parent's interval.
         """
+        if not self.enabled:
+            return _NULL_SPAN_CONTEXT.__enter__()
         start = self.cursor(track) if start_s is None else start_s
         record = SpanRecord(
             name=name,
@@ -233,6 +250,8 @@ class Tracer:
         time defaults to "now": wall clock on the host track, the track
         cursor on virtual tracks.
         """
+        if not self.enabled:
+            return
         if not isinstance(values, dict):
             values = {"value": float(values)}
         if time_s is None:
@@ -276,7 +295,7 @@ class Tracer:
         live run that produced them.  Track cursors advance past the
         merged spans so later virtual spans never overlap them.
         """
-        if not snapshot:
+        if not (self.enabled and snapshot):
             return
         for data in snapshot.get("spans", ()):
             record = SpanRecord.from_dict(data)
@@ -330,58 +349,8 @@ class _NullSpanContext:
 _NULL_SPAN_CONTEXT = _NullSpanContext()
 
 
-class NullTracer(Tracer):
-    """Disabled tracer: records nothing, every call is O(1) and tiny.
-
-    Hot loops additionally guard on :attr:`enabled` so the disabled path
-    costs a single attribute check per iteration.  Every public
-    :class:`Tracer` method has an explicit no-op override here (enforced
-    by a contract test), so instrumented code never needs to branch on
-    the tracer's type.
-    """
-
-    enabled = False
-
-    def __init__(self) -> None:  # avoid perf_counter at import
-        self.spans = []
-        self.counters = []
-        self._origin = 0.0
-        self._host_stack = []
-        self._cursors = {}
-
-    def now(self) -> float:
-        return 0.0
-
-    def span(self, name, category="host", **attributes):  # type: ignore[override]
-        return _NULL_SPAN_CONTEXT
-
-    def cursor(self, track: str) -> float:
-        return 0.0
-
-    def add_span(self, name, duration_s, track, **kwargs):  # type: ignore[override]
-        return _NULL_SPAN_CONTEXT.__enter__()
-
-    def counter(self, name, values, track=HOST_TRACK, time_s=None):
-        return None
-
-    def current_span(self) -> SpanRecord | None:
-        return None
-
-    def snapshot(self) -> dict:
-        return {"spans": [], "counters": []}
-
-    def merge_snapshot(self, snapshot, prefix=None) -> None:
-        return None
-
-    def tracks(self) -> list[str]:
-        return [HOST_TRACK]
-
-    def spans_on(self, track: str) -> list[SpanRecord]:
-        return []
-
-
 #: The module-level singleton installed when tracing is off.
-NULL_TRACER = NullTracer()
+NULL_TRACER = Tracer(enabled=False)
 
 _TRACER: Ambient[Tracer] = Ambient(NULL_TRACER)
 

@@ -21,6 +21,7 @@ clock — it never reads wall time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.serve.workload import Request
@@ -50,7 +51,7 @@ class BatchPolicy:
             raise ValueError(
                 f"max_batch_rows must be >= 1, got {self.max_batch_rows}"
             )
-        if self.max_delay_s < 0:
+        if not 0 <= self.max_delay_s < math.inf:  # rejects NaN too
             raise ValueError(
                 f"max_delay_s must be >= 0, got {self.max_delay_s}"
             )

@@ -123,7 +123,7 @@ def build_pool(
     undersized budget is a configuration error, not a zero-throughput
     data point.
     """
-    if budget_bytes <= 0:
+    if not 0 < budget_bytes < math.inf:  # rejects NaN too
         raise ValueError(f"budget_bytes must be > 0, got {budget_bytes}")
     if max_replicas < 1:
         raise ValueError(f"max_replicas must be >= 1, got {max_replicas}")

@@ -81,6 +81,7 @@ class WorkloadSpec:
     slo_s: float = 0.05
 
     def __post_init__(self) -> None:
+        # Chained bounds reject NaN (every comparison is False) and inf.
         if self.arrival not in ARRIVALS:
             raise ValueError(
                 f"unknown arrival process {self.arrival!r}; "
@@ -90,16 +91,16 @@ class WorkloadSpec:
             raise ValueError(
                 f"n_requests must be >= 0, got {self.n_requests}"
             )
-        if self.rate_rps <= 0:
+        if not 0 < self.rate_rps < math.inf:
             raise ValueError(f"rate_rps must be > 0, got {self.rate_rps}")
         if not 1 <= self.rows_min <= self.rows_max:
             raise ValueError(
                 f"need 1 <= rows_min <= rows_max, got "
                 f"[{self.rows_min}, {self.rows_max}]"
             )
-        if self.slo_s <= 0:
+        if not 0 < self.slo_s < math.inf:
             raise ValueError(f"slo_s must be > 0, got {self.slo_s}")
-        if self.burst_factor < 1:
+        if not 1 <= self.burst_factor < math.inf:
             raise ValueError(
                 f"burst_factor must be >= 1, got {self.burst_factor}"
             )
@@ -107,7 +108,7 @@ class WorkloadSpec:
             raise ValueError(
                 f"burst_duty must be in (0, 1), got {self.burst_duty}"
             )
-        if self.burst_period_s <= 0:
+        if not 0 < self.burst_period_s < math.inf:
             raise ValueError(
                 f"burst_period_s must be > 0, got {self.burst_period_s}"
             )

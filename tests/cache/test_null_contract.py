@@ -1,17 +1,17 @@
-"""Contract tests: the null cache mirrors the real cache API.
+"""Contract tests: the disabled cache records nothing.
 
-Compiler code must never branch on the cache's type: every public
-method of :class:`CompilationCache` needs an explicit no-op override on
-:class:`NullCache`, so a future method added to the real cache without
-a null override fails here instead of silently inheriting stateful
-behavior.  Mirrors ``tests/obs/test_null_contract.py``.
+:data:`NULL_CACHE` is a ``CompilationCache(enabled=False)``.  A table
+holds one sample call per public method of :class:`CompilationCache`;
+each call is applied to the singleton, which must still be empty
+afterwards, and a public method missing from the table fails the audit.
+Mirrors ``tests/obs/test_null_contract.py``.
 """
 
 import inspect
 
 import numpy as np
 
-from repro.cache import NULL_CACHE, CompilationCache, NullCache
+from repro.cache import NULL_CACHE, CompilationCache
 from repro.cache.store import CacheRecord
 
 
@@ -29,36 +29,47 @@ def _record() -> CacheRecord:
     return CacheRecord(arrays={"w": np.zeros(3)}, meta={"k": 1})
 
 
-class TestNullCacheContract:
-    def test_every_public_method_overridden(self):
-        for name in public_methods(CompilationCache):
-            assert name in vars(NullCache), (
-                f"CompilationCache.{name} has no explicit NullCache "
-                "override; add a no-op so compiler code never branches "
-                "on cache type"
-            )
+#: One sample call per public :class:`CompilationCache` method.
+SAMPLE_CALLS = {
+    "lookup": lambda cache: cache.lookup("key"),
+    "store": lambda cache: cache.store("key", _record()),
+}
 
-    def test_no_extra_public_surface(self):
-        assert public_methods(NullCache) <= public_methods(
-            CompilationCache
+
+def assert_empty(cache: CompilationCache, after: str = "") -> None:
+    fresh = CompilationCache(enabled=False)
+    assert vars(cache) == vars(fresh), f"state left by {after}"
+
+
+class TestBehaviouralAudit:
+    def test_every_public_method_sampled(self):
+        assert set(SAMPLE_CALLS) == public_methods(CompilationCache), (
+            "add a sample call for every public CompilationCache method "
+            "(and none for a method it lacks)"
         )
 
+    def test_samples_leave_singleton_empty(self):
+        assert type(NULL_CACHE) is CompilationCache
+        for name, call in SAMPLE_CALLS.items():
+            call(NULL_CACHE)
+            assert_empty(NULL_CACHE, after=f"CompilationCache.{name}")
+
+
+class TestDisabledCache:
     def test_disabled_and_memory_only(self):
-        cache = NullCache()
-        assert not cache.enabled
-        assert cache.path is None
+        assert not NULL_CACHE.enabled
+        assert NULL_CACHE.path is None
 
     def test_lookup_always_misses_silently(self):
-        cache = NullCache()
-        cache.store("key", _record())
-        assert cache.lookup("key") is None
-        assert len(cache) == 0
+        NULL_CACHE.store("key", _record())
+        assert NULL_CACHE.lookup("key") is None
+        assert len(NULL_CACHE) == 0
         # Silent means silent: the uncached path must record *no*
         # counters at all, or disabled runs grow cache metrics.
-        assert cache.stats.hits == 0
-        assert cache.stats.misses == 0
-        assert cache.stats.stores == 0
-        assert cache.stats.lookups == 0
+        assert NULL_CACHE.stats.hits == 0
+        assert NULL_CACHE.stats.misses == 0
+        assert NULL_CACHE.stats.stores == 0
+        assert NULL_CACHE.stats.lookups == 0
 
     def test_singleton_state_never_leaks(self):
         NULL_CACHE.store("leak", _record())

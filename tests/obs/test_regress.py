@@ -168,7 +168,7 @@ class TestParseTolerance:
         assert parse_tolerance("x=none").rel is None
 
     def test_bad_specs(self):
-        for spec in ("nope", "=0.1", "x=abc", "x=-0.5"):
+        for spec in ("nope", "=0.1", "x=abc", "x=-0.5", "x=nan"):
             with pytest.raises(ValueError):
                 parse_tolerance(spec)
 
@@ -213,3 +213,14 @@ class TestRegressCLI:
             main(["regress", slow, base, "--tol", "executor.*=0.5"]) == 0
         )
         assert main(["regress", slow, base, "--tol", "bad"]) == 2
+
+    @pytest.mark.parametrize("bad", ["nan", "-1"])
+    def test_exit_two_on_bad_default_tol(self, tmp_path, capsys, bad):
+        from repro.__main__ import main
+
+        base = self.write(tmp_path, "base.json", BASE)
+        slow = self.write(
+            tmp_path, "slow.json", perturbed("executor.compute_s", 10.0)
+        )
+        assert main(["regress", slow, base, "--default-tol", bad]) == 2
+        assert "default tolerance must be >= 0" in capsys.readouterr().err

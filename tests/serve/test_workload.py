@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.serve.batcher import BatchPolicy
+from repro.serve.replica import build_pool
 from repro.serve.workload import (
     Request,
     WorkloadSpec,
@@ -87,6 +89,17 @@ class TestShape:
         assert payload.shape == (request.rows, 24)
 
 
+#: Field name -> constructor fed that field; each must reject nan/inf.
+NON_FINITE_BUILDERS = {
+    "rate_rps": lambda v: WorkloadSpec(rate_rps=v),
+    "slo_s": lambda v: WorkloadSpec(slo_s=v),
+    "burst_factor": lambda v: WorkloadSpec(burst_factor=v),
+    "burst_period_s": lambda v: WorkloadSpec(burst_period_s=v),
+    "max_delay_s": lambda v: BatchPolicy(8, max_delay_s=v),
+    "budget_bytes": lambda v: build_pool("dense", 64, 8, v),
+}
+
+
 class TestValidation:
     def test_rejects_unknown_arrival(self):
         with pytest.raises(ValueError, match="arrival"):
@@ -103,6 +116,13 @@ class TestValidation:
     def test_rejects_bad_slo(self):
         with pytest.raises(ValueError, match="slo"):
             WorkloadSpec(slo_s=0.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", list(NON_FINITE_BUILDERS))
+    def test_rejects_non_finite(self, field, value):
+        # Caught at construction, not deep inside numpy or after the run.
+        with pytest.raises(ValueError, match=field):
+            NON_FINITE_BUILDERS[field](value)
 
     def test_requests_are_frozen(self):
         request = generate_requests(WorkloadSpec(n_requests=1))[0]
