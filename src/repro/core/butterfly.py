@@ -215,7 +215,8 @@ def butterfly_multiply_backward(
     inputs: list[np.ndarray],
     grad_out: np.ndarray,
     increasing_stride: bool = True,
-) -> tuple[np.ndarray, np.ndarray]:
+    need_grad_x: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Backward of :func:`butterfly_multiply`.
 
     Parameters
@@ -227,6 +228,9 @@ def butterfly_multiply_backward(
         :func:`butterfly_multiply_with_intermediates`.
     grad_out:
         Gradient w.r.t. the output, shape ``(batch, n)``.
+    need_grad_x:
+        When False, the first level's input gradient — read by nothing
+        but ``grad_x`` — is skipped and ``grad_x`` is None.
 
     Returns
     -------
@@ -246,11 +250,12 @@ def butterfly_multiply_backward(
         # dL/dt[k, p, r, c] = sum_b g[b, k, r, p] * x[b, k, c, p]
         gt = np.einsum("bkrp,bkcp->kprc", g4, x4, optimize=True)
         grad_t[level] = gt.reshape(n // 2, 2, 2)
-        # dL/dx[b, k, c, p] = sum_r t[k, p, r, c] * g[b, k, r, p]
-        g = np.einsum("kprc,bkrp->bkcp", t4, g4, optimize=True).reshape(
-            batch, n
-        )
-    return grad_t, g
+        if level or need_grad_x:
+            # dL/dx[b, k, c, p] = sum_r t[k, p, r, c] * g[b, k, r, p]
+            g = np.einsum("kprc,bkrp->bkcp", t4, g4, optimize=True).reshape(
+                batch, n
+            )
+    return grad_t, g if need_grad_x else None
 
 
 # ---------------------------------------------------------------------------

@@ -45,23 +45,36 @@ def circulant_multiply(c: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def circulant_multiply_backward(
-    c: np.ndarray, x: np.ndarray, grad_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Backward of :func:`circulant_multiply` for 2-D *x*.
+    c: np.ndarray,
+    x: np.ndarray,
+    grad_out: np.ndarray,
+    need_grad_x: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Backward of :func:`circulant_multiply`.
 
-    With ``y = c * x`` (circular convolution):
+    *x* is 1-D or carries leading batch dimensions, as in the forward, and
+    *grad_out* has its shape.  With ``y = c * x`` (circular convolution):
 
     * ``dL/dx = c (correlate) g`` — convolution with time-reversed ``c``;
     * ``dL/dc = sum_batch x (correlate) g``.
 
-    Both are evaluated via conjugate spectra.
+    Both are evaluated via conjugate spectra.  With ``need_grad_x=False``
+    the input gradient is skipped and returned as None.
     """
+    x = np.asarray(x)
+    grad_out = np.asarray(grad_out)
+    if grad_out.shape != x.shape:
+        raise ValueError(
+            f"grad_out must have x's shape {x.shape}, got {grad_out.shape}"
+        )
     n = c.shape[-1]
-    c_hat = np.fft.rfft(c)
     x_hat = np.fft.rfft(x, axis=-1)
     g_hat = np.fft.rfft(grad_out, axis=-1)
-    grad_x = np.fft.irfft(np.conj(c_hat) * g_hat, n=n, axis=-1)
-    grad_c = np.fft.irfft((np.conj(x_hat) * g_hat).sum(axis=0), n=n)
+    cross = (np.conj(x_hat) * g_hat).reshape(-1, g_hat.shape[-1])
+    grad_c = np.fft.irfft(cross.sum(axis=0), n=n)
+    if not need_grad_x:
+        return grad_c, None
+    grad_x = np.fft.irfft(np.conj(np.fft.rfft(c)) * g_hat, n=n, axis=-1)
     return grad_c, grad_x
 
 

@@ -115,6 +115,12 @@ class PixelflyPattern:
     block_rows, block_cols:
         Index arrays of the active blocks, in row-major mask order — the
         storage order of the packed block values.
+
+    Every block-row and every block-column holds the same number of
+    blocks (:attr:`blocks_per_row`), because each stride band is an XOR
+    permutation of the grid.  The block-sparse kernels rely on that layout
+    to accumulate with a segmented sum instead of a scatter, so
+    construction checks it.
     """
 
     n: int
@@ -125,10 +131,44 @@ class PixelflyPattern:
     block_rows: np.ndarray
     block_cols: np.ndarray
 
+    def __post_init__(self) -> None:
+        if self.block_size <= 0 or self.n % self.block_size:
+            raise ValueError(
+                f"block_size {self.block_size} does not divide n {self.n}"
+            )
+        nb = self.n // self.block_size
+        if np.shape(self.block_mask) != (nb, nb):
+            raise ValueError(
+                f"block_mask must have shape ({nb}, {nb}), "
+                f"got {np.shape(self.block_mask)}"
+            )
+        rows, cols = np.nonzero(self.block_mask)
+        if not (
+            np.array_equal(rows, self.block_rows)
+            and np.array_equal(cols, self.block_cols)
+        ):
+            raise ValueError(
+                "block_rows and block_cols must list the active blocks of "
+                "block_mask in row-major order"
+            )
+        k = len(rows) // nb
+        if (np.bincount(rows, minlength=nb) != k).any() or (
+            np.bincount(cols, minlength=nb) != k
+        ).any():
+            raise ValueError(
+                "every block-row and block-column of block_mask must hold "
+                "the same number of blocks"
+            )
+
     @property
     def n_blocks(self) -> int:
         """Number of active dense blocks."""
         return int(len(self.block_rows))
+
+    @property
+    def blocks_per_row(self) -> int:
+        """Active blocks in each block-row (and in each block-column)."""
+        return self.n_blocks * self.block_size // self.n
 
     @property
     def nnz(self) -> int:
@@ -193,10 +233,66 @@ def block_sparse_multiply(
 
     ``blocks`` has shape ``(n_blocks, bs, bs)`` in the pattern's storage
     order; ``x`` is ``(batch, n)`` (or 1-D).  The product gathers the input
-    block-columns, applies every dense block as a batched matmul, and
-    scatter-adds into the output block-rows — the same dataflow the device
-    simulators cost out.
+    block-columns, applies every dense block as a batched matmul, and sums
+    each output block-row's ``blocks_per_row`` partial products — the same
+    dataflow the device simulators cost out.  The blocks are stored
+    row-major, so that sum is a segmented reduction (PopSparse's layout),
+    not a scatter.
     """
+    x, squeeze = _as_batch(blocks, pattern, x)
+    bs = pattern.block_size
+    xb = x.reshape(x.shape[0], pattern.n // bs, bs)
+    gathered = xb[:, pattern.block_cols, :]  # (batch, n_blocks, bs)
+    partial = np.einsum("kij,bkj->bki", blocks, gathered, optimize=True)
+    out = _segment_sum(partial, pattern, partial.dtype)
+    return out[0] if squeeze else out
+
+
+def block_sparse_multiply_backward(
+    blocks: np.ndarray,
+    pattern: PixelflyPattern,
+    x: np.ndarray,
+    grad_out: np.ndarray,
+    need_grad_x: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Backward of :func:`block_sparse_multiply`.
+
+    Returns ``(grad_blocks, grad_x)``, each shaped like its forward input
+    (``x`` may be 1-D; ``grad_x`` has its dtype).  With
+    ``need_grad_x=False`` the input gradient — most of the work when the
+    batch is small — is skipped and returned as None.
+    """
+    x, squeeze = _as_batch(blocks, pattern, x)
+    out_shape = (pattern.n,) if squeeze else x.shape
+    grad_out = np.asarray(grad_out)
+    if grad_out.shape != out_shape:
+        raise ValueError(
+            f"grad_out must have the output's shape {out_shape}, "
+            f"got {grad_out.shape}"
+        )
+    bs = pattern.block_size
+    batch = x.shape[0]
+    nb = pattern.n // bs
+    xb = x.reshape(batch, nb, bs)
+    gb = grad_out.reshape(batch, nb, bs)
+    g_rows = gb[:, pattern.block_rows, :]  # (batch, n_blocks, bs)
+    x_cols = xb[:, pattern.block_cols, :]
+    # One (bs, batch) @ (batch, bs) GEMM per block, C-ordered like blocks.
+    grad_blocks = g_rows.transpose(1, 2, 0) @ x_cols.transpose(1, 0, 2)
+    if not need_grad_x:
+        return grad_blocks, None
+    partial = np.einsum("kij,bki->bkj", blocks, g_rows, optimize=True)
+    # A stable sort by column groups each block-column's blocks and keeps
+    # them in storage order, the order a scatter would add them in.
+    by_col = np.argsort(pattern.block_cols, kind="stable")
+    grad_x = _segment_sum(partial[:, by_col], pattern, x.dtype)
+    return grad_blocks, grad_x[0] if squeeze else grad_x
+
+
+def _as_batch(
+    blocks: np.ndarray, pattern: PixelflyPattern, x: np.ndarray
+) -> tuple[np.ndarray, bool]:
+    """Validate the operands; return 2-D ``x`` and whether it was 1-D."""
     bs = pattern.block_size
     if blocks.shape != (pattern.n_blocks, bs, bs):
         raise ValueError(
@@ -207,42 +303,30 @@ def block_sparse_multiply(
     squeeze = x.ndim == 1
     if squeeze:
         x = x[None, :]
+    if x.ndim != 2:
+        raise ValueError(f"x must be 1-D or (batch, n), got shape {x.shape}")
     if x.shape[1] != pattern.n:
         raise ValueError(f"x has {x.shape[1]} features, expected {pattern.n}")
-    batch = x.shape[0]
-    nb = pattern.n // bs
-    xb = x.reshape(batch, nb, bs)
-    # Gather input blocks per active block, multiply, scatter-add to rows.
-    gathered = xb[:, pattern.block_cols, :]  # (batch, n_blocks, bs)
-    partial = np.einsum("kij,bkj->bki", blocks, gathered, optimize=True)
-    out = np.zeros((batch, nb, bs), dtype=partial.dtype)
-    np.add.at(out, (slice(None), pattern.block_rows), partial)
-    out = out.reshape(batch, pattern.n)
-    return out[0] if squeeze else out
+    return x, squeeze
 
 
-def block_sparse_multiply_backward(
-    blocks: np.ndarray,
-    pattern: PixelflyPattern,
-    x: np.ndarray,
-    grad_out: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Backward of :func:`block_sparse_multiply`.
+def _segment_sum(
+    partial: np.ndarray, pattern: PixelflyPattern, dtype: np.dtype
+) -> np.ndarray:
+    """Sum ``(batch, n_blocks, bs)`` partials in consecutive runs of
+    ``blocks_per_row`` blocks into a ``(batch, n)`` array of *dtype*.
 
-    Returns ``(grad_blocks, grad_x)`` for 2-D ``x`` and ``grad_out``.
+    Each run is added one block at a time, from zero, in storage order:
+    the order a scatter-add over the run's segment index adds it in, so the
+    bits agree with the scatter at every shape.  (``runs.sum(axis=2)``
+    does not: with ``bs == 1`` numpy sums the run pairwise.)
     """
-    bs = pattern.block_size
-    batch = x.shape[0]
-    nb = pattern.n // bs
-    xb = x.reshape(batch, nb, bs)
-    gb = grad_out.reshape(batch, nb, bs)
-    g_rows = gb[:, pattern.block_rows, :]  # (batch, n_blocks, bs)
-    x_cols = xb[:, pattern.block_cols, :]
-    grad_blocks = np.einsum("bki,bkj->kij", g_rows, x_cols, optimize=True)
-    partial = np.einsum("kij,bki->bkj", blocks, g_rows, optimize=True)
-    grad_xb = np.zeros_like(xb)
-    np.add.at(grad_xb, (slice(None), pattern.block_cols), partial)
-    return grad_blocks, grad_xb.reshape(batch, pattern.n)
+    batch, _, bs = partial.shape
+    runs = partial.reshape(batch, pattern.n // bs, pattern.blocks_per_row, bs)
+    out = np.zeros((batch, pattern.n // bs, bs), dtype=dtype)
+    for j in range(pattern.blocks_per_row):
+        out += runs[:, :, j]
+    return out.reshape(batch, pattern.n)
 
 
 def blocks_to_dense(blocks: np.ndarray, pattern: PixelflyPattern) -> np.ndarray:

@@ -5,6 +5,13 @@ arrays, ``backward`` returns one gradient per *positional argument* (None
 for non-differentiable ones); :meth:`Function.apply` handles Tensor
 unwrapping, graph recording, and routing gradients to the tensor arguments.
 
+Backward does only the work whose result is read.  ``apply`` records
+``needs_input_grad``, one bool per positional argument, and a backward may
+return None for any input whose entry is False — in training the data
+batch is such an input.  :class:`MatMul` also hands a transposed weight
+(Linear's ``x @ w.T``) its gradient in the weight's own C order, so the
+optimiser's in-place updates walk contiguous memory.
+
 At import time this module installs operator methods (``__add__``,
 ``__matmul__``, ``.relu()``, …) onto :class:`repro.nn.tensor.Tensor`.
 """
@@ -68,6 +75,12 @@ class Function:
     numpy array, and ``backward(self, grad)`` returning a tuple with one
     entry per positional argument of forward (``None`` where no gradient
     flows).  State needed by backward is stashed on ``self``.
+
+    Before ``forward`` runs, :meth:`apply` sets ``self.needs_input_grad``:
+    one bool per positional argument, True iff it is a Tensor that requires
+    a gradient while grad mode is on.  ``backward`` may return ``None`` for
+    an input whose entry is False instead of computing a gradient nobody
+    reads.
     """
 
     def forward(self, *args, **kwargs) -> np.ndarray:
@@ -80,9 +93,13 @@ class Function:
     def apply(cls, *args, **kwargs) -> Tensor:
         fn = cls()
         raw = [a.data if isinstance(a, Tensor) else a for a in args]
+        grad_on = is_grad_enabled()
+        fn.needs_input_grad = tuple(
+            grad_on and isinstance(a, Tensor) and a.requires_grad for a in args
+        )
         out_data = fn.forward(*raw, **kwargs)
         parents = tuple(a for a in args if isinstance(a, Tensor))
-        requires = is_grad_enabled() and any(p.requires_grad for p in parents)
+        requires = any(fn.needs_input_grad)
         out = Tensor(out_data, requires_grad=requires)
         if requires:
             fn._positions = [
@@ -235,7 +252,19 @@ class Sigmoid(Function):
 
 
 class MatMul(Function):
-    """Matrix product supporting 1-D/2-D and batched (>2-D) operands."""
+    """Matrix product supporting 1-D/2-D and batched (>2-D) operands.
+
+    Layout rule: when ``b`` is a transposed C-ordered matrix (F-ordered and
+    not also C-ordered, as ``w.T`` in ``x @ w.T``) and ``a`` is a C-ordered
+    matrix, ``b``'s gradient is formed as ``(grad.T @ a).T`` instead of
+    ``a.T @ grad``, so :class:`Transpose` hands ``w`` a C-ordered gradient.
+    On OpenBLAS the two give the same bits when ``a`` is C-ordered float64,
+    and when it is the float32 data batch at the SHL's 1024-wide weight
+    (``tests/nn/test_backward_work.py`` pins both).  They may differ
+    for an F-ordered ``a``, such as Fastfood's FWHT output, which
+    therefore keeps ``a.T @ grad``, and for a float32 ``a`` (cast by
+    numpy) against a ``b`` of a few columns, which takes the rule.
+    """
 
     def forward(self, a, b):
         self.a, self.b = a, b
@@ -249,9 +278,21 @@ class MatMul(Function):
             return grad @ np.swapaxes(b, -1, -2), np.outer(a, grad)
         if b.ndim == 1:  # (m, k) @ (k,) -> (m,)
             return np.outer(grad, b), np.swapaxes(a, -1, -2) @ grad
-        grad_a = grad @ np.swapaxes(b, -1, -2)
-        grad_b = np.swapaxes(a, -1, -2) @ grad
-        return unbroadcast(grad_a, a.shape), unbroadcast(grad_b, b.shape)
+        need_a, need_b = self.needs_input_grad
+        grad_a = grad_b = None
+        if need_a:
+            grad_a = unbroadcast(grad @ np.swapaxes(b, -1, -2), a.shape)
+        if need_b:
+            if (
+                a.ndim == b.ndim == 2
+                and a.flags.c_contiguous
+                and b.flags.f_contiguous
+                and not b.flags.c_contiguous
+            ):
+                grad_b = (grad.T @ a).T
+            else:
+                grad_b = unbroadcast(np.swapaxes(a, -1, -2) @ grad, b.shape)
+        return grad_a, grad_b
 
 
 # ---------------------------------------------------------------------------

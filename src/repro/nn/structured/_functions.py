@@ -3,7 +3,8 @@
 Each wraps a :mod:`repro.core` fast path with its hand-derived backward, so
 the layers get ``O(n log n)`` gradients instead of materialising dense
 weights.  Every backward here is validated against finite differences in
-``tests/nn/test_structured_grads.py``.
+``tests/properties/test_gradcheck.py``, and skips the input gradient when
+``needs_input_grad`` says nothing reads it (the data batch in training).
 """
 
 from __future__ import annotations
@@ -47,7 +48,11 @@ class ButterflyMultiplyFn(Function):
 
     def backward(self, grad: np.ndarray):
         grad_twiddle, grad_x = butterfly_multiply_backward(
-            self.twiddle, self.inputs, grad, self.increasing_stride
+            self.twiddle,
+            self.inputs,
+            grad,
+            self.increasing_stride,
+            need_grad_x=self.needs_input_grad[1],
         )
         return grad_twiddle, grad_x, None
 
@@ -65,7 +70,11 @@ class BlockSparseMultiplyFn(Function):
 
     def backward(self, grad: np.ndarray):
         grad_blocks, grad_x = block_sparse_multiply_backward(
-            self.blocks, self.pattern, self.x, grad
+            self.blocks,
+            self.pattern,
+            self.x,
+            grad,
+            need_grad_x=self.needs_input_grad[1],
         )
         return grad_blocks, grad_x, None
 
@@ -79,8 +88,9 @@ class CirculantMultiplyFn(Function):
         return circulant_multiply(c, x)
 
     def backward(self, grad: np.ndarray):
-        grad_c, grad_x = circulant_multiply_backward(self.c, self.x, grad)
-        return grad_c, grad_x
+        return circulant_multiply_backward(
+            self.c, self.x, grad, need_grad_x=self.needs_input_grad[1]
+        )
 
 
 class FWHTFn(Function):

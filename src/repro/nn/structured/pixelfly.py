@@ -51,10 +51,7 @@ class PixelflyLinear(Module):
         )
         rng = as_rng(seed)
         # Fan-in of the sparse term = active blocks per row * block size.
-        blocks_per_row = max(
-            1, int(self.pattern.block_mask.sum(axis=1).max())
-        )
-        fan_in = blocks_per_row * block_size
+        fan_in = self.pattern.blocks_per_row * block_size
         self.blocks = Parameter(
             init.kaiming_uniform(
                 (self.pattern.n_blocks, block_size, block_size),
