@@ -14,7 +14,7 @@ Subpackages
     A30 GPU cost-model simulator (cuBLAS/cuSPARSE/tensor-core models,
     PyTorch-style bridge).
 ``repro.linalg``
-    From-scratch CSR/COO sparse formats, blocked and skewed matmul.
+    From-scratch CSR/COO sparse formats and GEMM FLOP/byte counts.
 ``repro.datasets``
     Synthetic CIFAR-10/MNIST with planted butterfly structure.
 ``repro.experiments``
@@ -23,7 +23,7 @@ Subpackages
     Deterministic fault injection, atomic checkpoint/resume and the
     chaos-testing harness (``python -m repro chaos``).
 ``repro.bench``
-    Timing harness and table rendering.
+    FLOP accounting, table rendering and the parallel grid runner.
 
 Quickstart
 ----------

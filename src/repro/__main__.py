@@ -169,22 +169,13 @@ ARTEFACTS: dict[str, Artefact] = {
 SLOW = {name for name, a in ARTEFACTS.items() if a.slow}
 
 
-def _default_output_dir() -> pathlib.Path:
-    """``benchmarks/output`` in a source checkout, else the working dir."""
+def _default_dir(name: str) -> pathlib.Path:
+    """``benchmarks/<name>`` in a source checkout, else the working dir."""
     repo_root = pathlib.Path(__file__).resolve().parents[2]
-    candidate = repo_root / "benchmarks" / "output"
+    candidate = repo_root / "benchmarks" / name
     if candidate.parent.is_dir():
         return candidate
-    return pathlib.Path("benchmarks/output")
-
-
-def _default_cache_dir() -> pathlib.Path:
-    """``benchmarks/cache`` in a source checkout, else the working dir."""
-    repo_root = pathlib.Path(__file__).resolve().parents[2]
-    candidate = repo_root / "benchmarks" / "cache"
-    if candidate.parent.is_dir():
-        return candidate
-    return pathlib.Path("benchmarks/cache")
+    return pathlib.Path("benchmarks") / name
 
 
 def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
@@ -215,18 +206,9 @@ def _make_cache(args: argparse.Namespace) -> CompilationCache:
     if args.no_cache:
         return NULL_CACHE
     cache_dir = (
-        args.cache_dir if args.cache_dir is not None else _default_cache_dir()
+        args.cache_dir if args.cache_dir is not None else _default_dir("cache")
     )
     return CompilationCache(path=cache_dir)
-
-
-def _default_journal_dir() -> pathlib.Path:
-    """``benchmarks/journal`` in a source checkout, else the working dir."""
-    repo_root = pathlib.Path(__file__).resolve().parents[2]
-    candidate = repo_root / "benchmarks" / "journal"
-    if candidate.parent.is_dir():
-        return candidate
-    return pathlib.Path("benchmarks/journal")
 
 
 def _add_guard_flags(parser: argparse.ArgumentParser) -> None:
@@ -289,7 +271,7 @@ def _make_guard(args: argparse.Namespace) -> GuardPolicy | None:
     if not active:
         return None
     journal_dir = (
-        args.journal if args.journal is not None else _default_journal_dir()
+        args.journal if args.journal is not None else _default_dir("journal")
     )
     return GuardPolicy(
         cell_timeout_s=args.cell_timeout,
@@ -298,6 +280,18 @@ def _make_guard(args: argparse.Namespace) -> GuardPolicy | None:
         journal_dir=journal_dir,
         resume=args.resume,
     )
+
+
+def _print_reports(reports: list[guardmod.GridReport]) -> int:
+    """Print each grid report worth reading; 1 if any grid failed."""
+    exit_code = 0
+    for report in reports:
+        if report.journal_hits or not report.ok or report.pool_rebuilds:
+            print(report.render())
+            print()
+        if not report.ok:
+            exit_code = 1
+    return exit_code
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -383,12 +377,8 @@ def run_main(argv: list[str]) -> int:
                 text = ARTEFACTS[name].render(opts)
         print(text)
         print()
-        for report in reports:
-            if report.journal_hits or not report.ok or report.pool_rebuilds:
-                print(report.render())
-                print()
-            if not report.ok:
-                exit_code = 1
+        if _print_reports(reports):
+            exit_code = 1
         if args.out:
             (args.out / f"{name}.txt").write_text(text + "\n")
     return exit_code
@@ -453,7 +443,7 @@ def trace_main(argv: list[str]) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     cache = _make_cache(args)
-    out_dir = args.out if args.out is not None else _default_output_dir()
+    out_dir = args.out if args.out is not None else _default_dir("output")
     out_dir.mkdir(parents=True, exist_ok=True)
     opts = RunOptions(full=args.full, jobs=args.jobs, guard=guard)
     with obs.tracing() as tracer, obs.logging() as runlog, \
@@ -461,13 +451,7 @@ def trace_main(argv: list[str]) -> int:
         text = ARTEFACTS[args.artefact].render(opts)
     print(text)
     print()
-    exit_code = 0
-    for report in reports:
-        if report.journal_hits or not report.ok or report.pool_rebuilds:
-            print(report.render())
-            print()
-        if not report.ok:
-            exit_code = 1
+    exit_code = _print_reports(reports)
     trace_path = obs.write_chrome_trace(
         tracer, out_dir / f"{args.artefact}.trace.json"
     )
@@ -633,6 +617,8 @@ def chaos_main(argv: list[str]) -> int:
         "or tile-sweep (default: all)",
     )
     args = parser.parse_args(argv)
+    if args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
     # Imported lazily: the chaos harness pulls in the experiment configs.
     from repro.faults.chaos import SCENARIOS, run_chaos
 
@@ -720,6 +706,10 @@ def fuzz_main(argv: list[str]) -> int:
 
     if args.cases < 1:
         parser.error(f"--cases must be >= 1, got {args.cases}")
+    if args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
+    if args.start < 0:
+        parser.error(f"--start must be >= 0, got {args.start}")
     unknown = [o for o in (args.oracle or []) if o not in ORACLES]
     if unknown:
         parser.error(
@@ -733,7 +723,7 @@ def fuzz_main(argv: list[str]) -> int:
         )
     corpus_dir = args.corpus
     if args.shrink and corpus_dir is None:
-        corpus_dir = _default_output_dir() / "corpus"
+        corpus_dir = _default_dir("output") / "corpus"
     with obs.tracing() as tracer, obs.collecting() as registry:
         report = run_fuzz(
             seed=args.seed,
@@ -801,7 +791,7 @@ def report_main(argv: list[str]) -> int:
         out = (
             args.out
             if args.out is not None
-            else _default_output_dir() / "smoke.json"
+            else _default_dir("output") / "smoke.json"
         )
         path = obs.write_manifest(manifest, out)
         print(obs.render_report(manifest))
@@ -969,7 +959,13 @@ def serve_main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
+    if args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
     methods = [m for m in args.methods.split(",") if m]
+    if not methods:
+        parser.error(
+            f"--methods must name at least one method, got {args.methods!r}"
+        )
     unknown = [m for m in methods if m not in SERVE_METHODS]
     if unknown:
         parser.error(
@@ -999,7 +995,7 @@ def serve_main(argv: list[str]) -> int:
     ]
 
     cache = _make_cache(args)
-    out_dir = args.out if args.out is not None else _default_output_dir()
+    out_dir = args.out if args.out is not None else _default_dir("output")
     out_dir.mkdir(parents=True, exist_ok=True)
     with caching(cache):
         results = run_grid(

@@ -1,14 +1,11 @@
-"""Benchmark support: timing harness, FLOP accounting, table rendering,
-and the deterministic parallel experiment runner."""
+"""Benchmark support: FLOP accounting, table rendering, and the
+deterministic parallel experiment runner."""
 
-from repro.bench.harness import time_callable, TimingResult
 from repro.bench.parallel import WorkerError, run_grid
 from repro.bench.reporting import Table, format_table
 from repro.bench.flops import gflops, dense_equivalent
 
 __all__ = [
-    "time_callable",
-    "TimingResult",
     "WorkerError",
     "run_grid",
     "Table",

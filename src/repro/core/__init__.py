@@ -3,8 +3,8 @@
 This package contains the structured-matrix algebra the paper ports to the
 IPU, as plain-numpy reference implementations:
 
-* :mod:`repro.core.permutations` — bit-reversal and stride permutations used
-  by the Cooley–Tukey recursion (Eq. 1/2 of the paper).
+* :mod:`repro.core.permutations` — the bit-reversal permutation of the
+  Cooley–Tukey recursion (Eq. 1/2 of the paper).
 * :mod:`repro.core.butterfly` — butterfly factors, the ``O(N log N)``
   multiply, dense expansion, and FFT twiddles (Fig 1).
 * :mod:`repro.core.pixelfly` — flat-block-butterfly masks and the pixelated
@@ -19,14 +19,8 @@ delegate their numerics to the functions here, so every layer is checkable
 against an independent dense expansion.
 """
 
-from repro.core.permutations import (
-    bit_reversal_permutation,
-    stride_permutation,
-    permutation_matrix,
-    invert_permutation,
-)
+from repro.core.permutations import bit_reversal_permutation
 from repro.core.butterfly import (
-    ButterflyFactorization,
     random_twiddle,
     identity_twiddle,
     orthogonal_twiddle,
@@ -56,15 +50,11 @@ from repro.core.circulant import (
     circulant_to_dense,
     circulant_param_count,
 )
-from repro.core.lowrank import lowrank_multiply, lowrank_to_dense, lowrank_param_count
+from repro.core.lowrank import lowrank_to_dense, lowrank_param_count
 from repro.core.compression import compression_ratio, CompressionReport
 
 __all__ = [
     "bit_reversal_permutation",
-    "stride_permutation",
-    "permutation_matrix",
-    "invert_permutation",
-    "ButterflyFactorization",
     "random_twiddle",
     "identity_twiddle",
     "orthogonal_twiddle",
@@ -87,7 +77,6 @@ __all__ = [
     "circulant_multiply",
     "circulant_to_dense",
     "circulant_param_count",
-    "lowrank_multiply",
     "lowrank_to_dense",
     "lowrank_param_count",
     "compression_ratio",

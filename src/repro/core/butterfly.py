@@ -24,14 +24,11 @@ independently of the autograd engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.utils import as_rng, log2_int
 
 __all__ = [
-    "ButterflyFactorization",
     "random_twiddle",
     "identity_twiddle",
     "orthogonal_twiddle",
@@ -296,69 +293,3 @@ def butterfly_to_dense(
     eye = np.eye(n, dtype=twiddle.dtype)
     # Rows of the result are B @ e_i, i.e. columns of B.
     return butterfly_multiply(twiddle, eye, increasing_stride).T
-
-
-# ---------------------------------------------------------------------------
-# Convenience container
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ButterflyFactorization:
-    """A butterfly matrix ``B = B_L ... B_1`` held as its twiddle array.
-
-    This is the ``T_N = B^(N) P^(N)`` object of Eq. 3: an optional input
-    permutation (e.g. bit reversal) composed with the butterfly product.
-    """
-
-    twiddle: np.ndarray
-    increasing_stride: bool = True
-    input_permutation: np.ndarray | None = field(default=None)
-
-    def __post_init__(self) -> None:
-        self.log_n, self.n = _check_twiddle(self.twiddle)
-        if self.input_permutation is not None and len(
-            self.input_permutation
-        ) != self.n:
-            raise ValueError("input permutation length must equal n")
-
-    @classmethod
-    def random(
-        cls,
-        n: int,
-        seed: int | np.random.Generator | None = 0,
-        increasing_stride: bool = True,
-    ) -> "ButterflyFactorization":
-        """Random Gaussian butterfly of size *n*."""
-        return cls(random_twiddle(n, seed), increasing_stride)
-
-    @property
-    def param_count(self) -> int:
-        """Learnable parameter count (``2 n log2 n``)."""
-        return int(self.twiddle.size)
-
-    def multiply(self, x: np.ndarray) -> np.ndarray:
-        """Apply ``T x`` (permutation first, then butterfly product)."""
-        x = np.asarray(x)
-        if self.input_permutation is not None:
-            x = x[..., self.input_permutation]
-        return butterfly_multiply(self.twiddle, x, self.increasing_stride)
-
-    __call__ = multiply
-
-    def to_dense(self) -> np.ndarray:
-        """Dense ``(n, n)`` expansion of the full transform ``T``."""
-        dense = butterfly_to_dense(self.twiddle, self.increasing_stride)
-        if self.input_permutation is not None:
-            perm_mat = np.zeros((self.n, self.n), dtype=dense.dtype)
-            perm_mat[np.arange(self.n), self.input_permutation] = 1
-            dense = dense @ perm_mat
-        return dense
-
-    def factors(self) -> list[np.ndarray]:
-        """Dense expansion of each factor, in application order."""
-        out = []
-        for level in range(self.log_n):
-            stride = level_stride(level, self.log_n, self.increasing_stride)
-            out.append(butterfly_factor_dense(self.twiddle[level], stride))
-        return out

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["lowrank_multiply", "lowrank_to_dense", "lowrank_param_count"]
+__all__ = ["lowrank_to_dense", "lowrank_param_count"]
 
 
 def lowrank_param_count(n: int, rank: int, m: int | None = None) -> int:
@@ -21,26 +21,6 @@ def lowrank_param_count(n: int, rank: int, m: int | None = None) -> int:
         raise ValueError(f"rank must be non-negative, got {rank}")
     m = n if m is None else m
     return (m + n) * rank
-
-
-def lowrank_multiply(u: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Compute rows ``y_i = U (V^T x_i)`` without forming ``U V^T``.
-
-    ``u``: ``(m, r)``, ``v``: ``(n, r)``, ``x``: ``(..., n)``.
-    Contracting through the rank dimension keeps cost ``O((m + n) r)`` per
-    row — the whole point of the parameterisation.
-    """
-    u = np.asarray(u)
-    v = np.asarray(v)
-    x = np.asarray(x)
-    if u.ndim != 2 or v.ndim != 2 or u.shape[1] != v.shape[1]:
-        raise ValueError(
-            f"u and v must be (m, r) and (n, r) with equal r, got "
-            f"{u.shape} and {v.shape}"
-        )
-    if x.shape[-1] != v.shape[0]:
-        raise ValueError(f"x has {x.shape[-1]} features, expected {v.shape[0]}")
-    return (x @ v) @ u.T
 
 
 def lowrank_to_dense(u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -1,27 +1,21 @@
-"""Permutations underlying Cooley–Tukey and butterfly factorizations.
+"""The bit-reversal permutation underlying Cooley–Tukey butterflies.
 
 Equation 2 of the paper factors a structured transform as block-diagonal
 mixing matrices times "some permutation"; for the FFT special case that
 permutation is even/odd separation, whose recursive closure is the
-bit-reversal permutation.  These routines construct and manipulate those
-permutations as index vectors (``perm[i]`` = source index of output ``i``,
-i.e. ``y = x[perm]``).
+bit-reversal permutation.  It is built here as an index vector
+(``perm[i]`` = source index of output ``i``, i.e. ``y = x[perm]``); the
+tests use it with :func:`repro.core.butterfly.fft_twiddle` to check that a
+butterfly computes the DFT.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.utils import check_power_of_two, log2_int
+from repro.utils import log2_int
 
-__all__ = [
-    "bit_reversal_permutation",
-    "stride_permutation",
-    "permutation_matrix",
-    "invert_permutation",
-    "compose_permutations",
-    "is_permutation",
-]
+__all__ = ["bit_reversal_permutation"]
 
 
 def bit_reversal_permutation(n: int) -> np.ndarray:
@@ -38,61 +32,3 @@ def bit_reversal_permutation(n: int) -> np.ndarray:
         rev = (rev << 1) | (perm & 1)
         perm >>= 1
     return rev
-
-
-def stride_permutation(n: int, stride: int) -> np.ndarray:
-    """Stride (perfect-shuffle) permutation ``L^n_s``.
-
-    Reads the input as a ``(stride, n // stride)`` row-major matrix and emits
-    it column-major — the even/odd separation of Eq. 1 is
-    ``stride_permutation(n, 2)``.
-    """
-    check_power_of_two(n)
-    if stride <= 0 or n % stride != 0:
-        raise ValueError(f"stride must divide n, got n={n} stride={stride}")
-    return (
-        np.arange(n, dtype=np.int64)
-        .reshape(n // stride, stride)
-        .T.reshape(-1)
-        .copy()
-    )
-
-
-def permutation_matrix(perm: np.ndarray, dtype: np.dtype = np.float64) -> np.ndarray:
-    """Dense matrix ``P`` with ``P @ x == x[perm]``."""
-    perm = np.asarray(perm)
-    n = len(perm)
-    mat = np.zeros((n, n), dtype=dtype)
-    mat[np.arange(n), perm] = 1
-    return mat
-
-
-def invert_permutation(perm: np.ndarray) -> np.ndarray:
-    """Inverse permutation: ``x[perm][inv] == x``."""
-    perm = np.asarray(perm)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(len(perm), dtype=perm.dtype)
-    return inv
-
-
-def compose_permutations(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """Composition such that ``x[compose(p, q)] == x[q][p]``."""
-    outer = np.asarray(outer)
-    inner = np.asarray(inner)
-    if len(outer) != len(inner):
-        raise ValueError("permutations must have equal length")
-    return inner[outer]
-
-
-def is_permutation(perm: np.ndarray) -> bool:
-    """True iff *perm* is a valid permutation of ``range(len(perm))``."""
-    perm = np.asarray(perm)
-    if perm.ndim != 1:
-        return False
-    n = len(perm)
-    seen = np.zeros(n, dtype=bool)
-    valid = (perm >= 0) & (perm < n)
-    if not valid.all():
-        return False
-    seen[perm] = True
-    return bool(seen.all())

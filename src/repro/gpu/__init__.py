@@ -19,11 +19,7 @@ from repro.gpu.kernels import (
     pytorch_matmul_cost,
     stream_cost,
 )
-from repro.gpu.cusparse import (
-    csr_spmm_cost,
-    coo_spmm_cost,
-    dense_equivalent_gflops,
-)
+from repro.gpu.cusparse import csr_spmm_cost, coo_spmm_cost
 from repro.gpu.simulator import GPUDevice, GPUOutOfMemoryError, MATMUL_IMPLS
 from repro.gpu.torchsim import GPUModule, lower_model_gpu
 
@@ -41,7 +37,6 @@ __all__ = [
     "stream_cost",
     "csr_spmm_cost",
     "coo_spmm_cost",
-    "dense_equivalent_gflops",
     "GPUDevice",
     "GPUOutOfMemoryError",
     "MATMUL_IMPLS",

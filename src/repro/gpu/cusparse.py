@@ -14,7 +14,7 @@ from __future__ import annotations
 from repro.gpu.kernels import KernelCost
 from repro.gpu.machine import GPUSpec
 
-__all__ = ["csr_spmm_cost", "coo_spmm_cost", "dense_equivalent_gflops"]
+__all__ = ["csr_spmm_cost", "coo_spmm_cost"]
 
 
 def csr_spmm_cost(
@@ -50,12 +50,3 @@ def coo_spmm_cost(
         base.bytes_moved + nnz * 4,
     )
 
-
-def dense_equivalent_gflops(
-    m: int, k: int, n: int, time_s: float
-) -> float:
-    """GFLOP/s as if the multiply had been dense (the paper's Table 2
-    convention — which is how sparse columns can "surpass the peak")."""
-    if time_s <= 0:
-        return 0.0
-    return 2.0 * m * k * n / time_s / 1e9

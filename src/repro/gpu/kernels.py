@@ -14,7 +14,7 @@ Every kernel time is assembled from first principles:
 * *bandwidth floor* — even a perfect GEMM must move its operands once.
 
 Kernels also execute numerically (numpy) so the simulator's outputs are
-checkable; ``blocked``'s Python tiling lives in :mod:`repro.linalg.blocked`.
+checkable.
 """
 
 from __future__ import annotations

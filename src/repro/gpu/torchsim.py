@@ -38,6 +38,7 @@ from repro.nn.layers import (
     Sequential,
     Sigmoid,
     Tanh,
+    check_input_width,
 )
 from repro.nn.module import Module
 from repro.nn.structured import (
@@ -206,6 +207,17 @@ def _lower_lowrank_gpu(low: _GPULowering, layer: LowRankLinear) -> int:
     return layer.out_features
 
 
+#: Each weight layer type and the function that lowers it.
+_WEIGHT_LOWERINGS = (
+    (Linear, _lower_linear_gpu),
+    (ButterflyLinear, _lower_butterfly_gpu),
+    (PixelflyLinear, _lower_pixelfly_gpu),
+    (FastfoodLinear, _lower_fastfood_gpu),
+    (CirculantLinear, _lower_circulant_gpu),
+    (LowRankLinear, _lower_lowrank_gpu),
+)
+
+
 def lower_model_gpu(
     model: Module,
     device: GPUDevice,
@@ -224,18 +236,10 @@ def lower_model_gpu(
             for child in module:
                 features = lower(child, features)
             return features
-        if isinstance(module, Linear):
-            return _lower_linear_gpu(low, module)
-        if isinstance(module, ButterflyLinear):
-            return _lower_butterfly_gpu(low, module)
-        if isinstance(module, PixelflyLinear):
-            return _lower_pixelfly_gpu(low, module)
-        if isinstance(module, FastfoodLinear):
-            return _lower_fastfood_gpu(low, module)
-        if isinstance(module, CirculantLinear):
-            return _lower_circulant_gpu(low, module)
-        if isinstance(module, LowRankLinear):
-            return _lower_lowrank_gpu(low, module)
+        for layer_type, lower_layer in _WEIGHT_LOWERINGS:
+            if isinstance(module, layer_type):
+                check_input_width(module, features)
+                return lower_layer(low, module)
         if isinstance(module, (ReLU, Tanh, Sigmoid)):
             low.add_stream("activation", 4 * batch * features)
             return features

@@ -53,7 +53,6 @@ from repro.guard.report import (
     STATUS_TIMED_OUT,
     CellReport,
     GridReport,
-    collected_reports,
     record_report,
     reporting,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "STATUS_TIMED_OUT",
     "reporting",
     "record_report",
-    "collected_reports",
     "GridJournal",
     "JournalEntry",
     "run_supervised_grid",

@@ -36,7 +36,6 @@ __all__ = [
     "GridReport",
     "reporting",
     "record_report",
-    "collected_reports",
 ]
 
 #: Final per-cell verdicts.
@@ -199,11 +198,6 @@ def record_report(report: GridReport) -> None:
     reports = _REPORTS.get()
     if reports is not None:
         reports.append(report)
-
-
-def collected_reports() -> list[GridReport]:
-    """The reports collected so far (empty when collection is off)."""
-    return list(_REPORTS.get() or ())
 
 
 def reporting() -> ContextManager[list[GridReport]]:

@@ -49,6 +49,7 @@ from repro.nn.layers import (
     Sequential,
     Sigmoid,
     Tanh,
+    check_input_width,
 )
 from repro.nn.module import Module
 from repro.nn.structured import (
@@ -517,6 +518,17 @@ def module_signature(module: Module) -> tuple | None:
     return None
 
 
+#: Each weight layer type and the function that lowers it.
+_WEIGHT_LOWERINGS = (
+    (Linear, _lower_linear),
+    (ButterflyLinear, _lower_butterfly),
+    (PixelflyLinear, _lower_pixelfly),
+    (FastfoodLinear, _lower_fastfood),
+    (CirculantLinear, _lower_circulant),
+    (LowRankLinear, _lower_lowrank),
+)
+
+
 def lower_model(
     model: Module, spec: IPUSpec, batch: int, in_features: int,
     host_io: bool = False,
@@ -536,18 +548,10 @@ def lower_model(
             for child in module:
                 x, features = lower(child, x, features)
             return x, features
-        if isinstance(module, Linear):
-            return _lower_linear(low, module, x)
-        if isinstance(module, ButterflyLinear):
-            return _lower_butterfly(low, module, x)
-        if isinstance(module, PixelflyLinear):
-            return _lower_pixelfly(low, module, x)
-        if isinstance(module, FastfoodLinear):
-            return _lower_fastfood(low, module, x)
-        if isinstance(module, CirculantLinear):
-            return _lower_circulant(low, module, x)
-        if isinstance(module, LowRankLinear):
-            return _lower_lowrank(low, module, x)
+        for layer_type, lower_layer in _WEIGHT_LOWERINGS:
+            if isinstance(module, layer_type):
+                check_input_width(module, features)
+                return lower_layer(low, module, x)
         if isinstance(module, ReLU):
             return _lower_activation(low, "relu", x, features, "relu"), features
         if isinstance(module, (Tanh, Sigmoid)):

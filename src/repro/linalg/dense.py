@@ -1,4 +1,4 @@
-"""Dense matmul reference and FLOP/byte accounting.
+"""FLOP/byte accounting for a dense matmul.
 
 The device cost models express every kernel time as
 ``max(flops / rate, bytes / bandwidth) + overheads``; the canonical FLOP and
@@ -7,9 +7,7 @@ byte counts for a GEMM live here so GPU and IPU models agree on the workload.
 
 from __future__ import annotations
 
-import numpy as np
-
-__all__ = ["matmul_flops", "matmul_bytes", "dense_matmul"]
+__all__ = ["matmul_flops", "matmul_bytes"]
 
 
 def matmul_flops(m: int, n: int, k: int) -> int:
@@ -21,11 +19,3 @@ def matmul_bytes(m: int, n: int, k: int, element_bytes: int = 4) -> int:
     """Minimum bytes moved for a GEMM: read A and B once, write C once."""
     return element_bytes * (m * k + k * n + m * n)
 
-
-def dense_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Reference dense matmul (delegates to BLAS via numpy)."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape[-1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b

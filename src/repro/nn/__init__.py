@@ -23,15 +23,7 @@ from repro.nn.layers import (
     BatchNorm1d,
     LayerNorm,
 )
-from repro.nn.optim import (
-    Optimizer,
-    SGD,
-    Adam,
-    clip_grad_norm,
-    LRScheduler,
-    StepLR,
-    CosineAnnealingLR,
-)
+from repro.nn.optim import Optimizer, SGD
 from repro.nn.losses import cross_entropy, mse_loss, accuracy
 from repro.nn.data import ArrayDataset, DataLoader, train_val_split
 from repro.nn.trainer import NumericsError, Trainer, TrainingHistory
@@ -62,11 +54,6 @@ __all__ = [
     "LayerNorm",
     "Optimizer",
     "SGD",
-    "Adam",
-    "clip_grad_norm",
-    "LRScheduler",
-    "StepLR",
-    "CosineAnnealingLR",
     "cross_entropy",
     "mse_loss",
     "accuracy",

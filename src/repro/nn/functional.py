@@ -46,7 +46,6 @@ __all__ = [
     "transpose",
     "getitem",
     "pad_last",
-    "concat",
     "log_softmax",
     "softmax",
     "dropout",
@@ -420,17 +419,6 @@ class PadLast(Function):
         return (grad[..., : self.orig], None)
 
 
-class Concat(Function):
-    def forward(self, *arrays, axis=0):
-        self.axis = axis
-        self.sizes = [a.shape[axis] for a in arrays]
-        return np.concatenate(arrays, axis=axis)
-
-    def backward(self, grad):
-        splits = np.cumsum(self.sizes)[:-1]
-        return tuple(np.split(grad, splits, axis=self.axis))
-
-
 # ---------------------------------------------------------------------------
 # Softmax family
 # ---------------------------------------------------------------------------
@@ -558,10 +546,6 @@ def getitem(a, key) -> Tensor:
 
 def pad_last(a, target: int) -> Tensor:
     return PadLast.apply(a, target)
-
-
-def concat(tensors, axis=0) -> Tensor:
-    return Concat.apply(*tensors, axis=axis)
 
 
 def log_softmax(a, axis=-1) -> Tensor:

@@ -13,7 +13,6 @@ from repro.utils import as_rng
 
 __all__ = [
     "kaiming_uniform",
-    "xavier_uniform",
     "uniform_fan_in",
     "zeros",
     "normal",
@@ -32,19 +31,6 @@ def kaiming_uniform(
         raise ValueError(f"fan_in must be positive, got {fan_in}")
     rng = as_rng(rng)
     bound = gain * np.sqrt(3.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
-
-
-def xavier_uniform(
-    shape: tuple[int, ...],
-    fan_in: int,
-    fan_out: int,
-    rng: int | np.random.Generator | None = 0,
-    dtype: np.dtype = np.float64,
-) -> np.ndarray:
-    """Glorot uniform: ``U(-a, a)``, ``a = sqrt(6 / (fan_in + fan_out))``."""
-    rng = as_rng(rng)
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "Flatten",
     "Dropout",
     "Sequential",
+    "check_input_width",
     "BatchNorm1d",
     "LayerNorm",
 ]
@@ -149,6 +150,25 @@ class Sequential(Module):
 
     def __len__(self) -> int:
         return len(self._order)
+
+
+def check_input_width(layer: Module, width: int) -> None:
+    """Raise ValueError unless weight *layer* takes *width* input features.
+
+    The device lowerings walk a model with a running width and call this
+    at every weight layer, so a model whose widths do not chain fails
+    when it is lowered rather than inside numpy at its first forward.
+    The square Pixelfly, Fastfood and Circulant layers call their one
+    width ``features``.
+    """
+    expected = getattr(layer, "in_features", None)
+    if expected is None:
+        expected = layer.features
+    if expected != width:
+        raise ValueError(
+            f"{type(layer).__name__} takes {expected} input features, "
+            f"but its input has {width}"
+        )
 
 
 class BatchNorm1d(Module):

@@ -1,9 +1,9 @@
 """Optimisers.
 
-The paper trains everything with SGD + momentum 0.9 (Table 3); Adam is
-provided for the extension experiments.  Updates are in-place on the
-parameter arrays (no reallocations in the training loop, per the HPC
-guides' in-place-op advice).
+The paper trains everything with SGD + momentum 0.9 (Table 3), so SGD is
+the only optimiser.  Updates are in-place on the parameter arrays (no
+reallocations in the training loop, per the HPC guides' in-place-op
+advice).
 """
 
 from __future__ import annotations
@@ -12,15 +12,7 @@ import numpy as np
 
 from repro.nn.tensor import Parameter
 
-__all__ = [
-    "Optimizer",
-    "SGD",
-    "Adam",
-    "clip_grad_norm",
-    "LRScheduler",
-    "StepLR",
-    "CosineAnnealingLR",
-]
+__all__ = ["Optimizer", "SGD"]
 
 
 class Optimizer:
@@ -44,13 +36,14 @@ class Optimizer:
     def state_dict(self) -> dict:
         """Serialisable snapshot of the optimiser's mutable state.
 
-        Returns ``{"scalars": {...}, "slots": {name: [array|None, ...]}}``
+        Returns ``{"scalars": {}, "slots": {name: [array|None, ...]}}``
         — one slot list per per-parameter buffer, aligned with
-        ``self.params``.  Subclasses override :meth:`_slots` and
-        :meth:`_scalars` rather than this method.
+        ``self.params``.  Subclasses override :meth:`_slots` rather than
+        this method.  No optimiser here keeps scalar state, but trainer
+        checkpoints store the ``"scalars"`` entry, so it stays.
         """
         return {
-            "scalars": self._scalars(),
+            "scalars": {},
             "slots": {
                 name: [None if b is None else b.copy() for b in buffers]
                 for name, buffers in self._slots().items()
@@ -75,18 +68,10 @@ class Optimizer:
             slots[name][:] = [
                 None if b is None else np.asarray(b).copy() for b in buffers
             ]
-        self._load_scalars(state.get("scalars", {}))
 
     def _slots(self) -> dict[str, list]:
         """Per-parameter buffer lists (live references); default: none."""
         return {}
-
-    def _scalars(self) -> dict:
-        """Scalar state (step counters etc.); default: none."""
-        return {}
-
-    def _load_scalars(self, scalars: dict) -> None:
-        return None
 
 
 def _nesterov_direction(
@@ -155,135 +140,3 @@ class SGD(Optimizer):
     def _slots(self) -> dict[str, list]:
         return {"velocity": self._velocity}
 
-
-class Adam(Optimizer):
-    """Adam with bias correction (Kingma & Ba 2015)."""
-
-    def __init__(
-        self,
-        params,
-        lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(params)
-        if lr <= 0:
-            raise ValueError(f"lr must be positive, got {lr}")
-        b1, b2 = betas
-        if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
-            raise ValueError(f"betas must be in [0, 1), got {betas}")
-        self.lr = lr
-        self.betas = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self._m: list[np.ndarray | None] = [None] * len(self.params)
-        self._v: list[np.ndarray | None] = [None] * len(self.params)
-        self._t = 0
-
-    def step(self) -> None:
-        """Apply one Adam update."""
-        self._t += 1
-        b1, b2 = self.betas
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
-            g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            if self._m[i] is None:
-                self._m[i] = np.zeros_like(p.data)
-                self._v[i] = np.zeros_like(p.data)
-            self._m[i] *= b1
-            self._m[i] += (1 - b1) * g
-            self._v[i] *= b2
-            self._v[i] += (1 - b2) * g * g
-            m_hat = self._m[i] / (1 - b1**self._t)
-            v_hat = self._v[i] / (1 - b2**self._t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def _slots(self) -> dict[str, list]:
-        return {"m": self._m, "v": self._v}
-
-    def _scalars(self) -> dict:
-        return {"t": self._t}
-
-    def _load_scalars(self, scalars: dict) -> None:
-        self._t = int(scalars.get("t", 0))
-
-
-def clip_grad_norm(params, max_norm: float) -> float:
-    """Clip gradients in place to a global L2 norm; returns the pre-clip norm.
-
-    Matches ``torch.nn.utils.clip_grad_norm_`` semantics: the total norm is
-    computed over all parameter gradients jointly; if it exceeds *max_norm*
-    every gradient is scaled by ``max_norm / total``.
-    """
-    if max_norm <= 0:
-        raise ValueError(f"max_norm must be positive, got {max_norm}")
-    grads = [p.grad for p in params if p.grad is not None]
-    if not grads:
-        return 0.0
-    total = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
-    if total > max_norm:
-        scale = max_norm / (total + 1e-12)
-        for g in grads:
-            g *= scale
-    return total
-
-
-class LRScheduler:
-    """Base learning-rate scheduler over an optimiser's ``lr``."""
-
-    def __init__(self, optimizer: Optimizer) -> None:
-        if not hasattr(optimizer, "lr"):
-            raise TypeError("optimizer must expose an `lr` attribute")
-        self.optimizer = optimizer
-        self.base_lr = optimizer.lr
-        self.epoch = 0
-
-    def get_lr(self) -> float:
-        raise NotImplementedError
-
-    def step(self) -> float:
-        """Advance one epoch and apply the new rate; returns it."""
-        self.epoch += 1
-        self.optimizer.lr = self.get_lr()
-        return self.optimizer.lr
-
-
-class StepLR(LRScheduler):
-    """Decay the rate by *gamma* every *step_size* epochs."""
-
-    def __init__(
-        self, optimizer: Optimizer, step_size: int, gamma: float = 0.1
-    ) -> None:
-        super().__init__(optimizer)
-        if step_size <= 0:
-            raise ValueError(f"step_size must be positive, got {step_size}")
-        if not 0 < gamma <= 1:
-            raise ValueError(f"gamma must be in (0, 1], got {gamma}")
-        self.step_size = step_size
-        self.gamma = gamma
-
-    def get_lr(self) -> float:
-        return self.base_lr * self.gamma ** (self.epoch // self.step_size)
-
-
-class CosineAnnealingLR(LRScheduler):
-    """Cosine decay from the base rate to *eta_min* over *t_max* epochs."""
-
-    def __init__(
-        self, optimizer: Optimizer, t_max: int, eta_min: float = 0.0
-    ) -> None:
-        super().__init__(optimizer)
-        if t_max <= 0:
-            raise ValueError(f"t_max must be positive, got {t_max}")
-        self.t_max = t_max
-        self.eta_min = eta_min
-
-    def get_lr(self) -> float:
-        progress = min(self.epoch, self.t_max) / self.t_max
-        return self.eta_min + 0.5 * (self.base_lr - self.eta_min) * (
-            1 + np.cos(np.pi * progress)
-        )

@@ -4,7 +4,7 @@ Two kinds of track coexist in one trace:
 
 * the **host** track records wall-clock intervals, measured with
   :func:`time.perf_counter` by the :meth:`Tracer.span` context manager
-  (compilation phases, training epochs/steps, timing-harness runs);
+  (compilation phases, training epochs/steps, cache lookups);
 * **virtual** tracks record *simulated* time: the IPU executor and the
   GPU kernel models place spans with explicit durations from their cost
   models via :meth:`Tracer.add_span`, each track keeping its own cursor

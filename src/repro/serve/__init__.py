@@ -43,12 +43,7 @@ from repro.serve.server import (
     death_schedule,
     simulate,
 )
-from repro.serve.workload import (
-    Request,
-    WorkloadSpec,
-    generate_requests,
-    request_payload,
-)
+from repro.serve.workload import Request, WorkloadSpec, generate_requests
 
 __all__ = [
     "SERVE_METHODS",
@@ -71,7 +66,6 @@ __all__ = [
     "generate_requests",
     "record_metrics",
     "record_spans",
-    "request_payload",
     "serve_section",
     "serve_worker",
     "simulate",

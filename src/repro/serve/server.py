@@ -5,7 +5,7 @@ A :class:`Server` joins a :class:`~repro.serve.replica.ReplicaPool`, a
 discrete-event simulation.  There is **no wall clock anywhere in the
 loop** — time is a heap of ``(time_s, priority, seq)``-ordered events,
 service times come from the executor's cost model, and every random
-draw (arrivals, payloads, deaths, retry backoff) is seeded.  Two runs of
+draw (arrivals, deaths, retry backoff) is seeded.  Two runs of
 the same configuration are therefore bit-identical, on any machine, at
 any ``--jobs`` — the property the manifest-determinism tests and the CI
 ``serve-smoke`` gate assert.

@@ -6,13 +6,12 @@ makes offered load an independent variable (and overload an observable
 outcome rather than an artefact of the generator slowing down).
 
 Determinism contract: every random draw for request *i* comes from
-``numpy.random.SeedSequence([seed, i, stream])`` — its own child stream,
+``numpy.random.SeedSequence([seed, i, 0])`` — its own child stream,
 never a shared cursor.  Request *i* is therefore identical whether the
 workload generates 10 requests or 10 000, and identical across serial
-and parallel runs of the same grid.  Payload bytes are regenerated on
-demand from the same coordinates instead of being stored, so a
-:class:`Request` stays a few plain numbers and pickles cheaply across
-worker processes.
+and parallel runs of the same grid.  The simulator times requests by
+their row count alone, so a :class:`Request` carries no payload: it
+stays a few plain numbers and pickles cheaply across worker processes.
 """
 
 from __future__ import annotations
@@ -27,17 +26,13 @@ __all__ = [
     "Request",
     "WorkloadSpec",
     "generate_requests",
-    "request_payload",
 ]
 
 #: Supported arrival processes.
 ARRIVALS = ("poisson", "burst")
 
-# Per-request child-stream indices.  Keeping the gap/rows draws and the
-# payload draws on separate streams means reading a payload never
-# perturbs arrival times.
+# Child-stream index of a request's gap and row-count draws.
 _ARRIVAL_STREAM = 0
-_PAYLOAD_STREAM = 1
 
 
 @dataclass(frozen=True)
@@ -114,14 +109,6 @@ class WorkloadSpec:
             )
 
 
-def _request_rng(
-    spec: WorkloadSpec, index: int, stream: int
-) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence([spec.seed, index, stream])
-    )
-
-
 def _local_rate(spec: WorkloadSpec, now_s: float) -> float:
     """The instantaneous arrival rate at simulated time *now_s*."""
     if spec.arrival != "burst":
@@ -142,7 +129,9 @@ def generate_requests(spec: WorkloadSpec) -> list[Request]:
     requests: list[Request] = []
     now_s = 0.0
     for index in range(spec.n_requests):
-        rng = _request_rng(spec, index, _ARRIVAL_STREAM)
+        rng = np.random.default_rng(
+            np.random.SeedSequence([spec.seed, index, _ARRIVAL_STREAM])
+        )
         gap_s = rng.exponential(1.0 / _local_rate(spec, now_s))
         now_s += gap_s
         rows = int(rng.integers(spec.rows_min, spec.rows_max + 1))
@@ -156,14 +145,3 @@ def generate_requests(spec: WorkloadSpec) -> list[Request]:
         )
     return requests
 
-
-def request_payload(
-    spec: WorkloadSpec, request: Request, in_features: int
-) -> np.ndarray:
-    """The input rows of *request*, regenerated from its coordinates.
-
-    Pure in ``SeedSequence([seed, index, 1])``: the same request always
-    carries the same bytes, on any worker, in any run.
-    """
-    rng = _request_rng(spec, request.index, _PAYLOAD_STREAM)
-    return rng.standard_normal((request.rows, in_features))

@@ -1,4 +1,4 @@
-"""Byte/time/FLOP unit constants and human-readable formatting.
+"""Byte/time unit constants and human-readable formatting.
 
 The simulators account memory in bytes and time in seconds; benchmark tables
 render through these formatters so every report uses consistent units.
@@ -6,7 +6,7 @@ render through these formatters so every report uses consistent units.
 
 from __future__ import annotations
 
-__all__ = ["KiB", "MiB", "GiB", "format_bytes", "format_seconds", "format_flops"]
+__all__ = ["KiB", "MiB", "GiB", "format_bytes", "format_seconds"]
 
 KiB = 1024
 MiB = 1024**2
@@ -30,11 +30,3 @@ def format_seconds(t: float) -> str:
             return f"{t / scale:.3g} {unit}"
     return f"{t / 1e-9:.3g} ns"
 
-
-def format_flops(f: float) -> str:
-    """Render a FLOP/s rate (e.g. ``'62.5 TFLOP/s'``)."""
-    f = float(f)
-    for unit, scale in (("TFLOP/s", 1e12), ("GFLOP/s", 1e9), ("MFLOP/s", 1e6)):
-        if abs(f) >= scale:
-            return f"{f / scale:.3g} {unit}"
-    return f"{f:.3g} FLOP/s"

@@ -1,15 +1,13 @@
 """Small argument-validation helpers shared across subpackages.
 
 These raise early with precise messages; structured factorizations have hard
-shape constraints (powers of two, squareness) that would otherwise surface as
+shape constraints (powers of two) that would otherwise surface as
 confusing reshape errors deep inside vectorised numpy code.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-__all__ = ["check_power_of_two", "check_positive", "check_square", "log2_int"]
+__all__ = ["check_power_of_two", "log2_int"]
 
 
 def check_power_of_two(n: int, name: str = "n") -> int:
@@ -18,20 +16,6 @@ def check_power_of_two(n: int, name: str = "n") -> int:
     if n <= 0 or (n & (n - 1)) != 0:
         raise ValueError(f"{name} must be a positive power of two, got {n}")
     return n
-
-
-def check_positive(value: float, name: str = "value") -> float:
-    """Validate that *value* is strictly positive; return it unchanged."""
-    if not value > 0:
-        raise ValueError(f"{name} must be positive, got {value}")
-    return value
-
-
-def check_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Validate that *a* is a 2-D square array; return it unchanged."""
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square 2-D, got shape {a.shape}")
-    return a
 
 
 def log2_int(n: int, name: str = "n") -> int:

@@ -1,69 +1,18 @@
-"""Tests for bench utilities (timing harness, reporting, units, rng)."""
-
-import time
+"""Tests for bench utilities (FLOP accounting, reporting, units, rng)."""
 
 import numpy as np
 import pytest
 
 from repro.bench.flops import dense_equivalent, gflops
-from repro.bench.harness import time_callable
 from repro.bench.reporting import Table, format_table
 from repro.utils import (
     as_rng,
-    check_positive,
     check_power_of_two,
-    check_square,
     derive_rng,
     format_bytes,
-    format_flops,
     format_seconds,
     log2_int,
 )
-
-
-class TestHarness:
-    def test_measures_sleep(self):
-        result = time_callable(lambda: time.sleep(0.002), repeats=5)
-        assert 0.0015 < result.mean_s < 0.05
-        assert result.min_s <= result.mean_s + result.std_s
-
-    def test_caps_total_time(self):
-        result = time_callable(
-            lambda: time.sleep(0.05), repeats=1000, max_total_s=0.2
-        )
-        assert result.repeats <= 5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            time_callable(lambda: None, repeats=0)
-
-    def test_cv(self):
-        result = time_callable(lambda: None, repeats=5)
-        assert result.cv >= 0
-
-    def test_records_requested_vs_effective_repeats(self):
-        result = time_callable(
-            lambda: time.sleep(0.05), repeats=1000, max_total_s=0.2
-        )
-        assert result.requested_repeats == 1000
-        assert result.repeats < result.requested_repeats
-        assert result.capped
-
-    def test_cv_nan_when_budget_collapses_to_one_sample(self):
-        # A single call exceeding the budget used to yield std=0 and
-        # cv=0.0 — "perfectly stable" from one sample.  It must be NaN.
-        result = time_callable(
-            lambda: time.sleep(0.02), repeats=10, max_total_s=0.01
-        )
-        assert result.repeats == 1
-        assert np.isnan(result.cv)
-        assert result.requested_repeats == 10
-
-    def test_uncapped_run_not_flagged(self):
-        result = time_callable(lambda: None, repeats=3)
-        assert result.repeats == 3
-        assert result.requested_repeats == 3
-        assert not result.capped
 
 
 class TestFlops:
@@ -116,10 +65,6 @@ class TestUnits:
         assert "us" in format_seconds(5e-6)
         assert "ns" in format_seconds(5e-10)
 
-    def test_format_flops(self):
-        assert "TFLOP/s" in format_flops(62.5e12)
-        assert "GFLOP/s" in format_flops(5e9)
-
 
 class TestValidationHelpers:
     def test_power_of_two(self):
@@ -131,17 +76,6 @@ class TestValidationHelpers:
 
     def test_log2_int(self):
         assert log2_int(1024) == 10
-
-    def test_check_positive(self):
-        assert check_positive(2.0) == 2.0
-        with pytest.raises(ValueError):
-            check_positive(0.0)
-
-    def test_check_square(self):
-        a = np.eye(3)
-        assert check_square(a) is a
-        with pytest.raises(ValueError):
-            check_square(np.zeros((2, 3)))
 
 
 class TestRng:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.butterfly import (
-    ButterflyFactorization,
     butterfly_factor_dense,
     butterfly_multiply,
     butterfly_multiply_backward,
@@ -141,12 +140,13 @@ class TestFFT:
         )
 
     def test_fft_dense_matches_dft_matrix(self):
+        # Eq. 3: T = B P, the butterfly product after the bit-reversal
+        # permutation matrix P (P @ x == x[perm]), is the DFT matrix.
         n = 16
-        tw = fft_twiddle(n)
-        perm = bit_reversal_permutation(n)
-        bf = ButterflyFactorization(tw, input_permutation=perm)
+        perm_matrix = np.eye(n)[bit_reversal_permutation(n)]
+        dense = butterfly_to_dense(fft_twiddle(n)) @ perm_matrix
         dft = np.fft.fft(np.eye(n), axis=0)
-        np.testing.assert_allclose(bf.to_dense(), dft, atol=1e-9)
+        np.testing.assert_allclose(dense, dft, atol=1e-9)
 
 
 class TestBackward:
@@ -191,48 +191,30 @@ class TestBackward:
         np.testing.assert_allclose(grad_t, num, atol=1e-5)
 
 
+def _dense_factors(twiddle: np.ndarray) -> list[np.ndarray]:
+    """Dense expansion of each factor, in application order."""
+    log_n = twiddle.shape[0]
+    return [
+        butterfly_factor_dense(twiddle[level], level_stride(level, log_n))
+        for level in range(log_n)
+    ]
+
+
 class TestFactorization:
     def test_factors_product_equals_dense(self):
-        bf = ButterflyFactorization.random(16, seed=1)
+        tw = random_twiddle(16, seed=1)
         product = np.eye(16)
-        for factor in bf.factors():
+        for factor in _dense_factors(tw):
             product = factor @ product
-        np.testing.assert_allclose(product, bf.to_dense(), atol=1e-12)
+        np.testing.assert_allclose(product, butterfly_to_dense(tw), atol=1e-12)
 
     def test_each_factor_has_2n_nonzeros(self):
-        bf = ButterflyFactorization.random(32, seed=2)
-        for factor in bf.factors():
+        factors = _dense_factors(random_twiddle(32, seed=2))
+        assert len(factors) == 5
+        for factor in factors:
             assert np.count_nonzero(factor) <= 2 * 32
 
     def test_factor_dense_invalid_stride(self):
         tw = random_twiddle(8)
         with pytest.raises(ValueError, match="stride"):
             butterfly_factor_dense(tw[0], 8)
-
-    def test_param_count_property(self):
-        bf = ButterflyFactorization.random(64)
-        assert bf.param_count == butterfly_param_count(64)
-
-    def test_input_permutation_applied(self, rng):
-        perm = bit_reversal_permutation(16)
-        bf = ButterflyFactorization(
-            random_twiddle(16, seed=3), input_permutation=perm
-        )
-        x = rng.standard_normal(16)
-        np.testing.assert_allclose(
-            bf(x), butterfly_multiply(bf.twiddle, x[perm]), atol=1e-12
-        )
-
-    def test_to_dense_with_permutation(self, rng):
-        perm = bit_reversal_permutation(8)
-        bf = ButterflyFactorization(
-            random_twiddle(8, seed=4), input_permutation=perm
-        )
-        x = rng.standard_normal(8)
-        np.testing.assert_allclose(bf.to_dense() @ x, bf(x), atol=1e-12)
-
-    def test_wrong_permutation_length(self):
-        with pytest.raises(ValueError, match="permutation"):
-            ButterflyFactorization(
-                random_twiddle(8), input_permutation=np.arange(4)
-            )

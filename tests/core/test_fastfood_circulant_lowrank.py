@@ -18,11 +18,7 @@ from repro.core.fastfood import (
     fwht,
     fwht_matrix,
 )
-from repro.core.lowrank import (
-    lowrank_multiply,
-    lowrank_param_count,
-    lowrank_to_dense,
-)
+from repro.core.lowrank import lowrank_param_count, lowrank_to_dense
 from tests.conftest import numeric_gradient
 
 pow2 = st.sampled_from([2, 4, 8, 16, 32, 64])
@@ -190,31 +186,7 @@ class TestLowRank:
         with pytest.raises(ValueError):
             lowrank_param_count(10, -1)
 
-    def test_matches_dense(self, rng):
-        u = rng.standard_normal((10, 3))
-        v = rng.standard_normal((8, 3))
-        x = rng.standard_normal((5, 8))
-        np.testing.assert_allclose(
-            lowrank_multiply(u, v, x), x @ lowrank_to_dense(u, v).T, atol=1e-10
-        )
-
     def test_rank_of_expansion(self, rng):
         u = rng.standard_normal((12, 2))
         v = rng.standard_normal((12, 2))
         assert np.linalg.matrix_rank(lowrank_to_dense(u, v)) == 2
-
-    def test_rank_mismatch_rejected(self, rng):
-        with pytest.raises(ValueError, match="equal r"):
-            lowrank_multiply(
-                rng.standard_normal((4, 2)),
-                rng.standard_normal((4, 3)),
-                rng.standard_normal(4),
-            )
-
-    def test_feature_mismatch(self, rng):
-        with pytest.raises(ValueError, match="features"):
-            lowrank_multiply(
-                rng.standard_normal((4, 2)),
-                rng.standard_normal((6, 2)),
-                rng.standard_normal(4),
-            )

@@ -1,7 +1,6 @@
 """The chaos harness: recompile-and-recover loop, replay determinism,
 kill/resume, and the CLI driver."""
 
-import numpy as np
 import pytest
 
 from repro.faults.chaos import (

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.gpu.cusparse import coo_spmm_cost, csr_spmm_cost, dense_equivalent_gflops
+from repro.bench.flops import dense_equivalent
+from repro.gpu.cusparse import coo_spmm_cost, csr_spmm_cost
 from repro.gpu.machine import A30
 from repro.gpu.simulator import GPUDevice, GPUOutOfMemoryError
 from repro.gpu.torchsim import GPUModule, lower_model_gpu
@@ -74,11 +75,8 @@ class TestCusparse:
         n = 2048
         nnz = int(0.01 * n * n)
         cost = csr_spmm_cost(A30, n, n, n, nnz)
-        de = dense_equivalent_gflops(n, n, n, cost.time_s)
+        de = dense_equivalent(n, n, n, cost.time_s)
         assert de * 1e9 > A30.peak_flops_fp32
-
-    def test_dense_equivalent_zero_time(self):
-        assert dense_equivalent_gflops(8, 8, 8, 0.0) == 0.0
 
 
 class TestTorchsim:

@@ -81,3 +81,22 @@ class TestCLI:
                 continue  # slow-ish; covered by their own benches
             text = artefact.render(opts)
             assert isinstance(text, str) and len(text) > 50
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["fuzz", "--seed", "-1", "--cases", "1"], "--seed"),
+        (["fuzz", "--start", "-3"], "--start"),
+        (["serve", "--seed", "-1"], "--seed"),
+        (["chaos", "--seed", "-1", "--smoke", "--only", "executor"], "--seed"),
+        (["serve", "--methods", ","], "--methods"),
+    ],
+    ids=["fuzz-seed", "fuzz-start", "serve-seed", "chaos-seed", "serve-methods"],
+)
+def test_bad_seed_or_empty_methods_is_a_usage_error(argv, flag, capsys):
+    """Rejected by the parser (exit 2, naming the flag), not by numpy."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"error: {flag} " in capsys.readouterr().err

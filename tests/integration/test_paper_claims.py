@@ -1,7 +1,6 @@
 """Integration tests pinning the paper's headline claims (shape, not
 absolute numbers) — the acceptance criteria of the reproduction."""
 
-import numpy as np
 import pytest
 
 from repro import nn

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import nn
+from repro.gpu.torchsim import GPUModule
 from repro.ipu.machine import GC200
 from repro.ipu.poptorch import IPUModule, lower_model
 from repro.utils import log2_int
@@ -10,6 +11,37 @@ from repro.utils import log2_int
 
 def shl(layer, out_dim=10):
     return nn.Sequential(layer, nn.ReLU(), nn.Linear(1024, out_dim, seed=1))
+
+
+#: Models fed an input width their layers do not chain with: (model,
+#: in_features, the layer the error names, its width, the width it gets).
+UNCHAINED = [
+    pytest.param(lambda: nn.Linear(8, 8), 16, "Linear", 8, 16, id="linear"),
+    pytest.param(
+        lambda: nn.Sequential(nn.Linear(8, 8), nn.ReLU(), nn.Linear(16, 4)),
+        8, "Linear", 16, 8, id="sequential",
+    ),
+    pytest.param(
+        lambda: nn.ButterflyLinear(16, 16), 8, "ButterflyLinear", 16, 8,
+        id="butterfly",
+    ),
+    pytest.param(
+        lambda: nn.PixelflyLinear(64, block_size=8), 32, "PixelflyLinear",
+        64, 32, id="pixelfly",
+    ),
+    pytest.param(
+        lambda: nn.FastfoodLinear(16), 8, "FastfoodLinear", 16, 8,
+        id="fastfood",
+    ),
+    pytest.param(
+        lambda: nn.CirculantLinear(16), 8, "CirculantLinear", 16, 8,
+        id="circulant",
+    ),
+    pytest.param(
+        lambda: nn.LowRankLinear(16, 16), 8, "LowRankLinear", 16, 8,
+        id="lowrank",
+    ),
+]
 
 
 class TestLowering:
@@ -70,6 +102,17 @@ class TestLowering:
     def test_validation(self):
         with pytest.raises(ValueError):
             IPUModule(nn.Linear(8, 8), in_features=8, batch=0)
+
+    @pytest.mark.parametrize("bridge", [IPUModule, GPUModule])
+    @pytest.mark.parametrize("build, in_features, name, wants, gets", UNCHAINED)
+    def test_unchained_widths_rejected(
+        self, bridge, build, in_features, name, wants, gets
+    ):
+        """Both lowerings check each weight layer's input width, so a
+        model that cannot run is never costed."""
+        match = f"{name} takes {wants} input features, but its input has {gets}"
+        with pytest.raises(ValueError, match=match):
+            bridge(build(), in_features=in_features, batch=4)
 
     def test_param_bytes_counted(self):
         module = IPUModule(nn.Linear(64, 32, bias=False, seed=0), 64, 8)

@@ -251,14 +251,6 @@ class TestShape:
         with pytest.raises(ValueError, match="smaller"):
             F.pad_last(Tensor(np.zeros((2, 8))), 4)
 
-    def test_concat(self, r):
-        check(
-            lambda a, b: F.concat([a, b], axis=1),
-            lambda a, b: np.concatenate([a, b], axis=1),
-            r.standard_normal((2, 3)),
-            r.standard_normal((2, 2)),
-        )
-
 
 class TestSoftmax:
     def test_log_softmax(self, r):

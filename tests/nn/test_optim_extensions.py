@@ -1,111 +1,10 @@
-"""Tests for gradient clipping, LR schedulers, and multi-block butterfly."""
+"""Tests for the multi-block butterfly extension (``nblocks > 1``)."""
 
 import numpy as np
 import pytest
 
 from repro import nn
-from repro.nn import (
-    CosineAnnealingLR,
-    Parameter,
-    SGD,
-    StepLR,
-    Tensor,
-    clip_grad_norm,
-)
-
-
-class TestClipGradNorm:
-    def _params(self, grads):
-        params = []
-        for g in grads:
-            p = Parameter(np.zeros_like(g))
-            p.grad = g.copy()
-            params.append(p)
-        return params
-
-    def test_norm_returned(self):
-        params = self._params([np.array([3.0]), np.array([4.0])])
-        assert clip_grad_norm(params, 100.0) == pytest.approx(5.0)
-
-    def test_no_clip_below_threshold(self):
-        params = self._params([np.array([1.0, 2.0])])
-        clip_grad_norm(params, 100.0)
-        np.testing.assert_array_equal(params[0].grad, [1.0, 2.0])
-
-    def test_clips_to_max_norm(self):
-        params = self._params([np.array([3.0]), np.array([4.0])])
-        clip_grad_norm(params, 1.0)
-        total = np.sqrt(sum(float((p.grad**2).sum()) for p in params))
-        assert total == pytest.approx(1.0, rel=1e-6)
-
-    def test_scales_jointly(self):
-        params = self._params([np.array([3.0]), np.array([4.0])])
-        clip_grad_norm(params, 1.0)
-        # Direction preserved: ratio 3:4.
-        assert params[1].grad[0] / params[0].grad[0] == pytest.approx(4 / 3)
-
-    def test_none_grads_skipped(self):
-        p = Parameter(np.zeros(2))
-        assert clip_grad_norm([p], 1.0) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            clip_grad_norm([], 0.0)
-
-    def test_stabilises_training(self, rng):
-        # A deliberately exploding setup trains stably with clipping.
-        model = nn.Sequential(nn.Linear(8, 8, seed=0), nn.Linear(8, 3, seed=1))
-        for p in model.parameters():
-            p.data *= 20.0  # huge init
-        opt = SGD(model.parameters(), lr=0.05)
-        x = rng.standard_normal((16, 8))
-        y = rng.integers(0, 3, 16)
-        for _ in range(30):
-            opt.zero_grad()
-            loss = nn.cross_entropy(model(Tensor(x)), y)
-            loss.backward()
-            clip_grad_norm(model.parameters(), 1.0)
-            opt.step()
-        assert np.isfinite(loss.item())
-
-
-class TestSchedulers:
-    def _opt(self, lr=0.1):
-        return SGD([Parameter(np.zeros(1))], lr=lr)
-
-    def test_step_lr_decays(self):
-        opt = self._opt(0.1)
-        sched = StepLR(opt, step_size=2, gamma=0.5)
-        rates = [sched.step() for _ in range(6)]
-        assert rates == pytest.approx([0.1, 0.05, 0.05, 0.025, 0.025, 0.0125])
-
-    def test_cosine_reaches_eta_min(self):
-        opt = self._opt(1.0)
-        sched = CosineAnnealingLR(opt, t_max=10, eta_min=0.1)
-        for _ in range(10):
-            last = sched.step()
-        assert last == pytest.approx(0.1)
-
-    def test_cosine_monotone_decreasing(self):
-        opt = self._opt(1.0)
-        sched = CosineAnnealingLR(opt, t_max=20)
-        rates = [sched.step() for _ in range(20)]
-        assert all(a >= b for a, b in zip(rates, rates[1:]))
-
-    def test_scheduler_mutates_optimizer(self):
-        opt = self._opt(0.1)
-        StepLR(opt, step_size=1, gamma=0.1).step()
-        assert opt.lr == pytest.approx(0.01)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            StepLR(self._opt(), step_size=0)
-        with pytest.raises(ValueError):
-            StepLR(self._opt(), step_size=1, gamma=2.0)
-        with pytest.raises(ValueError):
-            CosineAnnealingLR(self._opt(), t_max=0)
-        with pytest.raises(TypeError):
-            StepLR(object(), step_size=1)
+from repro.nn import SGD, Tensor
 
 
 class TestMultiBlockButterfly:

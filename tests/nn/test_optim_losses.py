@@ -1,11 +1,11 @@
-"""Tests for optimisers and loss functions."""
+"""Tests for the SGD optimiser and the loss functions."""
 
 import numpy as np
 import pytest
 
 from repro.nn import Parameter, Tensor
 from repro.nn.losses import accuracy, cross_entropy, mse_loss
-from repro.nn.optim import SGD, Adam
+from repro.nn.optim import SGD
 
 
 def quadratic_param(value=5.0):
@@ -67,30 +67,6 @@ class TestSGD:
             p.grad = 2 * p.data  # d/dp p^2
             opt.step()
         assert abs(p.data[0]) < 1e-3
-
-
-class TestAdam:
-    def test_converges_on_quadratic(self):
-        p = quadratic_param(5.0)
-        opt = Adam([p], lr=0.3)
-        for _ in range(300):
-            p.grad = 2 * p.data
-            opt.step()
-        assert abs(p.data[0]) < 1e-2
-
-    def test_first_step_size_is_lr(self):
-        p = quadratic_param(0.0)
-        opt = Adam([p], lr=0.1)
-        p.grad = np.array([123.0])
-        opt.step()
-        # Bias-corrected first step is ~lr regardless of gradient scale.
-        assert p.data[0] == pytest.approx(-0.1, rel=1e-3)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Adam([quadratic_param()], lr=0)
-        with pytest.raises(ValueError):
-            Adam([quadratic_param()], betas=(1.2, 0.9))
 
 
 class TestCrossEntropy:

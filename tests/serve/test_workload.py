@@ -1,16 +1,10 @@
 """The workload generator's determinism and distribution contracts."""
 
-import numpy as np
 import pytest
 
 from repro.serve.batcher import BatchPolicy
 from repro.serve.replica import build_pool
-from repro.serve.workload import (
-    Request,
-    WorkloadSpec,
-    generate_requests,
-    request_payload,
-)
+from repro.serve.workload import Request, WorkloadSpec, generate_requests
 
 
 class TestDeterminism:
@@ -28,21 +22,6 @@ class TestDeterminism:
         a = generate_requests(WorkloadSpec(seed=0, n_requests=30))
         b = generate_requests(WorkloadSpec(seed=1, n_requests=30))
         assert a != b
-
-    def test_payload_pure_in_coordinates(self):
-        spec = WorkloadSpec(seed=5, n_requests=10)
-        request = generate_requests(spec)[7]
-        first = request_payload(spec, request, 32)
-        again = request_payload(spec, request, 32)
-        assert np.array_equal(first, again)
-
-    def test_payload_independent_of_arrival_draws(self):
-        """Reading payloads never perturbs arrival times."""
-        spec = WorkloadSpec(seed=2, n_requests=15)
-        before = generate_requests(spec)
-        for request in before:
-            request_payload(spec, request, 16)
-        assert generate_requests(spec) == before
 
 
 class TestShape:
@@ -81,12 +60,6 @@ class TestShape:
         # The burst phases run at 8x the base rate, so the same request
         # count lands in strictly less time.
         assert t_burst < t_poisson
-
-    def test_payload_shape(self):
-        spec = WorkloadSpec(seed=0, n_requests=5)
-        request = generate_requests(spec)[0]
-        payload = request_payload(spec, request, 24)
-        assert payload.shape == (request.rows, 24)
 
 
 #: Field name -> constructor fed that field; each must reject nan/inf.
