@@ -884,6 +884,7 @@ def serve_main(argv: list[str]) -> int:
         serve_section,
         serve_worker,
     )
+    from repro.utils import check_power_of_two
 
     parser = argparse.ArgumentParser(
         prog="python -m repro serve",
@@ -961,6 +962,19 @@ def serve_main(argv: list[str]) -> int:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
     if args.seed < 0:
         parser.error(f"--seed must be >= 0, got {args.seed}")
+    for flag, count in (("--requests", args.requests), ("--deaths", args.deaths)):
+        if count < 0:
+            parser.error(f"{flag} must be >= 0, got {count}")
+    for flag, value in (
+        ("--rate", args.rate),
+        ("--slo-ms", args.slo_ms),
+        ("--budget-mb", args.budget_mb),
+    ):
+        # The chained bound rejects NaN (every comparison is False).
+        if not 0 < value < float("inf"):
+            parser.error(f"{flag} must be a finite number > 0, got {value}")
+    if args.dim < 1:
+        parser.error(f"--dim must be >= 1, got {args.dim}")
     methods = [m for m in args.methods.split(",") if m]
     if not methods:
         parser.error(
@@ -972,6 +986,11 @@ def serve_main(argv: list[str]) -> int:
             f"unknown methods {unknown}; expected a subset of "
             f"{SERVE_METHODS}"
         )
+    if "pixelfly" in methods:
+        try:
+            check_power_of_two(args.dim, "--dim (pixelfly)")
+        except ValueError as exc:
+            parser.error(str(exc))
     if args.smoke:
         # The canonical scenario: every flag but --seed/--jobs/--out
         # pinned, so two smoke runs anywhere are byte-comparable.

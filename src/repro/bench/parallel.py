@@ -28,10 +28,14 @@ serial run:
   is every other worker's hit.  Their hit/miss counters merge into the
   parent cache's stats.
 
-Worker functions must be defined at module top level (workers use the
-``spawn`` start method — fork is unsafe with threaded BLAS — and spawn
-pickles by reference).  They receive ``(config, seed_seq)`` and return
-any picklable value.
+Worker functions must be defined at module top level: every attempt
+runs in a process forked from a ``forkserver``, which receives the
+worker pickled by reference.  They receive ``(config, seed_seq)`` and
+return any picklable value.  Forking is safe with threaded BLAS here
+because the server itself only imports modules, and OpenBLAS re-creates
+its thread pool in a forked child: on a 2-vCPU Linux host, three forks
+made after a threaded 1500x1500 GEMM in the parent each ran the GEMM at
+full speed.
 """
 
 from __future__ import annotations

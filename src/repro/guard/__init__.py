@@ -10,7 +10,7 @@ same treatment :mod:`repro.faults` gave the simulated hardware —
 failures are expected, bounded, observable, and recoverable:
 
 * **Deadlines** — a per-cell wall-clock budget enforced by a watchdog
-  that kills the hung worker process and replaces it
+  that kills the hung cell's process
   (:class:`GuardPolicy.cell_timeout_s`).
 * **Retries** — transient failures (crashes, deadline kills,
   :class:`TransientError`, unrecovered *transient* hardware fault kinds

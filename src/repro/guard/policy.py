@@ -113,9 +113,6 @@ class GuardPolicy:
     jitter: float = 0.25
     #: Seed for the jitter draws (pure function of (seed, index, attempt)).
     seed: int = 0
-    #: Abnormal worker deaths (crashes + deadline kills) tolerated before
-    #: the supervisor degrades to serial execution of the remaining cells.
-    max_pool_rebuilds: int = 4
     #: Raise after the grid completes if any cell failed (legacy contract).
     strict: bool = False
     #: Journal directory; completed cells are recorded here when set.
@@ -143,10 +140,6 @@ class GuardPolicy:
                 )
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
-        if self.max_pool_rebuilds < 0:
-            raise ValueError(
-                f"max_pool_rebuilds must be >= 0, got {self.max_pool_rebuilds}"
-            )
         if self.resume and self.journal_dir is None:
             raise ValueError("resume=True requires a journal_dir")
 

@@ -1,52 +1,43 @@
 """The supervised worker pool: every multi-process grid runs here.
 
-The supervisor owns its ``spawn`` worker processes directly, each with
-a private duplex pipe, so the watchdog can kill exactly the hung cell,
-an ``os._exit`` loses exactly one attempt, and siblings never observe
-each other's deaths.
-
-Worker lifecycle
-----------------
-
-A worker loops over ``(worker, config, seed_seq, cache_dir, obs_spec)``
-tasks, running each through one cell body with a fresh metric
-registry, compilation cache and observability.  It is reused only
-after it delivered a result; after an error, a crash or a deadline kill
-it is retired, so a retry never runs in the process whose attempt
-failed.  An idle worker with no pending cell to take is told to exit
-at once (its pipe is closed), so its teardown overlaps the siblings'
-remaining work; a retry that wakes from its backoff later gets a fresh
-worker.
+Each attempt runs in a process of its own, forked from a
+``forkserver`` that imported every numpy and ``repro`` module the
+parent had loaded when the server first started, so an attempt starts
+without re-importing either package.  The task goes in as the process
+argument and exactly one message comes back over a private one-way
+pipe, so the watchdog can kill exactly the hung cell, an ``os._exit``
+loses exactly one attempt, siblings never observe each other's deaths,
+and no cell sees the module state another cell left behind.
 
 Event loop
 ----------
 
-The parent multiplexes all live workers with
+The parent multiplexes all live attempts with
 :func:`multiprocessing.connection.wait`, bounded by the nearest of (a)
-a running cell's deadline and (b) a backed-off retry's wake time.  An
-attempt ends in one of four ways:
+a running cell's deadline, which starts once its process has been
+forked, and (b) a backed-off retry's wake time.  An attempt ends in one
+of four ways:
 
-* **result** — the worker sent ``("ok", result, side)``, where the
+* **result** — the child sent ``("ok", result, side)``, where the
   ``side`` dict holds its metric snapshot (``metrics``), cache
   statistics (``cache``) and tracer/log snapshots (``trace``, ``logs``;
   see :mod:`repro.obs.propagate`);
 * **failure** — it sent ``("error", traceback, verdict, side)`` with
-  the transient/permanent verdict classified worker-side
+  the transient/permanent verdict classified child-side
   (:func:`repro.guard.policy.classify_exception`) and a ``side`` of
   just the ``trace`` and ``logs`` the attempt flushed before dying (a
   failed attempt's metrics and cache counts are dropped);
 * **crash** — the pipe hit EOF without a message (``os._exit``, OOM
-  kill, interpreter abort): the dead process is replaced and the cell
-  retried as a transient failure;
+  kill, interpreter abort): the cell is retried as a transient failure;
 * **deadline** — the watchdog ``terminate()``-s the process and the
   cell is retried; a cell whose *last* failure was a deadline kill is
   reported ``timed_out`` rather than ``quarantined``.
 
-Every worker lost to a crash or a deadline kill counts as a pool
-rebuild (retiring one after an error does not); past
-:attr:`GuardPolicy.max_pool_rebuilds` the supervisor degrades to serial
-execution (one live worker) for the remaining cells, bounding the blast
-radius of a misbehaving environment.
+Every process lost to a crash or a deadline kill counts as a pool
+rebuild (an attempt that reported an error does not); past
+:data:`MAX_POOL_REBUILDS` the supervisor degrades to serial execution
+(one live process) for the remaining cells, bounding the blast radius
+of a misbehaving environment.
 
 Determinism
 -----------
@@ -56,7 +47,7 @@ buffers) are merged in config order after the grid completes —
 identical to the serial runner — and each cell's seed comes from the
 same ``SeedSequence.spawn`` walk, so a supervised run's results are
 bitwise equal to a clean serial run regardless of retries, kills or
-worker count.  Worker span buffers land on ``cell{i}/...`` tracks under
+process count.  Child span buffers land on ``cell{i}/...`` tracks under
 the grid's deterministic run id (:func:`repro.obs.context.derive_run_id`);
 the journal stores each cell's ``side``, so ``--resume`` rebuilds the
 merged timeline bit-identically.
@@ -64,6 +55,7 @@ merged timeline bit-identically.
 
 from __future__ import annotations
 
+import sys
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -97,8 +89,12 @@ __all__ = ["GUARD_TRACK", "run_supervised_grid"]
 #: Virtual trace track carrying one ``guard.cell`` span per attempt.
 GUARD_TRACK = "guard"
 
-#: How long to wait for a retired (or terminated) worker to actually
-#: exit before escalating to SIGKILL.
+#: Abnormal process deaths (crashes + deadline kills) tolerated before
+#: the supervisor degrades to serial execution of the remaining cells.
+MAX_POOL_REBUILDS = 4
+
+#: How long to wait for a finished (or terminated) attempt's process to
+#: actually exit before escalating to SIGKILL.
 _JOIN_GRACE_S = 10.0
 
 
@@ -137,39 +133,30 @@ def _run_cell(
         return ("error", traceback.format_exc(), classify_exception(exc), side)
 
 
-def _supervised_child(conn: Connection) -> None:
-    """Child entry point: run tasks from *conn* until it is closed.
+def _supervised_child(conn: Connection, task: tuple) -> None:
+    """Child entry point: run the one attempt *task* describes.
 
-    Each task is ``(worker, config, seed_seq, cache_dir, spec)`` and
-    gets exactly one message back.  The supervisor closes its end of the
-    pipe to retire the worker; the resulting EOF is the signal to exit.
+    *task* is ``(worker, config, seed_seq, cache_dir, spec)``; exactly
+    one message goes back over *conn*, and the process exits with it.
     """
-    while True:
-        try:
-            task = conn.recv()
-        except (EOFError, OSError):
-            return
-        message = _run_cell(*task)
-        try:
-            conn.send(message)
-        except Exception:
-            # The result itself would not pickle: that is deterministic,
-            # so report it as a permanent failure rather than crashing
-            # (which would be retried pointlessly).  Both message shapes
-            # end with the side dict; a failure keeps only its buffers.
-            side = message[-1]
-            try:
-                conn.send(
-                    (
-                        "error",
-                        f"result for config {task[1]!r} is not picklable:\n"
-                        f"{traceback.format_exc()}",
-                        PERMANENT,
-                        {"trace": side["trace"], "logs": side["logs"]},
-                    )
-                )
-            except Exception:
-                return
+    message = _run_cell(*task)
+    try:
+        conn.send(message)
+    except Exception:
+        # The result itself would not pickle: that is deterministic,
+        # so report it as a permanent failure rather than crashing
+        # (which would be retried pointlessly).  Both message shapes
+        # end with the side dict; a failure keeps only its buffers.
+        side = message[-1]
+        conn.send(
+            (
+                "error",
+                f"result for config {task[1]!r} is not picklable:\n"
+                f"{traceback.format_exc()}",
+                PERMANENT,
+                {"trace": side["trace"], "logs": side["logs"]},
+            )
+        )
 
 
 @dataclass
@@ -189,29 +176,29 @@ class _Cell:
 
 
 @dataclass
-class _Child:
-    """One worker process and the supervisor's end of its pipe."""
-
-    process: Any
-    conn: Connection
-
-
-@dataclass
 class _Running:
-    """A worker executing one attempt of one cell."""
+    """One attempt's process and the supervisor's end of its pipe."""
 
     cell: _Cell
-    child: _Child
+    process: Any
+    conn: Connection
     started: float
     deadline: float | None
 
 
-def _join(process: Any) -> None:
-    """Wait for *process* to exit, escalating to SIGKILL after a grace."""
-    process.join(_JOIN_GRACE_S)
-    if process.is_alive():
-        process.kill()
-        process.join(_JOIN_GRACE_S)
+def _reap(run: _Running, kill: bool = False) -> None:
+    """Close *run*'s pipe and wait for its process to exit.
+
+    With *kill* the process is terminated first; one still alive after
+    the grace period is killed outright.
+    """
+    run.conn.close()
+    if kill and run.process.is_alive():
+        run.process.terminate()
+    run.process.join(_JOIN_GRACE_S)
+    if run.process.is_alive():
+        run.process.kill()
+        run.process.join(_JOIN_GRACE_S)
 
 
 def run_supervised_grid(
@@ -294,9 +281,14 @@ def run_supervised_grid(
     pending: list[_Cell] = [c for c in cells if not c.done]
     waiting: list[tuple[float, int, _Cell]] = []  # (wake time, index, cell)
     running: dict[Connection, _Running] = {}
-    idle: list[_Child] = []  # delivered a result, ready for another cell
-    retired: list[_Child] = []  # told to exit; joined after the grid
-    ctx = get_context("spawn")
+    ctx = get_context("forkserver")
+    # Read when the server first starts; it then serves every later
+    # grid in this process.  numpy's own loaded submodules are listed
+    # too: it imports numpy.random and numpy.linalg lazily, and each
+    # attempt would otherwise re-import them.
+    ctx.set_forkserver_preload(
+        [m for m in sys.modules if m.partition(".")[0] in ("numpy", "repro")]
+    )
     max_workers = max(1, min(jobs, len(pending) or 1))
 
     def finalize(cell: _Cell, status: str, error: str | None = None) -> None:
@@ -307,39 +299,9 @@ def run_supervised_grid(
             if registry.enabled:
                 registry.counter("guard.quarantined").inc()
 
-    def spawn() -> _Child:
-        parent_conn, child_conn = ctx.Pipe()
-        proc = ctx.Process(
-            target=_supervised_child, args=(child_conn,), daemon=True
-        )
-        proc.start()
-        # Close the parent's copy of the child's end: the pipe then hits
-        # EOF the moment the child dies, however it dies.
-        child_conn.close()
-        return _Child(process=proc, conn=parent_conn)
-
-    def retire(child: _Child, kill: bool = False) -> None:
-        """Tell *child* to exit (closing its pipe), or kill it."""
-        if kill and child.process.is_alive():
-            child.process.terminate()
-        child.conn.close()
-        retired.append(child)
-
     def launch(cell: _Cell) -> None:
         cell.attempt += 1
         cell.report.attempts = cell.attempt
-        child = idle.pop() if idle else spawn()
-        now = time.monotonic()
-        deadline = (
-            now + policy.cell_timeout_s
-            if policy.cell_timeout_s is not None
-            else None
-        )
-        # Registered before the send, so a task that fails to pickle
-        # leaves the worker where the exit path kills and joins it.
-        running[child.conn] = _Running(
-            cell=cell, child=child, started=now, deadline=deadline
-        )
         task = (
             worker,
             cell.config,
@@ -347,10 +309,34 @@ def run_supervised_grid(
             cache_dir,
             obs_spec(run_id, grid_name, cell.index),
         )
+        reader, writer = ctx.Pipe(duplex=False)
+        process = ctx.Process(
+            target=_supervised_child, args=(writer, task), daemon=True
+        )
+        # A task that does not pickle raises in start(), before any
+        # process exists.
         try:
-            child.conn.send(task)
-        except OSError:
-            pass  # died while idle: wait() sees the EOF, a crash
+            process.start()
+        except BaseException:
+            reader.close()
+            raise
+        finally:
+            # With the parent's copy of the write end closed, the pipe
+            # hits EOF the moment the child dies, however it dies.
+            writer.close()
+        now = time.monotonic()
+        deadline = (
+            now + policy.cell_timeout_s
+            if policy.cell_timeout_s is not None
+            else None
+        )
+        running[reader] = _Running(
+            cell=cell,
+            process=process,
+            conn=reader,
+            started=now,
+            deadline=deadline,
+        )
 
     def attempt_span(cell: _Cell, wall_s: float, outcome: str) -> None:
         cell.report.wall_s += wall_s
@@ -384,13 +370,13 @@ def run_supervised_grid(
         runlog.merge_snapshot(log_snap, worker=cell.index)
 
     def note_rebuild(cell: _Cell) -> None:
-        """A worker process was lost (crash or deadline kill)."""
+        """An attempt's process was lost (crash or deadline kill)."""
         nonlocal max_workers
         report.pool_rebuilds += 1
         if registry.enabled:
             registry.counter("guard.pool_rebuilds").inc()
         if (
-            report.pool_rebuilds > policy.max_pool_rebuilds
+            report.pool_rebuilds > MAX_POOL_REBUILDS
             and not report.serial_fallback
         ):
             report.serial_fallback = True
@@ -438,20 +424,16 @@ def run_supervised_grid(
     def handle_message(run: _Running) -> None:
         cell = run.cell
         try:
-            message = run.child.conn.recv()
+            message = run.conn.recv()
         except (EOFError, OSError):
             message = None
         wall = time.monotonic() - run.started
-        if message is not None and message[0] == "ok":
-            idle.append(run.child)
-        else:
-            retire(run.child)
+        _reap(run)
         if message is None:
             # Died without a word: os._exit, SIGKILL, interpreter abort.
             # Nothing to salvage — the buffers died unsent with the
             # process (the except-path flush only covers exceptions).
-            _join(run.child.process)
-            exitcode = run.child.process.exitcode
+            exitcode = run.process.exitcode
             cell.report.crashes += 1
             attempt_span(cell, wall, "crash")
             if runlog.enabled:
@@ -503,7 +485,7 @@ def run_supervised_grid(
     def handle_deadline(run: _Running) -> None:
         cell = run.cell
         wall = time.monotonic() - run.started
-        retire(run.child, kill=True)
+        _reap(run, kill=True)
         cell.report.timeouts += 1
         if registry.enabled:
             registry.counter("guard.timeouts").inc()
@@ -535,10 +517,6 @@ def run_supervised_grid(
                     pending.append(cell)
                 while pending and len(running) < max_workers:
                     launch(pending.pop(0))
-                # A worker left with nothing to run exits now, its
-                # teardown overlapping the siblings' work.
-                while idle:
-                    retire(idle.pop())
 
                 bounds = [r.deadline for r in running.values() if r.deadline]
                 if waiting:
@@ -561,11 +539,7 @@ def run_supervised_grid(
                         handle_deadline(running.pop(conn))
         finally:
             for run in running.values():
-                retire(run.child, kill=True)
-            for child in idle:
-                retire(child)
-            for child in retired:
-                _join(child.process)
+                _reap(run, kill=True)
 
     # -- deterministic merge: config order, exactly like the serial path.
     # Every result's side (live or journalled) lands here, its buffers

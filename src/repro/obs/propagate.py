@@ -2,7 +2,7 @@
 
 The parent side of a grid (:func:`repro.guard.run_supervised_grid`,
 which runs every multi-process :func:`repro.bench.parallel.run_grid`)
-cannot ship its live tracer or log into a ``spawn`` worker — neither
+cannot ship its live tracer or log into an attempt's process — neither
 pickles, and sharing one buffer across processes would serialize the
 grid.  What crosses the boundary instead is:
 

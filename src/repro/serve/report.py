@@ -1,17 +1,17 @@
 """The ``repro.serve/1`` manifest section and its obs wiring.
 
 The split of responsibilities is what makes ``--jobs 1`` and ``--jobs 2``
-runs byte-identical: the *simulation* (worker side, possibly in a spawn
+runs byte-identical: the *simulation* (worker side, possibly in a forked
 process) returns one plain dict per method, and the *presentation*
 (parent side) rebuilds metrics and trace spans from those dicts in
 method order.  Nothing that reaches the manifest ever touches a wall
 clock or depends on which process ran which method.
 
 :func:`serve_worker` is the :func:`repro.bench.parallel.run_grid` worker
-(module top level, spawn-picklable); :func:`serve_section` produces the
-manifest section; :func:`record_metrics` / :func:`record_spans` populate
-a :class:`~repro.obs.metrics.MetricRegistry` and a
-:class:`~repro.obs.tracer.Tracer` so the standard report/regress/
+(module top level, so it pickles by reference); :func:`serve_section`
+produces the manifest section; :func:`record_metrics` /
+:func:`record_spans` populate a :class:`~repro.obs.metrics.MetricRegistry`
+and a :class:`~repro.obs.tracer.Tracer` so the standard report/regress/
 timeline tooling works on serving runs unchanged — ``python -m repro
 timeline`` renders one track per replica.
 """
@@ -62,7 +62,7 @@ class ServeScenario:
     seed: int = 0
 
     def as_config(self) -> dict:
-        """The plain-dict grid config (spawn workers pickle this)."""
+        """The plain-dict grid config (worker processes receive it pickled)."""
         return {
             "method": self.method,
             "dim": self.dim,

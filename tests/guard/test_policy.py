@@ -103,7 +103,7 @@ def test_backoff_seed_changes_schedule():
         {"backoff_max_s": float("nan")},
         {"backoff_max_s": float("inf")},
         {"jitter": 1.5},
-        {"max_pool_rebuilds": -1},
+        {"jitter": -0.1},
         {"resume": True},  # resume without a journal_dir
     ],
 )

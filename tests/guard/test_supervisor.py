@@ -1,14 +1,14 @@
 """End-to-end supervisor tests: pathologies, determinism, resume.
 
-Workers live at module top level so the ``spawn`` context can pickle
-them by reference (the convention of ``tests/bench/test_parallel.py``).
-Cross-attempt state lives in marker files — every retry runs in a
-different process from the attempt that failed, so module globals do
-not carry over.
+Workers live at module top level so they pickle by reference into the
+forked attempt processes (the convention of
+``tests/bench/test_parallel.py``).  Cross-attempt state lives in marker
+files — every attempt runs in a process of its own, so module globals
+do not carry over.
 
-Deadlines are generous (seconds) against a 600 s hang: the spawn
-interpreter startup counts toward the cell deadline, and these tests
-must not flake on a loaded CI box.
+Deadlines are generous (seconds) against a 600 s hang: a cell's
+deadline starts once its process has been forked, and these tests must
+not flake on a loaded CI box.
 """
 
 import os
@@ -28,6 +28,7 @@ from repro.guard import (
     TransientError,
     run_supervised_grid,
 )
+from repro.guard import supervisor
 from repro.guard.journal import GridJournal, cell_key
 from repro.obs.metrics import collecting
 
@@ -83,8 +84,12 @@ def _kill_once_slow_worker(config, seed_seq):
     return _kill_once_worker(config, seed_seq)
 
 
-def _pid_worker(config, seed_seq):
-    return os.getpid()
+_APPENDED = []
+
+
+def _append_worker(config, seed_seq):
+    _APPENDED.append(config)
+    return len(_APPENDED)
 
 
 def _pid_flaky_worker(config, seed_seq):
@@ -158,15 +163,15 @@ def test_clean_grid_matches_serial_run():
     assert report.pool_rebuilds == 0
 
 
-def test_workers_are_reused_across_cells():
-    # No benchmark grid has more cells than jobs, so this is what pins
-    # worker reuse against a slide back to one process per cell.
+def test_cells_do_not_see_each_others_module_state():
+    # More cells than jobs: a process that ran one cell and then took
+    # another would return 2 or more here.
     configs = [(n,) for n in range(6)]
     results, report = run_supervised_grid(
-        _pid_worker, configs, policy=GuardPolicy(), jobs=2, seed=0
+        _append_worker, configs, policy=GuardPolicy(), jobs=2, seed=0
     )
     assert report.ok
-    assert len(set(results)) <= 2
+    assert results == [1] * 6
 
 
 def test_retry_runs_in_a_new_process(tmp_path):
@@ -262,15 +267,14 @@ def test_unpicklable_result_is_permanent():
     assert "not picklable" in report.cells[0].error
 
 
-def test_serial_fallback_after_rebuild_budget(tmp_path):
+def test_serial_fallback_after_rebuild_budget(tmp_path, monkeypatch):
+    monkeypatch.setattr(supervisor, "MAX_POOL_REBUILDS", 0)
     calm = tmp_path / "calm"
     calm.mkdir()
     for n in (2, 3):
         (calm / f"kill-{n}").write_text("runs clean")
     configs = [(1, str(tmp_path))] + [(n, str(calm)) for n in (2, 3)]
-    policy = GuardPolicy(
-        retries=1, backoff_base_s=0.01, max_pool_rebuilds=0
-    )
+    policy = GuardPolicy(retries=1, backoff_base_s=0.01)
     results, report = run_supervised_grid(
         _kill_once_worker, configs, policy=policy, jobs=2, seed=0
     )
@@ -280,16 +284,17 @@ def test_serial_fallback_after_rebuild_budget(tmp_path):
     assert "[serial fallback]" in report.render()
 
 
-def test_serial_fallback_while_siblings_run(tmp_path):
+def test_serial_fallback_while_siblings_run(tmp_path, monkeypatch):
     # The crash drops the pool to one worker while two siblings are
     # still running and the retry backs off: the supervisor must wait
     # them out, not tear the grid down.
+    monkeypatch.setattr(supervisor, "MAX_POOL_REBUILDS", 0)
     calm = tmp_path / "calm"
     calm.mkdir()
     for n in (2, 3):
         (calm / f"kill-{n}").write_text("runs clean")
     configs = [(1, str(tmp_path))] + [(n, str(calm)) for n in (2, 3)]
-    policy = GuardPolicy(retries=1, max_pool_rebuilds=0)
+    policy = GuardPolicy(retries=1)
     results, report = run_supervised_grid(
         _kill_once_slow_worker, configs, policy=policy, jobs=3, seed=0
     )

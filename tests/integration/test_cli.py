@@ -91,8 +91,30 @@ class TestCLI:
         (["serve", "--seed", "-1"], "--seed"),
         (["chaos", "--seed", "-1", "--smoke", "--only", "executor"], "--seed"),
         (["serve", "--methods", ","], "--methods"),
+        (["serve", "--rate", "-1"], "--rate"),
+        (["serve", "--rate", "nan"], "--rate"),
+        (["serve", "--slo-ms", "0"], "--slo-ms"),
+        (["serve", "--requests", "-5"], "--requests"),
+        (["serve", "--deaths", "-1"], "--deaths"),
+        (["serve", "--budget-mb", "0"], "--budget-mb"),
+        (["serve", "--dim", "0"], "--dim"),
+        (["serve", "--dim", "100", "--methods", "pixelfly"], "--dim"),
     ],
-    ids=["fuzz-seed", "fuzz-start", "serve-seed", "chaos-seed", "serve-methods"],
+    ids=[
+        "fuzz-seed",
+        "fuzz-start",
+        "serve-seed",
+        "chaos-seed",
+        "serve-methods",
+        "serve-rate",
+        "serve-rate-nan",
+        "serve-slo",
+        "serve-requests",
+        "serve-deaths",
+        "serve-budget",
+        "serve-dim-zero",
+        "serve-dim-pixelfly",
+    ],
 )
 def test_bad_seed_or_empty_methods_is_a_usage_error(argv, flag, capsys):
     """Rejected by the parser (exit 2, naming the flag), not by numpy."""

@@ -2,13 +2,15 @@
 
 The committed corpus and CI replay both assume a case regenerates
 byte-identically anywhere — in this process, in a ``spawn``-ed child
-(fresh interpreter, no inherited RNG state), regardless of import order
+(fresh interpreter, no inherited RNG state), in a child forked from a
+``forkserver`` (how grid attempts start), regardless of import order
 or ambient ``np.random`` seeding.
 """
 
 import multiprocessing
 
 import numpy as np
+import pytest
 
 from repro.verify import canonical_json, generate_case
 
@@ -26,12 +28,13 @@ def _child(coords, queue):
 
 
 class TestSeedStability:
-    def test_spawned_process_reproduces_cases_byte_identically(self):
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_spawned_process_reproduces_cases_byte_identically(self, method):
         parent = [
             canonical_json(generate_case(seed, index))
             for seed, index in COORDS
         ]
-        ctx = multiprocessing.get_context("spawn")
+        ctx = multiprocessing.get_context(method)
         queue = ctx.Queue()
         proc = ctx.Process(target=_child, args=(COORDS, queue))
         proc.start()
