@@ -114,9 +114,11 @@ def run_grid(
     worker at one shared on-disk cache — defaulting to the ambient
     global cache's directory, so ``python -m repro fig5 --jobs 4``
     shares its cache with the workers without any experiment-level
-    plumbing.  Worker metric snapshots merge into *registry* (default:
-    the global one) and worker cache stats merge into the parent's
-    global cache, in config order.
+    plumbing.  With neither an ambient cache nor *cache_dir* the
+    workers run uncached, as the serial loop does.  Worker metric
+    snapshots merge into *registry* (default: the global one) and
+    worker cache stats merge into the parent's global cache, in config
+    order.
 
     *guard* defaults to no retries and ``strict``.  Under a strict
     policy a :class:`WorkerError` naming every failed cell is raised

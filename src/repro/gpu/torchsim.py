@@ -29,9 +29,6 @@ from repro.gpu.machine import A30, GPUSpec
 from repro.gpu.simulator import GPUDevice
 from repro.nn.layers import (
     BatchNorm1d,
-    Dropout,
-    Flatten,
-    Identity,
     LayerNorm,
     Linear,
     ReLU,
@@ -247,8 +244,6 @@ def lower_model_gpu(
             low.param_bytes += 4 * 2 * features  # gamma + beta
             low.add_stream("norm/stats", 4 * batch * features)
             low.add_stream("norm/apply", 4 * batch * features)
-            return features
-        if isinstance(module, (Identity, Flatten, Dropout)):
             return features
         raise TypeError(
             f"GPU lowering does not support {type(module).__name__}"

@@ -66,7 +66,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.cache import CompilationCache, caching, get_cache
+from repro.cache import NULL_CACHE, CompilationCache, caching, get_cache
 from repro.guard.journal import GridJournal, cell_key
 from repro.guard.policy import PERMANENT, TRANSIENT, GuardPolicy, classify_exception
 from repro.guard.report import (
@@ -103,19 +103,21 @@ def _run_cell(
     config: Any,
     seed_seq: np.random.SeedSequence,
     cache_dir: str | None,
+    cached: bool,
     spec: dict | None,
 ) -> tuple:
     """Run one attempt and build the message the supervisor expects.
 
-    The cell gets a fresh metric registry, compilation cache (sharing
-    the grid's disk directory) and per-cell observability from *spec*.
-    Failures are classified while the live exception object is still in
-    hand — the verdict crosses the process boundary, the exception type
-    does not have to — and the trace/log buffers ride along on the
-    failure path too, so whatever a dying attempt recorded reaches the
-    supervisor.
+    The cell gets a fresh metric registry, per-cell observability from
+    *spec* and, when *cached*, a fresh compilation cache (sharing the
+    grid's disk directory, if any); otherwise it runs uncached, like a
+    ``jobs=1`` cell under a parent without a cache.  Failures are
+    classified while the live exception object is still in hand — the
+    verdict crosses the process boundary, the exception type does not
+    have to — and the trace/log buffers ride along on the failure path
+    too, so whatever a dying attempt recorded reaches the supervisor.
     """
-    cache = CompilationCache(path=cache_dir)
+    cache = CompilationCache(path=cache_dir) if cached else NULL_CACHE
     tracer, runlog = NULL_TRACER, NULL_LOG
     try:
         with collecting() as registry, caching(cache), \
@@ -136,8 +138,9 @@ def _run_cell(
 def _supervised_child(conn: Connection, task: tuple) -> None:
     """Child entry point: run the one attempt *task* describes.
 
-    *task* is ``(worker, config, seed_seq, cache_dir, spec)``; exactly
-    one message goes back over *conn*, and the process exits with it.
+    *task* is ``(worker, config, seed_seq, cache_dir, cached, spec)``;
+    exactly one message goes back over *conn*, and the process exits
+    with it.
     """
     message = _run_cell(*task)
     try:
@@ -229,6 +232,9 @@ def run_supervised_grid(
     tracer = get_tracer()
     runlog = get_logger()
     parent_cache = get_cache()
+    # Cells cache only when the parent does or the caller names a
+    # directory for them.
+    cached = parent_cache.enabled or cache_dir is not None
     if cache_dir is None and parent_cache.enabled:
         cache_dir = parent_cache.path
     cache_dir = str(cache_dir) if cache_dir is not None else None
@@ -307,6 +313,7 @@ def run_supervised_grid(
             cell.config,
             cell.seed_seq,
             cache_dir,
+            cached,
             obs_spec(run_id, grid_name, cell.index),
         )
         reader, writer = ctx.Pipe(duplex=False)

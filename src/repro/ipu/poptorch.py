@@ -40,9 +40,6 @@ from repro.ipu.machine import GC200, IPUSpec
 from repro.ipu.poplin import emit_matmul
 from repro.nn.layers import (
     BatchNorm1d,
-    Dropout,
-    Flatten,
-    Identity,
     LayerNorm,
     Linear,
     ReLU,
@@ -513,8 +510,6 @@ def module_signature(module: Module) -> tuple | None:
         return ("circulant", module.features, module.bias is not None)
     if isinstance(module, (ReLU, Tanh, Sigmoid, BatchNorm1d, LayerNorm)):
         return (type(module).__name__.lower(),)
-    if isinstance(module, (Identity, Flatten, Dropout)):
-        return ("noop",)
     return None
 
 
@@ -581,8 +576,6 @@ def lower_model(
                 params={"op": "mul"},
             )
             return out, features
-        if isinstance(module, (Identity, Flatten, Dropout)):
-            return x, features
         raise TypeError(
             f"IPU lowering does not support {type(module).__name__}"
         )

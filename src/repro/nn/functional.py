@@ -48,7 +48,6 @@ __all__ = [
     "pad_last",
     "log_softmax",
     "softmax",
-    "dropout",
 ]
 
 
@@ -442,23 +441,6 @@ class LogSoftmax(Function):
         )
 
 
-class Dropout(Function):
-    """Inverted dropout; identity when not training."""
-
-    def forward(self, a, p, rng, training):
-        if not training or p <= 0:
-            self.mask = None
-            return a
-        keep = 1.0 - p
-        self.mask = (rng.random(a.shape) < keep) / keep
-        return a * self.mask
-
-    def backward(self, grad):
-        if self.mask is None:
-            return (grad, None, None, None)
-        return (grad * self.mask, None, None, None)
-
-
 # ---------------------------------------------------------------------------
 # Functional API
 # ---------------------------------------------------------------------------
@@ -554,10 +536,6 @@ def log_softmax(a, axis=-1) -> Tensor:
 
 def softmax(a, axis=-1) -> Tensor:
     return exp(log_softmax(a, axis=axis))
-
-
-def dropout(a, p: float, rng: np.random.Generator, training: bool) -> Tensor:
-    return Dropout.apply(a, p, rng, training)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,6 @@ __all__ = [
     "ReLU",
     "Tanh",
     "Sigmoid",
-    "Identity",
-    "Flatten",
-    "Dropout",
     "Sequential",
     "check_input_width",
     "BatchNorm1d",
@@ -93,39 +90,6 @@ class Sigmoid(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.sigmoid(x)
-
-
-class Identity(Module):
-    """Pass-through layer (useful as an ablation placeholder)."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x
-
-
-class Flatten(Module):
-    """Flatten all but the leading (batch) dimension."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.reshape(x, (x.shape[0], -1))
-
-
-class Dropout(Module):
-    """Inverted dropout, active only in training mode."""
-
-    def __init__(
-        self, p: float = 0.5, seed: int | np.random.Generator | None = 0
-    ) -> None:
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout p must be in [0, 1), got {p}")
-        self.p = p
-        self.rng = as_rng(seed)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.p, self.rng, self.training)
-
-    def extra_repr(self) -> str:
-        return f"p={self.p}"
 
 
 class Sequential(Module):

@@ -12,7 +12,7 @@ import numpy as np
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 
-__all__ = ["cross_entropy", "mse_loss", "accuracy"]
+__all__ = ["cross_entropy", "accuracy"]
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -29,15 +29,6 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     log_probs = F.log_softmax(logits, axis=-1)
     picked = F.getitem(log_probs, (np.arange(len(targets)), targets))
     return -F.mean(picked)
-
-
-def mse_loss(pred: Tensor, target: np.ndarray | Tensor) -> Tensor:
-    """Mean squared error."""
-    if isinstance(target, Tensor):
-        diff = pred - target
-    else:
-        diff = pred - np.asarray(target)
-    return F.mean(diff * diff)
 
 
 def accuracy(logits: Tensor | np.ndarray, targets: np.ndarray) -> float:

@@ -1,9 +1,10 @@
 """Optimisers.
 
-The paper trains everything with SGD + momentum 0.9 (Table 3), so SGD is
-the only optimiser.  Updates are in-place on the parameter arrays (no
-reallocations in the training loop, per the HPC guides' in-place-op
-advice).
+The paper trains everything with SGD + momentum 0.9 and no weight decay
+(Table 3), so SGD is the only optimiser and momentum (plus the nesterov
+variant the fuzzer's optimizer oracle checks) its only extension.
+Updates are in-place on the parameter arrays (no reallocations in the
+training loop, per the HPC guides' in-place-op advice).
 """
 
 from __future__ import annotations
@@ -89,8 +90,7 @@ class SGD(Optimizer):
     """Stochastic gradient descent with classical momentum.
 
     Matches PyTorch semantics: ``v = mu * v + g`` then ``p -= lr * v``
-    (momentum buffer initialised to the first gradient), with optional
-    decoupled-from-nothing L2 weight decay folded into the gradient.
+    (momentum buffer initialised to the first gradient).
     """
 
     def __init__(
@@ -98,7 +98,6 @@ class SGD(Optimizer):
         params,
         lr: float = 1e-3,
         momentum: float = 0.0,
-        weight_decay: float = 0.0,
         nesterov: bool = False,
     ) -> None:
         super().__init__(params)
@@ -110,7 +109,6 @@ class SGD(Optimizer):
             raise ValueError("nesterov momentum requires momentum > 0")
         self.lr = lr
         self.momentum = momentum
-        self.weight_decay = weight_decay
         self.nesterov = nesterov
         self._velocity: list[np.ndarray | None] = [None] * len(self.params)
 
@@ -120,10 +118,7 @@ class SGD(Optimizer):
             if p.grad is None:
                 continue
             g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
             if self.momentum:
-                grad = g
                 if self._velocity[i] is None:
                     self._velocity[i] = g.copy()
                 else:
@@ -131,7 +126,7 @@ class SGD(Optimizer):
                     self._velocity[i] += g
                 if self.nesterov:
                     g = _nesterov_direction(
-                        grad, self.momentum, self._velocity[i]
+                        g, self.momentum, self._velocity[i]
                     )
                 else:
                     g = self._velocity[i]

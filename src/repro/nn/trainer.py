@@ -1,18 +1,16 @@
-"""Training loop with wall-clock and simulated-device timing.
+"""Supervised training loop on cross-entropy, with checkpoints and a numerics check.
 
-The Table 4 experiment needs three times per model: wall-clock (host), and
-the *simulated* per-step times on the GPU (TC on/off) and IPU models.  The
-trainer therefore accepts ``step_time_models`` — callables mapping a batch
-size to seconds-per-training-step on some device — and integrates them over
-the steps actually executed, exactly like the paper integrates measured
-layer times over its training run.
+The trainer times the optimisation loop and the validation passes on the
+host clock and counts the optimisation steps it executes.  It keeps no
+simulated device time: Tables 4 and 5 cost a run as a model's simulated
+per-step time times ``TrainingHistory.steps``
+(:mod:`repro.experiments.table4`, :mod:`repro.experiments.table5`).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -60,19 +58,17 @@ class NumericsError(RuntimeError):
 
 @dataclass
 class TrainingHistory:
-    """Per-epoch metrics plus integrated device times.
+    """Per-epoch metrics, host times and the optimisation step count.
 
     ``train_time_s`` and ``val_time_s`` separate the optimisation loop
     from validation passes (the paper's Table 4 wall-clock protocol times
-    training only); ``wall_time_s`` stays their sum for backward
-    compatibility.
+    training only).
     """
 
     train_loss: list[float] = field(default_factory=list)
     train_accuracy: list[float] = field(default_factory=list)
     val_loss: list[float] = field(default_factory=list)
     val_accuracy: list[float] = field(default_factory=list)
-    wall_time_s: float = 0.0
     train_time_s: float = 0.0
     val_time_s: float = 0.0
     steps: int = 0
@@ -82,7 +78,6 @@ class TrainingHistory:
     steps_per_epoch: list[int] = field(default_factory=list)
     #: Global step of the checkpoint this run resumed from, if any.
     resumed_from_step: int | None = None
-    device_time_s: dict[str, float] = field(default_factory=dict)
 
     @property
     def final_val_accuracy(self) -> float:
@@ -90,27 +85,32 @@ class TrainingHistory:
         return self.val_accuracy[-1] if self.val_accuracy else 0.0
 
 
+#: The :class:`TrainingHistory` fields a checkpoint carries under its
+#: ``history`` key; the step count travels as the top-level ``steps``.
+_CHECKPOINTED_HISTORY = (
+    "train_loss",
+    "train_accuracy",
+    "val_loss",
+    "val_accuracy",
+    "steps_per_epoch",
+    "train_time_s",
+    "val_time_s",
+)
+
+
 class Trainer:
     """Minimal supervised-classification training driver."""
 
-    def __init__(
-        self,
-        model: Module,
-        optimizer: Optimizer,
-        loss_fn: Callable[[Tensor, np.ndarray], Tensor] = cross_entropy,
-        step_time_models: dict[str, Callable[[int], float]] | None = None,
-    ) -> None:
+    def __init__(self, model: Module, optimizer: Optimizer) -> None:
         self.model = model
         self.optimizer = optimizer
-        self.loss_fn = loss_fn
-        self.step_time_models = step_time_models or {}
 
     def train_step(self, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
         """One optimisation step; returns (loss, accuracy) on the batch."""
         self.model.train()
         self.optimizer.zero_grad()
         logits = self.model(Tensor(x))
-        loss = self.loss_fn(logits, y)
+        loss = cross_entropy(logits, y)
         loss.backward()
         self.optimizer.step()
         return loss.item(), accuracy(logits, y)
@@ -124,7 +124,7 @@ class Trainer:
         with no_grad():
             for x, y in loader:
                 logits = self.model(Tensor(x))
-                loss = self.loss_fn(logits, y)
+                loss = cross_entropy(logits, y)
                 total_loss += loss.item() * len(y)
                 correct += accuracy(logits, y) * len(y)
                 count += len(y)
@@ -207,57 +207,63 @@ class Trainer:
 
     # -- checkpoint plumbing --------------------------------------------------
 
-    def _checkpoint_payload(
+    def _save_checkpoint(
         self,
+        checkpoint: CheckpointManager,
         history: TrainingHistory,
         epoch: int,
         step_in_epoch: int,
         partial_losses: list[float],
         partial_accs: list[float],
         epoch_rng_state: dict,
-        val_rng_state: dict | None,
-    ) -> tuple[dict[str, np.ndarray], dict]:
-        """Flatten model + optimiser + cursor state into (arrays, meta)."""
-        arrays: dict[str, np.ndarray] = {}
-        for name, arr in self.model.state_dict().items():
-            arrays[f"model/{name}"] = arr
-        opt_state = self.optimizer.state_dict()
-        slot_mask: dict[str, list[bool]] = {}
-        for slot, buffers in opt_state["slots"].items():
-            mask = []
-            for i, buf in enumerate(buffers):
-                mask.append(buf is not None)
-                if buf is not None:
-                    arrays[f"opt/{slot}/{i}"] = buf
-            slot_mask[slot] = mask
-        meta = {
-            "epoch": epoch,
-            "step_in_epoch": step_in_epoch,
-            "steps": history.steps,
-            "history": {
-                "train_loss": list(history.train_loss),
-                "train_accuracy": list(history.train_accuracy),
-                "val_loss": list(history.val_loss),
-                "val_accuracy": list(history.val_accuracy),
-                "steps_per_epoch": list(history.steps_per_epoch),
-                "train_time_s": history.train_time_s,
-                "val_time_s": history.val_time_s,
-                "device_time_s": dict(history.device_time_s),
-            },
-            "partial": {
-                "losses": list(partial_losses),
-                "accs": list(partial_accs),
-            },
-            "rng": {
-                "train_epoch_start": epoch_rng_state,
-                "val": val_rng_state,
-            },
-            "optimizer": {
-                "scalars": opt_state["scalars"],
-                "slot_mask": slot_mask,
-            },
-        }
-        return arrays, meta
+        val_loader: DataLoader | None,
+        **span_attributes,
+    ) -> None:
+        """Write model + optimiser + cursor state as the checkpoint for
+        the current step; :meth:`_restore_checkpoint` reads it back."""
+        with get_tracer().span(
+            "checkpoint.save",
+            category="train",
+            step=history.steps,
+            **span_attributes,
+        ):
+            arrays: dict[str, np.ndarray] = {}
+            for name, arr in self.model.state_dict().items():
+                arrays[f"model/{name}"] = arr
+            opt_state = self.optimizer.state_dict()
+            slot_mask: dict[str, list[bool]] = {}
+            for slot, buffers in opt_state["slots"].items():
+                mask = []
+                for i, buf in enumerate(buffers):
+                    mask.append(buf is not None)
+                    if buf is not None:
+                        arrays[f"opt/{slot}/{i}"] = buf
+                slot_mask[slot] = mask
+            meta = {
+                "epoch": epoch,
+                "step_in_epoch": step_in_epoch,
+                "steps": history.steps,
+                "history": {
+                    name: getattr(history, name)
+                    for name in _CHECKPOINTED_HISTORY
+                },
+                "partial": {
+                    "losses": list(partial_losses),
+                    "accs": list(partial_accs),
+                },
+                "rng": {
+                    "train_epoch_start": epoch_rng_state,
+                    "val": val_loader.rng_state()
+                    if val_loader is not None
+                    else None,
+                },
+                "optimizer": {
+                    "scalars": opt_state["scalars"],
+                    "slot_mask": slot_mask,
+                },
+            }
+            checkpoint.save(history.steps, arrays, meta)
+        get_registry().counter("trainer.checkpoint_writes").inc()
 
     def _restore_checkpoint(
         self,
@@ -285,17 +291,10 @@ class Trainer:
         self.optimizer.load_state_dict(
             {"scalars": opt_meta["scalars"], "slots": slots}
         )
-        h = meta["history"]
-        history.train_loss[:] = [float(v) for v in h["train_loss"]]
-        history.train_accuracy[:] = [float(v) for v in h["train_accuracy"]]
-        history.val_loss[:] = [float(v) for v in h["val_loss"]]
-        history.val_accuracy[:] = [float(v) for v in h["val_accuracy"]]
-        history.steps_per_epoch[:] = [int(v) for v in h["steps_per_epoch"]]
-        history.train_time_s = float(h["train_time_s"])
-        history.val_time_s = float(h["val_time_s"])
-        history.device_time_s = {
-            k: float(v) for k, v in h["device_time_s"].items()
-        }
+        # Read only the named fields: older checkpoints carry one more
+        # key under "history".
+        for name in _CHECKPOINTED_HISTORY:
+            setattr(history, name, meta["history"][name])
         history.steps = int(meta["steps"])
         train_loader.set_rng_state(meta["rng"]["train_epoch_start"])
         if val_loader is not None and meta["rng"]["val"] is not None:
@@ -309,28 +308,26 @@ class Trainer:
         verbose: bool = False,
         checkpoint: CheckpointManager | None = None,
         checkpoint_every: int = 0,
-        resume: bool = True,
-        numerics_check: bool = True,
     ) -> TrainingHistory:
         """Train for *epochs* and return the collected history.
 
         With a :class:`~repro.faults.checkpoint.CheckpointManager` the
         trainer writes an atomic checkpoint after every epoch (and every
-        ``checkpoint_every`` optimisation steps, if nonzero) and — when
-        *resume* is true and the manager holds a readable checkpoint —
-        restores model, optimiser, metric history and the data loaders'
-        RNG streams before training, continuing mid-epoch at the exact
-        batch cursor.  The resumed run's losses, accuracies and final
-        parameters are bit-identical to an uninterrupted run; only the
-        host wall-clock fields differ.
+        ``checkpoint_every`` optimisation steps, if nonzero).  When the
+        manager already holds a readable checkpoint, fit first restores
+        model, optimiser, metric history and the data loaders' RNG
+        streams from it, continuing mid-epoch at the exact batch cursor.
+        The resumed run's losses, accuracies and final parameters are
+        bit-identical to an uninterrupted run; only the host wall-clock
+        fields differ.
 
-        With *numerics_check* (the default), every step's loss and
-        parameter gradients are checked for NaN/inf; a divergence raises
-        :class:`NumericsError` at the offending step instead of training
-        on through poisoned weights.  When a checkpoint manager is
-        present, model and optimiser state are first rolled back to the
-        last checkpoint (the exception records which one), so the caller
-        can lower the learning rate and resume from healthy state.
+        Every step's loss and parameter gradients are checked for
+        NaN/inf; a divergence raises :class:`NumericsError` at the
+        offending step instead of training on through poisoned weights.
+        When a checkpoint manager is present, model and optimiser state
+        are first rolled back to the last checkpoint (the exception
+        records which one), so the caller can lower the learning rate
+        and resume from healthy state.
         """
         if checkpoint_every < 0:
             raise ValueError(
@@ -345,7 +342,7 @@ class Trainer:
         skip = 0
         partial_losses: list[float] = []
         partial_accs: list[float] = []
-        if checkpoint is not None and resume:
+        if checkpoint is not None:
             latest = checkpoint.load_latest()
             if latest is not None:
                 ckpt_step, arrays, meta = latest
@@ -395,57 +392,38 @@ class Trainer:
                             registry.counter("trainer.steps").inc()
                             registry.gauge("trainer.loss").set(loss)
                             registry.gauge("trainer.accuracy").set(acc)
-                        if numerics_check:
-                            bad_param = None
-                            if np.isfinite(loss):
-                                bad_param = self._nonfinite_gradient()
-                            if not np.isfinite(loss) or bad_param:
-                                self._handle_numerics_fault(
-                                    epoch=epoch,
-                                    step=history.steps + 1,
-                                    loss=loss,
-                                    param=bad_param,
-                                    history=history,
-                                    checkpoint=checkpoint,
-                                    train_loader=train_loader,
-                                    val_loader=val_loader,
-                                    registry=registry,
-                                )
+                        bad_param = None
+                        if np.isfinite(loss):
+                            bad_param = self._nonfinite_gradient()
+                        if not np.isfinite(loss) or bad_param:
+                            self._handle_numerics_fault(
+                                epoch=epoch,
+                                step=history.steps + 1,
+                                loss=loss,
+                                param=bad_param,
+                                history=history,
+                                checkpoint=checkpoint,
+                                train_loader=train_loader,
+                                val_loader=val_loader,
+                                registry=registry,
+                            )
                         losses.append(loss)
                         accs.append(acc)
                         history.steps += 1
-                        for name, model in self.step_time_models.items():
-                            history.device_time_s[name] = (
-                                history.device_time_s.get(name, 0.0)
-                                + model(len(y))
-                            )
                         if (
-                            checkpoint is not None
-                            and checkpoint_every
+                            checkpoint_every
                             and history.steps % checkpoint_every == 0
                         ):
-                            with tracer.span(
-                                "checkpoint.save",
-                                category="train",
-                                step=history.steps,
-                            ):
-                                checkpoint.save(
-                                    history.steps,
-                                    *self._checkpoint_payload(
-                                        history,
-                                        epoch,
-                                        consumed,
-                                        losses,
-                                        accs,
-                                        epoch_rng,
-                                        val_loader.rng_state()
-                                        if val_loader is not None
-                                        else None,
-                                    ),
-                                )
-                            registry.counter(
-                                "trainer.checkpoint_writes"
-                            ).inc()
+                            self._save_checkpoint(
+                                checkpoint,
+                                history,
+                                epoch,
+                                consumed,
+                                losses,
+                                accs,
+                                epoch_rng,
+                                val_loader,
+                            )
                 if consumed == 0:
                     raise ValueError(
                         "train_loader is exhausted: it yielded no batches "
@@ -485,29 +463,19 @@ class Trainer:
                     if registry.enabled:
                         registry.gauge("trainer.val_loss").set(vl)
                         registry.gauge("trainer.val_accuracy").set(va)
+                log = get_logger()
                 if checkpoint is not None:
-                    with tracer.span(
-                        "checkpoint.save",
-                        category="train",
-                        step=history.steps,
+                    self._save_checkpoint(
+                        checkpoint,
+                        history,
+                        epoch + 1,
+                        0,
+                        [],
+                        [],
+                        train_loader.rng_state(),
+                        val_loader,
                         epoch_end=True,
-                    ):
-                        checkpoint.save(
-                            history.steps,
-                            *self._checkpoint_payload(
-                                history,
-                                epoch + 1,
-                                0,
-                                [],
-                                [],
-                                train_loader.rng_state(),
-                                val_loader.rng_state()
-                                if val_loader is not None
-                                else None,
-                            ),
-                        )
-                    registry.counter("trainer.checkpoint_writes").inc()
-                    log = get_logger()
+                    )
                     if log.enabled:
                         log.info(
                             "trainer.checkpoint",
@@ -516,7 +484,6 @@ class Trainer:
                         )
                 if registry.enabled:
                     registry.counter("trainer.epochs").inc()
-                log = get_logger()
                 if log.enabled:
                     log.info(
                         "trainer.epoch",
@@ -537,7 +504,6 @@ class Trainer:
                             f"val_acc={history.val_accuracy[-1]:.3f}"
                         )
                     print(msg)  # noqa: T201
-            history.wall_time_s = history.train_time_s + history.val_time_s
             if tracer.enabled:
                 fit_span.attributes.update(
                     steps=history.steps,

@@ -519,9 +519,10 @@ def _grid_counters(registry) -> set:
 
     Mirrors ``tests/integration/test_parallel_determinism.py``: histogram
     ``sum`` fields differ in the last ulp between in-process accumulation
-    and worker-snapshot merging, and subprocess workers carry ambient
-    ``cache.*`` counters the in-process leg lacks, so the comparable
-    surface is the non-cache counters.
+    and worker-snapshot merging, and under an ambient cache the serial
+    leg's one in-process cache and the workers' per-cell caches split
+    hits and misses differently, so the comparable surface is the
+    non-cache counters.
     """
     return {
         (

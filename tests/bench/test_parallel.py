@@ -1,7 +1,8 @@
 """Unit tests for the deterministic parallel experiment runner.
 
-Workers used with ``jobs > 1`` must be module top-level functions (the
-spawn start method pickles them by reference), hence the little zoo of
+Workers used with ``jobs > 1`` must be module top-level functions: each
+attempt's task is pickled to a process forked from the ``forkserver``,
+and pickle passes functions by reference.  Hence the little zoo of
 ``_*_worker`` functions below.
 """
 
@@ -15,6 +16,7 @@ import pytest
 
 from repro.bench.parallel import WorkerError, run_grid
 from repro.cache import CompilationCache, caching
+from repro.obs.log import logging
 from repro.obs.metrics import MetricRegistry, collecting
 
 
@@ -202,3 +204,21 @@ class TestMerging:
         assert first == second
         assert warm_parent.stats.hits == 1
         assert warm_parent.stats.misses == 0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_no_cache_means_no_cache_in_cells(self, jobs):
+        # With no cache installed (as under --no-cache) a cell must not
+        # build one of its own: the serial loop records no cache
+        # activity, so a parallel grid records none either.
+        from repro.experiments import fig6
+
+        with collecting() as registry, logging() as runlog:
+            fig6.run([64, 128], devices=("ipu",), jobs=jobs)
+        counters = [
+            e["name"]
+            for e in registry.snapshot()
+            if e["name"].startswith("cache.")
+        ]
+        events = [e.event for e in runlog.events if e.event.startswith("cache.")]
+        assert counters == []
+        assert events == []

@@ -4,7 +4,11 @@ optimizer and loader state snapshots."""
 import numpy as np
 import pytest
 
-from repro.faults.checkpoint import CheckpointError, CheckpointManager
+from repro.faults.checkpoint import (
+    CheckpointError,
+    CheckpointManager,
+    save_checkpoint,
+)
 from repro.nn.data import ArrayDataset, DataLoader
 from repro.nn.layers import Linear, ReLU, Sequential
 from repro.nn.optim import SGD
@@ -158,19 +162,46 @@ def test_checkpoint_every_requires_manager():
         )
 
 
-def test_resume_false_starts_fresh(tmp_path):
+def test_checkpoint_with_device_time_key_resumes_bit_identical(tmp_path):
+    """Checkpoints written while the trainer still integrated simulated
+    device time carry ``history.device_time_s``: an empty dict, since no
+    caller gave it per-step device models.  Resuming from one mid-epoch
+    must still reproduce an uninterrupted run bit for bit."""
     dataset = make_dataset()
-    manager = CheckpointManager(tmp_path)
-    trainer = make_trainer(dataset)
-    trainer.fit(*make_loaders(dataset), epochs=1, checkpoint=manager)
-    fresh = make_trainer(dataset)
-    history = fresh.fit(
-        *make_loaders(dataset),
-        epochs=1,
+    ref = make_trainer(dataset)
+    history_ref = ref.fit(*make_loaders(dataset), epochs=3)
+
+    manager = CheckpointManager(tmp_path, keep=3)
+    assert fit_with_kill(
+        make_trainer(dataset),
+        make_loaders(dataset),
+        17,
+        epochs=3,
         checkpoint=manager,
-        resume=False,
+        checkpoint_every=5,
     )
-    assert history.resumed_from_step is None
+    step, arrays, meta = manager.load_latest()
+    assert meta["step_in_epoch"] > 0  # killed mid-epoch
+    meta["history"]["device_time_s"] = {}
+    save_checkpoint(manager.path_for(step), arrays, meta)
+
+    survivor = make_trainer(dataset)
+    resumed = survivor.fit(
+        *make_loaders(dataset),
+        epochs=3,
+        checkpoint=manager,
+        checkpoint_every=5,
+    )
+    assert resumed.resumed_from_step == step
+    assert resumed.train_loss == history_ref.train_loss
+    assert resumed.train_accuracy == history_ref.train_accuracy
+    assert resumed.val_loss == history_ref.val_loss
+    assert resumed.val_accuracy == history_ref.val_accuracy
+    assert resumed.steps_per_epoch == history_ref.steps_per_epoch
+    ref_params = ref.model.state_dict()
+    res_params = survivor.model.state_dict()
+    for key in ref_params:
+        np.testing.assert_array_equal(ref_params[key], res_params[key])
 
 
 class TestOptimizerStateDict:

@@ -115,30 +115,3 @@ class TestMNISTPath:
         with pytest.raises(ValueError):
             nn.PixelflyLinear(784)
 
-
-class TestDeviceTimeIntegration:
-    def test_trainer_integrates_simulated_device_times(self, data):
-        from repro.gpu.torchsim import GPUModule
-        from repro.ipu.poptorch import IPUModule
-
-        train, _ = data
-        model = nn.Sequential(
-            nn.Linear(DIM, DIM, seed=0), nn.ReLU(), nn.Linear(DIM, 4, seed=1)
-        )
-        gpu_step = GPUModule(model, DIM, 50).training_step_time()
-        ipu_step = IPUModule(model, DIM, 50).training_step_time()
-        trainer = nn.Trainer(
-            model,
-            nn.SGD(model.parameters(), lr=0.01),
-            step_time_models={
-                "gpu": lambda b: gpu_step,
-                "ipu": lambda b: ipu_step,
-            },
-        )
-        history = trainer.fit(nn.DataLoader(train, 50, seed=0), epochs=1)
-        assert history.device_time_s["gpu"] == pytest.approx(
-            gpu_step * history.steps
-        )
-        assert history.device_time_s["ipu"] == pytest.approx(
-            ipu_step * history.steps
-        )

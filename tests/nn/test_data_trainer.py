@@ -172,7 +172,6 @@ class TestTrainer:
         assert len(history.train_loss) == 3
         assert len(history.val_accuracy) == 3
         assert history.steps == 3 * len(DataLoader(tr, 16))
-        assert history.wall_time_s > 0
 
     def test_train_val_time_split(self):
         # Regression: validation passes used to be folded into the
@@ -187,37 +186,28 @@ class TestTrainer:
         )
         assert history.train_time_s > 0
         assert history.val_time_s > 0
-        assert history.wall_time_s == pytest.approx(
-            history.train_time_s + history.val_time_s
-        )
 
     def test_no_val_loader_means_zero_val_time(self):
         ds = toy_dataset(40)
         trainer = self._trainer()
         history = trainer.fit(DataLoader(ds, 20, seed=0), epochs=1)
         assert history.val_time_s == 0.0
-        assert history.wall_time_s == pytest.approx(history.train_time_s)
-
-    def test_device_time_models_integrate(self):
-        ds = toy_dataset(40)
-        model = nn.Sequential(nn.Linear(6, 3, seed=0))
-        trainer = Trainer(
-            model,
-            nn.SGD(model.parameters(), lr=0.01),
-            step_time_models={"fake": lambda batch: 1e-3},
-        )
-        history = trainer.fit(DataLoader(ds, 10, seed=0), epochs=2)
-        assert history.device_time_s["fake"] == pytest.approx(
-            1e-3 * history.steps
-        )
+        assert history.train_time_s > 0
 
     def test_evaluate_runs_in_eval_mode(self):
         ds = toy_dataset(30)
-        model = nn.Sequential(nn.Dropout(0.5, seed=0), nn.Linear(6, 3, seed=0))
+        norm = nn.BatchNorm1d(6)
+        model = nn.Sequential(norm, nn.Linear(6, 3, seed=0))
         trainer = Trainer(model, nn.SGD(model.parameters(), lr=0.01))
+        trainer.fit(DataLoader(ds, 10, seed=0), epochs=1)
+        running = norm.running_mean.copy(), norm.running_var.copy()
         loss1, _ = trainer.evaluate(DataLoader(ds, 10, shuffle=False))
         loss2, _ = trainer.evaluate(DataLoader(ds, 10, shuffle=False))
-        assert loss1 == pytest.approx(loss2)  # dropout disabled -> stable
+        # Eval mode normalises with the running statistics and leaves
+        # them be; a training-mode forward would update them.
+        np.testing.assert_array_equal(norm.running_mean, running[0])
+        np.testing.assert_array_equal(norm.running_var, running[1])
+        assert loss1 == loss2
 
     def test_final_val_accuracy_empty(self):
         from repro.nn.trainer import TrainingHistory

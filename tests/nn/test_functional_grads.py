@@ -272,22 +272,3 @@ class TestSoftmax:
         assert np.isfinite(out.data).all()
         np.testing.assert_allclose(out.data, np.log(0.5) * np.ones((1, 2)))
 
-
-class TestDropout:
-    def test_eval_mode_is_identity(self, r):
-        x = Tensor(r.standard_normal((3, 3)), requires_grad=True)
-        out = F.dropout(x, 0.5, np.random.default_rng(0), training=False)
-        np.testing.assert_array_equal(out.data, x.data)
-
-    def test_training_mode_scales(self, r):
-        x = Tensor(np.ones((100, 100)), requires_grad=True)
-        out = F.dropout(x, 0.5, np.random.default_rng(0), training=True)
-        # Inverted dropout keeps the expectation.
-        assert out.data.mean() == pytest.approx(1.0, abs=0.05)
-
-    def test_grad_masked(self, r):
-        x = Tensor(np.ones(1000), requires_grad=True)
-        out = F.dropout(x, 0.3, np.random.default_rng(1), training=True)
-        out.sum().backward()
-        zeros = (x.grad == 0).mean()
-        assert zeros == pytest.approx(0.3, abs=0.05)

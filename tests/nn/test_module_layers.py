@@ -118,24 +118,6 @@ class TestActivationsAndContainers:
         assert nn.Tanh()(x).data[0] == 0.0
         assert nn.Sigmoid()(x).data[0] == pytest.approx(0.5)
 
-    def test_identity(self, rng):
-        x = rng.standard_normal(5)
-        np.testing.assert_array_equal(nn.Identity()(Tensor(x)).data, x)
-
-    def test_flatten(self, rng):
-        x = rng.standard_normal((2, 3, 4))
-        assert nn.Flatten()(Tensor(x)).shape == (2, 12)
-
-    def test_dropout_validation(self):
-        with pytest.raises(ValueError):
-            nn.Dropout(1.5)
-
-    def test_dropout_eval_identity(self, rng):
-        layer = nn.Dropout(0.9, seed=0)
-        layer.eval()
-        x = rng.standard_normal((3, 3))
-        np.testing.assert_array_equal(layer(Tensor(x)).data, x)
-
     def test_sequential_indexing(self):
         model = nn.Sequential(nn.Linear(2, 2), nn.ReLU())
         assert len(model) == 2

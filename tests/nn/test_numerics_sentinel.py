@@ -65,14 +65,6 @@ class TestSentinel:
         )
         assert len(history.train_loss) == 2
 
-    def test_sentinel_can_be_disabled(self):
-        trainer = _trainer()
-        history = trainer.fit(
-            _loader(_poisoned_dataset()), epochs=1, numerics_check=False
-        )
-        # Trains through the poison (NaN loss and all).
-        assert history.steps == 4
-
     def test_counter_increments(self):
         trainer = _trainer()
         with collecting() as registry:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import Parameter, Tensor
-from repro.nn.losses import accuracy, cross_entropy, mse_loss
+from repro.nn.losses import accuracy, cross_entropy
 from repro.nn.optim import SGD
 
 
@@ -28,13 +28,6 @@ class TestSGD:
         p.grad = np.array([1.0])
         opt.step()  # v = 1.5, p = -2.5
         assert p.data[0] == pytest.approx(-2.5)
-
-    def test_weight_decay(self):
-        p = quadratic_param(2.0)
-        opt = SGD([p], lr=0.1, weight_decay=0.5)
-        p.grad = np.array([0.0])
-        opt.step()
-        assert p.data[0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
 
     def test_skips_none_grads(self):
         p = quadratic_param()
@@ -108,18 +101,7 @@ class TestCrossEntropy:
             )
 
 
-class TestMSEAndAccuracy:
-    def test_mse(self, rng):
-        pred = rng.standard_normal(10)
-        target = rng.standard_normal(10)
-        loss = mse_loss(Tensor(pred, requires_grad=True), target)
-        assert loss.item() == pytest.approx(((pred - target) ** 2).mean())
-
-    def test_mse_with_tensor_target(self, rng):
-        pred = rng.standard_normal(5)
-        loss = mse_loss(Tensor(pred, requires_grad=True), Tensor(pred))
-        assert loss.item() == 0.0
-
+class TestAccuracy:
     def test_accuracy(self):
         logits = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]])
         targets = np.array([0, 1, 1])

@@ -13,15 +13,13 @@ from repro.nn import SGD
 from repro.nn.tensor import Parameter
 
 
-def reference_sgd(p0, grads, lr, momentum, nesterov, weight_decay=0.0):
+def reference_sgd(p0, grads, lr, momentum, nesterov):
     """PyTorch-semantics SGD trajectory: list of param values per step."""
     p = np.array(p0, dtype=np.float64)
     v = None
     out = []
     for g in grads:
         g = np.asarray(g, dtype=np.float64)
-        if weight_decay:
-            g = g + weight_decay * p
         if momentum:
             v = g.copy() if v is None else momentum * v + g
             g = g + momentum * v if nesterov else v
@@ -80,26 +78,6 @@ class TestNesterovTrajectory:
         buggy = -lr * (1 + mu) - lr * (1 + mu) * (1 + mu)
         assert p2[0] == pytest.approx(correct)
         assert p2[0] != pytest.approx(buggy)
-
-    def test_nesterov_with_weight_decay(self):
-        ours = run_sgd(
-            [0.5, -0.5, 1.5],
-            GRADS,
-            lr=0.05,
-            momentum=0.8,
-            nesterov=True,
-            weight_decay=0.01,
-        )
-        ref = reference_sgd(
-            [0.5, -0.5, 1.5],
-            GRADS,
-            lr=0.05,
-            momentum=0.8,
-            nesterov=True,
-            weight_decay=0.01,
-        )
-        for a, b in zip(ours, ref):
-            np.testing.assert_allclose(a, b, rtol=0, atol=1e-15)
 
     def test_plain_momentum_unchanged(self):
         ours = run_sgd([1.0, 2.0, 3.0], GRADS, lr=0.1, momentum=0.9)
