@@ -18,6 +18,7 @@ import pathlib
 import pytest
 
 from repro import obs
+from repro.cache import cache_section, get_cache
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 
@@ -40,7 +41,8 @@ def save_artefact(artefact_dir, _observed_run):
     """Write benchmarks/output/<name>.txt + <name>.json and echo it.
 
     The ``.json`` sibling is a ``repro.run/1`` manifest built from the
-    test's tracer and metric registry at save time.
+    test's tracer and metric registry at save time, plus a ``cache``
+    section when the test installed a compilation cache.
     """
     tracer, registry = _observed_run
 
@@ -48,7 +50,10 @@ def save_artefact(artefact_dir, _observed_run):
         path = artefact_dir / f"{name}.txt"
         path.write_text(text + "\n")
         manifest = obs.build_manifest(
-            name, registry=registry, tracer=tracer
+            name,
+            registry=registry,
+            tracer=tracer,
+            sections={"cache": cache_section(get_cache())},
         )
         manifest_path = obs.write_manifest(
             manifest, artefact_dir / f"{name}.json"

@@ -10,7 +10,7 @@ docs/RESILIENCE.md.
 
 import pytest
 
-from repro.faults.chaos import degraded_tile_sweep
+from repro.experiments.chaos import degraded_tile_sweep
 from repro.ipu.machine import GC200
 
 METHODS = ("Baseline", "Butterfly", "Pixelfly")

@@ -18,10 +18,10 @@ Subpackages
 ``repro.datasets``
     Synthetic CIFAR-10/MNIST with planted butterfly structure.
 ``repro.experiments``
-    One driver per paper table/figure.
+    One driver per paper table/figure, plus the chaos-testing harness
+    (``python -m repro chaos``) and the smoke workload.
 ``repro.faults``
-    Deterministic fault injection, atomic checkpoint/resume and the
-    chaos-testing harness (``python -m repro chaos``).
+    Deterministic fault injection and atomic checkpoint/resume.
 ``repro.bench``
     FLOP accounting, table rendering and the parallel grid runner.
 

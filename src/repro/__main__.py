@@ -36,8 +36,9 @@ from typing import Callable
 
 from repro import guard as guardmod
 from repro import obs
-from repro.cache import NULL_CACHE, CompilationCache, caching
-from repro.guard import GuardPolicy
+from repro.bench.parallel import run_grid
+from repro.cache import NULL_CACHE, CompilationCache, cache_section, caching
+from repro.guard import GuardPolicy, guard_section
 from repro.experiments import (
     ablation,
     fig3,
@@ -51,6 +52,9 @@ from repro.experiments import (
     table4,
     table5,
 )
+from repro.experiments.smoke import smoke_manifest
+from repro.obs.regress import DEFAULT_TOLERANCE, parse_tolerance, regress
+from repro.utils import check_power_of_two
 
 
 @dataclass(frozen=True)
@@ -282,6 +286,17 @@ def _make_guard(args: argparse.Namespace) -> GuardPolicy | None:
     )
 
 
+def _check_name(
+    parser: argparse.ArgumentParser, flag: str, check: Callable[[], object]
+) -> None:
+    """Run *check*; the ValueError it raises for an unknown name becomes
+    a usage error (exit 2) that names *flag* and the bad value."""
+    try:
+        check()
+    except ValueError as exc:
+        parser.error(f"{flag} names {exc}")
+
+
 def _print_reports(reports: list[guardmod.GridReport]) -> int:
     """Print each grid report worth reading; 1 if any grid failed."""
     exit_code = 0
@@ -359,14 +374,16 @@ def run_main(argv: list[str]) -> int:
                 name,
                 registry=registry,
                 tracer=tracer,
-                cache=cache,
                 config={
                     "artefact": name,
                     "full": args.full,
                     "jobs": args.jobs,
                 },
-                guard=reports,
                 log=runlog,
+                sections={
+                    "cache": cache_section(cache),
+                    "guard": guard_section(reports),
+                },
             )
             obs.write_manifest(manifest, args.out / f"{name}.json")
             # The manifest carries event *counts* only (so parallel runs
@@ -452,8 +469,13 @@ def trace_main(argv: list[str]) -> int:
     print(text)
     print()
     exit_code = _print_reports(reports)
-    trace_path = obs.write_chrome_trace(
-        tracer, out_dir / f"{args.artefact}.trace.json"
+    trace_path, timeline_path = obs.write_trace_and_timeline(
+        tracer,
+        out_dir,
+        args.artefact,
+        title=f"repro trace: {args.artefact}",
+        subtitle=f"jobs={args.jobs}" + (", supervised" if guard else ""),
+        events=list(runlog.events),
     )
     summary = obs.flame_summary(tracer, track=args.track)
     summary_path = out_dir / f"{args.artefact}.flame.txt"
@@ -461,22 +483,6 @@ def trace_main(argv: list[str]) -> int:
     print(summary)
     log_path = obs.write_jsonl(
         runlog, out_dir / f"{args.artefact}.log.jsonl"
-    )
-    # Round-trip through the interchange format so this timeline is
-    # exactly what `python -m repro timeline <trace.json>` would render.
-    spans, counters = obs.spans_from_chrome_trace(
-        obs.to_chrome_trace(tracer)
-    )
-    subtitle = f"jobs={args.jobs}" + (", supervised" if guard else "")
-    timeline_path = obs.write_timeline_html(
-        obs.render_timeline_html(
-            spans,
-            counters,
-            events=list(runlog.events),
-            title=f"repro trace: {args.artefact}",
-            subtitle=subtitle,
-        ),
-        out_dir / f"{args.artefact}.timeline.html",
     )
     print(
         f"\n[trace: {trace_path} ({len(tracer.spans)} spans, "
@@ -619,14 +625,12 @@ def chaos_main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     if args.seed < 0:
         parser.error(f"--seed must be >= 0, got {args.seed}")
-    # Imported lazily: the chaos harness pulls in the experiment configs.
-    from repro.faults.chaos import SCENARIOS, run_chaos
+    # Lazy: repro.experiments.chaos adds ~8 ms to the ~490 ms
+    # `import repro.__main__` that every subcommand pays (median of 9
+    # fresh interpreters, warm bytecode cache).
+    from repro.experiments.chaos import check_scenario, run_chaos
 
-    if args.only is not None and args.only not in SCENARIOS:
-        parser.error(
-            f"unknown scenario {args.only!r}; choose from "
-            f"{', '.join(SCENARIOS)}"
-        )
+    _check_name(parser, "--only", lambda: check_scenario(args.only))
     text, ok = run_chaos(seed=args.seed, smoke=args.smoke, only=args.only)
     print(text)
     if args.out:
@@ -700,9 +704,12 @@ def fuzz_main(argv: list[str]) -> int:
         "manifest with a verify section",
     )
     args = parser.parse_args(argv)
-    # Imported lazily: the fuzzer pulls in every pipeline subsystem.
-    from repro.verify import ORACLES, run_fuzz
-    from repro.verify.hooks import PLANTS
+    # Lazy: repro.verify adds ~25 ms to the ~490 ms `import
+    # repro.__main__` that every subcommand pays (median of 9 fresh
+    # interpreters, warm bytecode cache).
+    from repro.verify.hooks import plant
+    from repro.verify.oracles import check_oracle_names
+    from repro.verify.runner import run_fuzz, verify_section
 
     if args.cases < 1:
         parser.error(f"--cases must be >= 1, got {args.cases}")
@@ -710,17 +717,10 @@ def fuzz_main(argv: list[str]) -> int:
         parser.error(f"--seed must be >= 0, got {args.seed}")
     if args.start < 0:
         parser.error(f"--start must be >= 0, got {args.start}")
-    unknown = [o for o in (args.oracle or []) if o not in ORACLES]
-    if unknown:
-        parser.error(
-            f"unknown oracle(s) {unknown}; choose from "
-            f"{', '.join(ORACLES)}"
-        )
-    if args.plant is not None and args.plant not in PLANTS:
-        parser.error(
-            f"unknown plant {args.plant!r}; choose from "
-            f"{', '.join(PLANTS)}"
-        )
+    _check_name(parser, "--oracle", lambda: check_oracle_names(args.oracle))
+    if args.plant is not None:
+        # plant() checks the name; the context manager is never entered.
+        _check_name(parser, "--plant", lambda: plant(args.plant))
     corpus_dir = args.corpus
     if args.shrink and corpus_dir is None:
         corpus_dir = _default_dir("output") / "corpus"
@@ -750,7 +750,7 @@ def fuzz_main(argv: list[str]) -> int:
                 **({"plant": args.plant} if args.plant else {}),
             },
             seed=args.seed,
-            verify=report,
+            sections={"verify": verify_section(report)},
         )
         path = obs.write_manifest(manifest, args.out / "fuzz.json")
         print(f"\n[manifest: {path}]")
@@ -787,7 +787,7 @@ def report_main(argv: list[str]) -> int:
     if args.smoke == (args.manifest is not None):
         parser.error("pass exactly one of: a manifest path, or --smoke")
     if args.smoke:
-        manifest = obs.smoke_manifest()
+        manifest = smoke_manifest()
         out = (
             args.out
             if args.out is not None
@@ -808,12 +808,6 @@ def report_main(argv: list[str]) -> int:
 
 def regress_main(argv: list[str]) -> int:
     """``python -m repro regress``: gate a manifest against a baseline."""
-    from repro.obs.regress import (
-        DEFAULT_TOLERANCE,
-        parse_tolerance,
-        regress,
-    )
-
     parser = argparse.ArgumentParser(
         prog="python -m repro regress",
         description="Diff two repro.run/1 manifests with per-metric "
@@ -875,7 +869,9 @@ def regress_main(argv: list[str]) -> int:
 
 def serve_main(argv: list[str]) -> int:
     """``python -m repro serve``: the inference-serving simulation."""
-    from repro.bench.parallel import run_grid
+    # Lazy: repro.serve adds ~26 ms to the ~490 ms `import
+    # repro.__main__` that every subcommand pays (median of 9 fresh
+    # interpreters, warm bytecode cache).
     from repro.serve import (
         SERVE_METHODS,
         ServeScenario,
@@ -884,8 +880,8 @@ def serve_main(argv: list[str]) -> int:
         serve_section,
         serve_worker,
     )
-    from repro.utils import check_power_of_two
 
+    default = ServeScenario(method="dense")
     parser = argparse.ArgumentParser(
         prog="python -m repro serve",
         description="Simulate serving an open-loop request stream with "
@@ -902,7 +898,7 @@ def serve_main(argv: list[str]) -> int:
         "flags below) — what CI runs and regress gates against",
     )
     parser.add_argument(
-        "--seed", type=int, default=0, help="workload/fault seed"
+        "--seed", type=int, default=default.seed, help="workload/fault seed"
     )
     parser.add_argument(
         "--methods",
@@ -911,43 +907,43 @@ def serve_main(argv: list[str]) -> int:
         "(default: all three)",
     )
     parser.add_argument(
-        "--dim", type=int, default=512, help="model width (default 512)"
+        "--dim", type=int, default=default.dim, help="model width (default %(default)s)"
     )
     parser.add_argument(
         "--budget-mb",
         type=float,
-        default=32.0,
-        help="IPU memory budget per method, MiB (default 32)",
+        default=default.budget_bytes / 2**20,
+        help="IPU memory budget per method, MiB (default %(default)g)",
     )
     parser.add_argument(
         "--requests",
         type=int,
-        default=400,
-        help="requests in the stream (default 400)",
+        default=default.n_requests,
+        help="requests in the stream (default %(default)s)",
     )
     parser.add_argument(
         "--rate",
         type=float,
-        default=400000.0,
-        help="offered load, requests/s (default 400000)",
+        default=default.rate_rps,
+        help="offered load, requests/s (default %(default)g)",
     )
     parser.add_argument(
         "--arrival",
         choices=("poisson", "burst"),
-        default="poisson",
-        help="arrival process (default poisson)",
+        default=default.arrival,
+        help="arrival process (default %(default)s)",
     )
     parser.add_argument(
         "--slo-ms",
         type=float,
-        default=0.5,
-        help="per-request deadline, ms after arrival (default 0.5)",
+        default=default.slo_ms,
+        help="per-request deadline, ms after arrival (default %(default)g)",
     )
     parser.add_argument(
         "--deaths",
         type=int,
-        default=1,
-        help="replicas killed mid-run per method (default 1)",
+        default=default.n_deaths,
+        help="replicas killed mid-run per method (default %(default)s)",
     )
     parser.add_argument(
         "--out",
@@ -1043,30 +1039,21 @@ def serve_main(argv: list[str]) -> int:
         "serve",
         registry=registry,
         tracer=tracer,
-        cache=NULL_CACHE,
         config=config,
         seed=args.seed,
-        serve=serve_section(results),
+        sections={"serve": serve_section(results)},
     )
     manifest_path = obs.write_manifest(manifest, out_dir / "serve.json")
     text = obs.render_report(manifest)
     (out_dir / "serve.txt").write_text(text + "\n")
     print(text)
 
-    trace_path = obs.write_chrome_trace(
-        tracer, out_dir / "serve.trace.json"
-    )
-    spans, counters = obs.spans_from_chrome_trace(
-        obs.to_chrome_trace(tracer)
-    )
-    timeline_path = obs.write_timeline_html(
-        obs.render_timeline_html(
-            spans,
-            counters,
-            title="repro serve",
-            subtitle=f"seed={args.seed}, methods={','.join(methods)}",
-        ),
-        out_dir / "serve.timeline.html",
+    trace_path, timeline_path = obs.write_trace_and_timeline(
+        tracer,
+        out_dir,
+        "serve",
+        title="repro serve",
+        subtitle=f"seed={args.seed}, methods={','.join(methods)}",
     )
     print(
         f"\n[manifest: {manifest_path}; trace: {trace_path}; "

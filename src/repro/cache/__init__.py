@@ -26,6 +26,7 @@ from repro.cache.store import (
     CacheRecord,
     CacheStats,
     CompilationCache,
+    cache_section,
     caching,
     canonical_key,
     dataclass_key,
@@ -38,6 +39,7 @@ __all__ = [
     "CacheRecord",
     "CacheStats",
     "CompilationCache",
+    "cache_section",
     "caching",
     "canonical_key",
     "dataclass_key",

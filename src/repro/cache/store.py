@@ -51,6 +51,7 @@ __all__ = [
     "CacheStats",
     "CompilationCache",
     "NULL_CACHE",
+    "cache_section",
     "caching",
     "canonical_key",
     "dataclass_key",
@@ -295,6 +296,29 @@ _CACHE: Ambient[CompilationCache] = Ambient(NULL_CACHE)
 
 #: The currently installed cache (the null cache by default).
 get_cache = _CACHE.get
+
+
+def cache_section(cache: CompilationCache) -> dict | None:
+    """The ``cache`` section of a ``repro.run/1`` manifest.
+
+    None for a disabled cache, which contributes no section.
+    Deliberately excludes the on-disk path and the memory/disk hit
+    split: a ``--jobs 4`` run and a ``--jobs 1`` run of the same grid
+    then produce identical sections (workers hit the shared disk tier
+    where a serial run hits its own memory tier), which the determinism
+    test relies on.
+    """
+    if not cache.enabled:
+        return None
+    stats = cache.stats
+    return {
+        "enabled": True,
+        "hits": int(stats.hits),
+        "misses": int(stats.misses),
+        "stores": int(stats.stores),
+        "evictions": int(stats.evictions),
+        "corrupt": int(stats.corrupt),
+    }
 
 
 def caching(

@@ -38,7 +38,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.butterfly import butterfly_multiply, orthogonal_twiddle
+from repro.core.butterfly import (
+    butterfly_multiply,
+    butterfly_to_dense,
+    orthogonal_twiddle,
+)
 from repro.nn.data import ArrayDataset
 from repro.utils import as_rng, check_power_of_two, derive_rng
 
@@ -67,8 +71,6 @@ def planted_transform(
     mix_rng = derive_rng(rng, "mix")  # first child stream, see below
     if spec.butterfly_mixing:
         check_power_of_two(spec.dim, "dim (butterfly mixing)")
-        from repro.core.butterfly import butterfly_to_dense
-
         return butterfly_to_dense(orthogonal_twiddle(spec.dim, seed=mix_rng))
     # Random orthogonal via QR.
     a = mix_rng.standard_normal((spec.dim, spec.dim))

@@ -15,6 +15,12 @@ pytest-benchmark, and ``examples/`` scripts call them directly.
 | fig7      | Fig 7 — compute sets & memory for the factorizations  |
 | table4    | Table 4 — SHL on CIFAR-10: params/accuracy/time       |
 | table5    | Table 5 — pixelfly hyper-parameter sweep              |
+
+Workloads beyond the paper's artefacts live here too: ``ablation``
+(cost-model ablations), ``generations`` (GC2 vs GC200), ``chaos`` (the
+fault-injection suite behind ``python -m repro chaos``) and ``smoke``
+(the deterministic workload behind ``python -m repro report --smoke``).
+None of them is imported by this package root.
 """
 
 from repro.experiments.config import Table3Hyperparameters, TABLE3, shl_model, METHODS

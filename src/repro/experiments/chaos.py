@@ -1,8 +1,8 @@
 """Chaos harness: drive the simulator and trainer through injected faults.
 
-This module glues the fault subsystem together into runnable
-experiments (it imports the experiment configs and the trainer, which is
-why it is *not* re-exported from the package root):
+This module glues the fault subsystem (:mod:`repro.faults`) together
+into runnable experiments over the compiler, the executor, the trainer
+and the supervised grid runner:
 
 * :func:`chaos_execute` — run a compiled-graph estimate under a
   :class:`~repro.faults.plan.FaultPlan`, recovering permanent tile
@@ -66,6 +66,7 @@ from repro.utils import format_seconds
 __all__ = [
     "ChaosResult",
     "chaos_execute",
+    "check_scenario",
     "default_plan",
     "kill_resume_check",
     "guard_grid_check",
@@ -629,6 +630,15 @@ def _chaos_once(
 SCENARIOS = ("executor", "kill-resume", "guard", "tile-sweep")
 
 
+def check_scenario(name: str | None) -> None:
+    """Raise ValueError unless *name* is None (all) or in :data:`SCENARIOS`."""
+    if name is not None and name not in SCENARIOS:
+        raise ValueError(
+            f"unknown chaos scenario {name!r}; choose from "
+            f"{', '.join(SCENARIOS)}"
+        )
+
+
 def run_chaos(
     seed: int = 0,
     smoke: bool = False,
@@ -645,10 +655,7 @@ def run_chaos(
     degraded-tile sweep ranking compressed models above the dense
     baseline.  *only* restricts the run to one of :data:`SCENARIOS`.
     """
-    if only is not None and only not in SCENARIOS:
-        raise ValueError(
-            f"unknown chaos scenario {only!r}; choose from {SCENARIOS}"
-        )
+    check_scenario(only)
 
     def want(scenario: str) -> bool:
         return only is None or only == scenario

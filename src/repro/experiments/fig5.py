@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import nn
 from repro.bench.parallel import run_grid
 from repro.guard import GuardPolicy
 from repro.bench.reporting import Table
@@ -34,6 +35,7 @@ from repro.ipu.compiler import GraphProfile, cached_compile, compile_graph
 from repro.ipu.executor import Executor
 from repro.ipu.machine import GC200, IPUSpec
 from repro.ipu.poplin import build_matmul_graph, matmul_provenance
+from repro.ipu.poptorch import IPUModule
 from repro.utils import KiB, MiB
 
 __all__ = [
@@ -118,8 +120,6 @@ class PlannerRow:
 
 
 def _mlp(depth: int, dim: int):
-    from repro import nn
-
     return nn.Sequential(
         *[
             m
@@ -133,8 +133,6 @@ def _planner_one(
     config: tuple[IPUSpec, int, int, int], seed_seq
 ) -> PlannerRow:
     """Grid worker: profile one MLP depth planned and unplanned."""
-    from repro.ipu.poptorch import IPUModule
-
     spec, depth, dim, batch = config
     module = IPUModule(_mlp(depth, dim), dim, batch, spec=spec)
     unplanned = compile_graph(module.graph, spec, check_fit=False)
@@ -186,8 +184,6 @@ def verify_planner_numerics(
     slot-aliased executor at a small size, including the executor's own
     shadow-replay verification (``check_aliasing=True``).
     """
-    from repro.ipu.poptorch import IPUModule
-
     module = IPUModule(_mlp(depth, dim), dim, batch, spec=spec)
     graph = module.graph
     rng = np.random.default_rng(seed)

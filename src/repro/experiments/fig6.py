@@ -19,7 +19,10 @@ from repro import nn
 from repro.bench.parallel import run_grid
 from repro.guard import GuardPolicy
 from repro.bench.reporting import Table
+from repro.core.butterfly import butterfly_param_count
+from repro.core.pixelfly import pixelfly_param_count
 from repro.gpu.machine import A30, GPUSpec
+from repro.gpu.simulator import GPUDevice, GPUOutOfMemoryError
 from repro.gpu.torchsim import GPUModule
 from repro.ipu.machine import GC200, IPUSpec
 from repro.ipu.poptorch import IPUModule
@@ -160,8 +163,6 @@ def memory_limits(
     materialise the ``N x N`` weight, so they keep going long after the
     dense layer OOMs.
     """
-    from repro.gpu.simulator import GPUDevice, GPUOutOfMemoryError
-
     device = GPUDevice(gpu)
     rows = []
 
@@ -177,12 +178,8 @@ def memory_limits(
             except GPUOutOfMemoryError:
                 return False
         if layer_kind == "butterfly":
-            from repro.core.butterfly import butterfly_param_count
-
             weight = 4 * butterfly_param_count(n)
         else:  # pixelfly
-            from repro.core.pixelfly import pixelfly_param_count
-
             weight = 4 * pixelfly_param_count(n, 32, 4, 1)
         try:
             device.check_fit(weight + act)

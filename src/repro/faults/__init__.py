@@ -9,10 +9,10 @@ atomic checkpoint/resume machinery that makes training survive the
 fatal ones.
 
 The chaos *harness* — which drives executors, recompiles around dead
-tiles and runs kill/resume experiments — lives in
-:mod:`repro.faults.chaos` and is imported explicitly (it pulls in the
-experiment configs; this package root stays import-light so
-``repro.ipu`` and ``repro.nn`` can depend on it without cycles).
+tiles and runs kill/resume experiments — is an experiment, so it lives
+in :mod:`repro.experiments.chaos`.  This package imports only
+:mod:`repro.obs` and :mod:`repro.utils`, so ``repro.cache``,
+``repro.nn`` and ``repro.ipu`` can depend on it.
 """
 
 from repro.faults.checkpoint import (

@@ -53,6 +53,7 @@ from repro.guard.report import (
     STATUS_TIMED_OUT,
     CellReport,
     GridReport,
+    guard_section,
     record_report,
     reporting,
 )
@@ -71,6 +72,7 @@ __all__ = [
     "STATUS_RETRIED",
     "STATUS_QUARANTINED",
     "STATUS_TIMED_OUT",
+    "guard_section",
     "reporting",
     "record_report",
     "GridJournal",

@@ -16,7 +16,9 @@ with :func:`reporting`::
 
     with guard.reporting() as reports:
         fig5.run(jobs=4, guard=policy)
-    manifest = obs.build_manifest("fig5", guard=reports)
+    manifest = obs.build_manifest(
+        "fig5", sections={"guard": guard_section(reports)}
+    )
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "CELL_STATUSES",
     "CellReport",
     "GridReport",
+    "guard_section",
     "reporting",
     "record_report",
 ]
@@ -185,6 +188,45 @@ class GridReport:
 
     def __str__(self) -> str:
         return self.render()
+
+
+def guard_section(reports: list[GridReport]) -> dict | None:
+    """The ``guard`` section of a ``repro.run/1`` manifest.
+
+    *reports* holds one :class:`GridReport` per supervised grid of the
+    run; an empty list contributes no section (None).  Per-cell entries
+    are included only for cells that did *not* complete clean on the
+    first attempt, so a healthy run's section stays a handful of zeros.
+    """
+    if not reports:
+        return None
+    grids = []
+    for report in reports:
+        grids.append(
+            {
+                "name": report.name,
+                "cells": int(report.n_cells),
+                "ok": int(report.n_ok),
+                "retried": int(report.n_retried),
+                "quarantined": int(report.n_quarantined),
+                "timed_out": int(report.n_timed_out),
+                "retries": int(report.total_retries),
+                "timeouts": int(report.total_timeouts),
+                "crashes": int(report.total_crashes),
+                "pool_rebuilds": int(report.pool_rebuilds),
+                "serial_fallback": bool(report.serial_fallback),
+                "journal_hits": int(report.journal_hits),
+                "events": [
+                    cell.as_dict()
+                    for cell in report.cells
+                    if cell.status != "ok" or cell.retries
+                ],
+            }
+        )
+    return {
+        "grids": grids,
+        "ok": all(r.ok for r in reports),
+    }
 
 
 # -- ambient collection --------------------------------------------------------

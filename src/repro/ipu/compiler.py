@@ -37,7 +37,7 @@ from repro.ipu.graph import Graph
 from repro.ipu.machine import IPUSpec
 from repro.ipu.memplan import MemoryPlan, plan_memory as _plan_memory
 from repro.obs import get_logger, get_registry, get_tracer
-from repro.obs.metrics import DEFAULT_BYTES_EDGES
+from repro.obs.metrics import DEFAULT_BYTES_EDGES, Histogram
 from repro.utils import format_bytes
 
 __all__ = [
@@ -51,6 +51,7 @@ __all__ = [
     "cached_compile",
     "compile_cache_key",
     "graph_fingerprint",
+    "memory_section",
 ]
 
 
@@ -188,6 +189,49 @@ class MemoryReport:
             f"overhead={format_bytes(b.overhead)} "
             f"[{b.overhead_fraction:.0%}]{planned})"
         )
+
+
+def memory_section(memory: MemoryReport) -> dict:
+    """The ``memory`` section of a ``repro.run/1`` manifest.
+
+    Totals are copied verbatim — ``total_bytes``/``peak_tile_bytes``/
+    ``free_bytes`` equal *memory*'s exactly — and the per-tile byte
+    distribution is folded into fixed log-spaced buckets so manifests
+    stay small and comparable at any tile count.
+    """
+    hist = Histogram(edges=DEFAULT_BYTES_EDGES)
+    hist.observe_many(float(b) for b in memory.per_tile_bytes)
+    b = memory.breakdown
+    section = {
+        "n_tiles": int(len(memory.per_tile_bytes)),
+        "usable_tile_bytes": float(memory.spec.usable_tile_memory),
+        "total_bytes": float(memory.total_bytes),
+        "peak_tile_bytes": float(memory.peak_tile_bytes),
+        "free_bytes": float(memory.free_bytes),
+        "fits": bool(memory.fits),
+        "breakdown": {
+            "variables": float(b.variables),
+            "vertex_state": float(b.vertex_state),
+            "edge_code": float(b.edge_code),
+            "control_code": float(b.control_code),
+            "codelet_code": float(b.codelet_code),
+            "exchange_buffers": float(b.exchange_buffers),
+        },
+        "per_tile_histogram": hist.snapshot_value(),
+    }
+    if memory.planned:
+        # Planned compiles carry the no-reuse comparison so the
+        # reclaimed headroom is readable straight off the manifest.
+        section["planned"] = True
+        section["peak_planned_bytes"] = float(memory.peak_planned_bytes)
+        section["no_reuse_peak_tile_bytes"] = float(
+            memory.no_reuse_peak_tile_bytes
+        )
+        section["plan_saving_bytes"] = float(memory.plan_saving_bytes)
+        section["plan_saving_fraction"] = float(
+            memory.plan_saving_fraction
+        )
+    return section
 
 
 @dataclass(frozen=True)

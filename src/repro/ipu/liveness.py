@@ -32,7 +32,7 @@ import numpy as np
 from repro.ipu.graph import Graph
 from repro.utils import format_bytes
 
-__all__ = ["LiveInterval", "LivenessReport", "compute_liveness"]
+__all__ = ["LiveInterval", "LivenessReport", "compute_liveness", "liveness_section"]
 
 
 @dataclass(frozen=True)
@@ -122,6 +122,18 @@ class LivenessReport:
             f"{format_bytes(self.total_bytes)}, saving="
             f"{self.reuse_saving:.0%})"
         )
+
+
+def liveness_section(liveness: LivenessReport) -> dict:
+    """The ``liveness`` section of a ``repro.run/1`` manifest."""
+    return {
+        "n_steps": int(liveness.n_steps),
+        "peak_bytes": float(liveness.peak_bytes),
+        "peak_step": int(liveness.peak_step),
+        "total_bytes": float(liveness.total_bytes),
+        "always_live_bytes": float(liveness.always_live_bytes),
+        "reuse_saving": float(liveness.reuse_saving),
+    }
 
 
 def compute_liveness(graph: Graph) -> LivenessReport:

@@ -56,6 +56,7 @@ from repro.nn.structured import (
     LowRankLinear,
     PixelflyLinear,
 )
+from repro.nn.tensor import Tensor
 from repro.utils import log2_int
 
 __all__ = ["IPUModule", "lower_model", "module_signature"]
@@ -648,8 +649,6 @@ class IPUModule:
         ``batched_forward`` verify oracle and
         ``tests/ipu/test_batched_forward.py``.
         """
-        from repro.nn.tensor import Tensor
-
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ValueError(

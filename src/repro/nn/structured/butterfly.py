@@ -11,7 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.butterfly import identity_twiddle, orthogonal_twiddle
+from repro.core.butterfly import (
+    butterfly_to_dense,
+    identity_twiddle,
+    orthogonal_twiddle,
+)
 from repro.nn import functional as F
 from repro.nn import init
 from repro.nn.module import Module
@@ -116,8 +120,6 @@ class ButterflyLinear(Module):
 
     def weight_dense(self) -> np.ndarray:
         """Dense ``(out, in)`` equivalent weight (for tests/inspection)."""
-        from repro.core.butterfly import butterfly_to_dense
-
         full = np.eye(self.n)
         for block, name in enumerate(self._twiddle_names):
             increasing = self.increasing_stride ^ (block % 2 == 1)

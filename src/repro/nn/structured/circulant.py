@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.circulant import circulant_to_dense
 from repro.nn import functional as F
 from repro.nn import init
 from repro.nn.module import Module
@@ -63,8 +64,6 @@ class CirculantLinear(Module):
 
     def weight_dense(self) -> np.ndarray:
         """Dense circulant weight (for tests/inspection)."""
-        from repro.core.circulant import circulant_to_dense
-
         return circulant_to_dense(self.c.data)
 
     def extra_repr(self) -> str:

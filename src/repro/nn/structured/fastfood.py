@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.fastfood import FastfoodTransform
 from repro.nn import functional as F
 from repro.nn import init
 from repro.nn.module import Module
@@ -76,8 +77,6 @@ class FastfoodLinear(Module):
 
     def weight_dense(self) -> np.ndarray:
         """Dense equivalent weight (for tests/inspection)."""
-        from repro.core.fastfood import FastfoodTransform
-
         transform = FastfoodTransform(
             s=self.s.data, g=self.g.data, b=self.b.data, perm=self.perm
         )

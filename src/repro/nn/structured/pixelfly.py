@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.pixelfly import PixelflyPattern, pixelfly_pattern
+from repro.core.pixelfly import PixelflyPattern, blocks_to_dense, pixelfly_pattern
 from repro.nn import functional as F
 from repro.nn import init
 from repro.nn.module import Module
@@ -118,8 +118,6 @@ class PixelflyLinear(Module):
 
     def weight_dense(self) -> np.ndarray:
         """Dense equivalent weight (for tests/inspection)."""
-        from repro.core.pixelfly import blocks_to_dense
-
         w = blocks_to_dense(self.blocks.data, self.pattern)
         if self.u is not None:
             w = w + self.u.data @ self.v.data.T

@@ -10,8 +10,9 @@ rendering a text table.  This package keeps them:
   ``chrome://tracing`` / Perfetto) or a text flame summary;
 * a :class:`MetricRegistry` records labelled counters, gauges and
   log-bucketed histograms — the totals a perf gate can diff;
-* :mod:`repro.obs.report` joins both (plus compiler memory/liveness
-  data) into a versioned ``repro.run/1`` JSON manifest, and
+* :mod:`repro.obs.report` joins both (plus sections other packages
+  build, such as the compiler's memory map) into a versioned
+  ``repro.run/1`` JSON manifest, and
   :mod:`repro.obs.regress` diffs two manifests with per-metric
   tolerances (``python -m repro report`` / ``python -m repro regress``).
 
@@ -70,6 +71,7 @@ from repro.obs.timeline import (
     spans_from_chrome_trace,
     spans_from_manifest,
     write_timeline_html,
+    write_trace_and_timeline,
 )
 from repro.obs.metrics import (
     NULL_REGISTRY,
@@ -84,12 +86,9 @@ from repro.obs.metrics import (
 from repro.obs.report import (
     ManifestError,
     build_manifest,
-    cache_section,
     logs_section,
     read_manifest,
     render_report,
-    smoke_manifest,
-    verify_section,
     write_manifest,
 )
 from repro.obs.regress import Tolerance, regress
@@ -124,6 +123,7 @@ __all__ = [
     "spans_from_chrome_trace",
     "spans_from_manifest",
     "write_timeline_html",
+    "write_trace_and_timeline",
     "NULL_REGISTRY",
     "Counter",
     "Gauge",
@@ -134,12 +134,9 @@ __all__ = [
     "log_bucket_edges",
     "ManifestError",
     "build_manifest",
-    "cache_section",
     "logs_section",
     "read_manifest",
     "render_report",
-    "smoke_manifest",
-    "verify_section",
     "write_manifest",
     "Tolerance",
     "regress",

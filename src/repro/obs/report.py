@@ -1,17 +1,24 @@
 """PopVision-style run reports: the versioned ``repro.run/1`` manifest.
 
 A *run manifest* is one JSON document describing one run: host info,
-seed, config, the metric registry's snapshot, a per-tile memory section
-built from the compiler's :class:`~repro.ipu.compiler.MemoryReport`
-(totals match it exactly), an optional liveness summary, and the top-k
-hottest trace spans.  Manifests are what the perf trajectory is made of:
-every benchmark run writes one next to its ``.txt`` artefact, and
-:mod:`repro.obs.regress` diffs two of them with per-metric tolerances.
+seed, config, the metric registry's snapshot, the top-k hottest trace
+spans, a structured-log summary, and whatever further sections the
+caller built.  Each further section is built by the package that owns
+its input (``memory`` and ``liveness`` by :mod:`repro.ipu`, ``cache`` by
+:mod:`repro.cache`, ``guard`` by :mod:`repro.guard`, ``verify`` by
+:mod:`repro.verify`, ``serve`` by :mod:`repro.serve`), so this module
+imports nothing above :mod:`repro.obs` and :mod:`repro.utils`, and
+``python -m repro report FILE`` renders any manifest without importing
+the packages that produced it.  Manifests are what the perf trajectory
+is made of: every benchmark run writes one next to its ``.txt``
+artefact, and :mod:`repro.obs.regress` diffs two of them with
+per-metric tolerances.
 
 Schema ``repro.run/1`` — field table in docs/OBSERVABILITY.md.  The CLI
 entry points are ``python -m repro report <manifest>`` (render) and
-``python -m repro report --smoke`` (run a small deterministic workload
-and write its manifest, the CI baseline generator).
+``python -m repro report --smoke`` (run the deterministic workload of
+:mod:`repro.experiments.smoke` and write its manifest, the CI baseline
+generator).
 """
 
 from __future__ import annotations
@@ -21,34 +28,28 @@ import pathlib
 import platform
 import sys
 
-from repro.obs.metrics import (
-    DEFAULT_BYTES_EDGES,
-    Histogram,
-    MetricRegistry,
-    get_registry,
-)
+from repro.obs.log import LOG_SCHEMA, RunLog
+from repro.obs.metrics import MetricRegistry, get_registry
 from repro.obs.tracer import Tracer, get_tracer
 from repro.utils import format_bytes, format_seconds
 
 __all__ = [
     "SCHEMA",
+    "TOP_K",
     "ManifestError",
     "build_manifest",
-    "cache_section",
-    "guard_section",
-    "memory_section",
-    "liveness_section",
     "logs_section",
-    "verify_section",
     "hot_spans",
     "write_manifest",
     "read_manifest",
     "render_report",
-    "smoke_manifest",
 ]
 
 #: The manifest schema this module writes and understands.
 SCHEMA = "repro.run/1"
+
+#: How many (track, span-name) aggregates a manifest's ``hot_spans`` keeps.
+TOP_K = 20
 
 
 class ManifestError(ValueError):
@@ -67,133 +68,14 @@ def _host_info() -> dict:
     }
 
 
-def memory_section(memory) -> dict:
-    """The per-tile memory section of a manifest.
-
-    *memory* is an :class:`~repro.ipu.compiler.MemoryReport` (duck-typed
-    to avoid importing :mod:`repro.ipu` here).  Totals are copied
-    verbatim — ``total_bytes``/``peak_tile_bytes``/``free_bytes`` equal
-    the compiler's report exactly — and the per-tile byte distribution
-    is folded into fixed log-spaced buckets so manifests stay small and
-    comparable at any tile count.
-    """
-    hist = Histogram(edges=DEFAULT_BYTES_EDGES)
-    hist.observe_many(float(b) for b in memory.per_tile_bytes)
-    b = memory.breakdown
-    section = {
-        "n_tiles": int(len(memory.per_tile_bytes)),
-        "usable_tile_bytes": float(memory.spec.usable_tile_memory),
-        "total_bytes": float(memory.total_bytes),
-        "peak_tile_bytes": float(memory.peak_tile_bytes),
-        "free_bytes": float(memory.free_bytes),
-        "fits": bool(memory.fits),
-        "breakdown": {
-            "variables": float(b.variables),
-            "vertex_state": float(b.vertex_state),
-            "edge_code": float(b.edge_code),
-            "control_code": float(b.control_code),
-            "codelet_code": float(b.codelet_code),
-            "exchange_buffers": float(b.exchange_buffers),
-        },
-        "per_tile_histogram": hist.snapshot_value(),
-    }
-    if getattr(memory, "planned", False):
-        # Planned compiles carry the no-reuse comparison so the
-        # reclaimed headroom is readable straight off the manifest.
-        section["planned"] = True
-        section["peak_planned_bytes"] = float(memory.peak_planned_bytes)
-        section["no_reuse_peak_tile_bytes"] = float(
-            memory.no_reuse_peak_tile_bytes
-        )
-        section["plan_saving_bytes"] = float(memory.plan_saving_bytes)
-        section["plan_saving_fraction"] = float(
-            memory.plan_saving_fraction
-        )
-    return section
-
-
-def cache_section(cache) -> dict:
-    """The compilation-cache section of a manifest.
-
-    *cache* is a :class:`~repro.cache.CompilationCache` (duck-typed to
-    avoid importing :mod:`repro.cache` here).  Deliberately excludes the
-    on-disk path and the memory/disk hit split: a ``--jobs 4`` run and a
-    ``--jobs 1`` run of the same grid then produce identical sections
-    (workers hit the shared disk tier where a serial run hits its own
-    memory tier), which the determinism test relies on.
-    """
-    stats = cache.stats
-    return {
-        "enabled": bool(cache.enabled),
-        "hits": int(stats.hits),
-        "misses": int(stats.misses),
-        "stores": int(stats.stores),
-        "evictions": int(stats.evictions),
-        "corrupt": int(stats.corrupt),
-    }
-
-
-def guard_section(reports) -> dict:
-    """The supervised-grid section of a manifest.
-
-    *reports* is a list of :class:`~repro.guard.GridReport` (duck-typed
-    to avoid importing :mod:`repro.guard` here), one per supervised grid
-    executed during the run.  Per-cell entries are included only for
-    cells that did *not* complete clean on the first attempt, so a
-    healthy run's section stays a handful of zeros.
-    """
-    grids = []
-    for report in reports:
-        grids.append(
-            {
-                "name": report.name,
-                "cells": int(report.n_cells),
-                "ok": int(report.n_ok),
-                "retried": int(report.n_retried),
-                "quarantined": int(report.n_quarantined),
-                "timed_out": int(report.n_timed_out),
-                "retries": int(report.total_retries),
-                "timeouts": int(report.total_timeouts),
-                "crashes": int(report.total_crashes),
-                "pool_rebuilds": int(report.pool_rebuilds),
-                "serial_fallback": bool(report.serial_fallback),
-                "journal_hits": int(report.journal_hits),
-                "events": [
-                    cell.as_dict()
-                    for cell in report.cells
-                    if cell.status != "ok" or cell.retries
-                ],
-            }
-        )
-    return {
-        "grids": grids,
-        "ok": all(r.ok for r in reports),
-    }
-
-
-def liveness_section(liveness) -> dict:
-    """Summary of a :class:`~repro.ipu.liveness.LivenessReport`."""
-    return {
-        "n_steps": int(liveness.n_steps),
-        "peak_bytes": float(liveness.peak_bytes),
-        "peak_step": int(liveness.peak_step),
-        "total_bytes": float(liveness.total_bytes),
-        "always_live_bytes": float(liveness.always_live_bytes),
-        "reuse_saving": float(liveness.reuse_saving),
-    }
-
-
-def logs_section(log) -> dict:
+def logs_section(log: RunLog) -> dict:
     """The structured-log section of a manifest.
 
-    *log* is a :class:`~repro.obs.log.RunLog` (duck-typed to keep the
-    import graph flat).  Counts only — event timestamps are wall clock,
-    so including them would break the ``--jobs 4`` vs ``--jobs 1``
-    manifest bit-identity the determinism tests assert; the full event
-    stream lives in the sibling ``repro.log/1`` JSONL file.
+    Counts only — event timestamps are wall clock, so including them
+    would break the ``--jobs 4`` vs ``--jobs 1`` manifest bit-identity
+    the determinism tests assert; the full event stream lives in the
+    sibling ``repro.log/1`` JSONL file.
     """
-    from repro.obs.log import LOG_SCHEMA
-
     return {
         "schema": LOG_SCHEMA,
         "events": len(log.events),
@@ -203,44 +85,8 @@ def logs_section(log) -> dict:
     }
 
 
-def verify_section(report) -> dict:
-    """The differential-fuzzer section of a manifest.
-
-    *report* is a :class:`~repro.verify.runner.FuzzReport` (duck-typed
-    to keep :mod:`repro.verify` out of this module's import graph).
-    Per-failure entries carry the ``(seed, index)`` coordinates, so any
-    failure in a stored manifest regenerates bit-identically with
-    ``python -m repro fuzz --seed S --cases 1`` from that index.
-    """
-    failures = []
-    for failure in report.failures:
-        entry = {
-            "index": int(failure.index),
-            "oracle": failure.oracle,
-            "detail": failure.detail,
-            "shrink_steps": int(failure.shrink_steps),
-        }
-        if failure.corpus_path:
-            entry["reproducer"] = failure.corpus_path
-        failures.append(entry)
-    section = {
-        "schema": "repro.verify/1",
-        "seed": int(report.seed),
-        "cases": int(report.n_cases),
-        "ok": bool(report.ok),
-        "oracles_run": {
-            name: int(runs) for name, runs in report.oracles_run.items()
-        },
-        "failures": failures,
-        "shrink_steps": int(report.shrink_steps),
-    }
-    if report.plant:
-        section["plant"] = report.plant
-    return section
-
-
-def hot_spans(tracer: Tracer, top_k: int = 20) -> list[dict]:
-    """The *top_k* heaviest (track, span-name) aggregates of a trace."""
+def hot_spans(tracer: Tracer) -> list[dict]:
+    """The :data:`TOP_K` heaviest (track, span-name) aggregates of a trace."""
     totals: dict[tuple[str, str], list[float]] = {}
     for span in tracer.spans:
         bucket = totals.setdefault((span.track, span.name), [0.0, 0])
@@ -256,7 +102,7 @@ def hot_spans(tracer: Tracer, top_k: int = 20) -> list[dict]:
             "total_s": total,
             "calls": int(calls),
         }
-        for (track, name), (total, calls) in ranked[:top_k]
+        for (track, name), (total, calls) in ranked[:TOP_K]
     ]
 
 
@@ -264,39 +110,23 @@ def build_manifest(
     name: str,
     registry: MetricRegistry | None = None,
     tracer: Tracer | None = None,
-    memory=None,
-    liveness=None,
-    cache=None,
     config: dict | None = None,
     seed: int | None = None,
-    top_k: int = 20,
-    guard=None,
-    log=None,
-    verify=None,
-    serve=None,
+    log: RunLog | None = None,
+    sections: dict[str, dict | None] | None = None,
 ) -> dict:
-    """Join metrics, trace and compiler data into one ``repro.run/1`` dict.
+    """Join metrics, trace and prebuilt sections into one ``repro.run/1`` dict.
 
-    *registry*/*tracer* default to the process-global instances; the
-    memory and liveness sections appear only when their reports are
-    supplied.  *cache* defaults to the process-global compilation cache
-    and contributes a ``cache`` section whenever that cache is enabled.
-    *guard* is a list of :class:`~repro.guard.GridReport` (typically
-    from ``guard.reporting()``); a non-empty list contributes a
-    ``guard`` section.  *log* is a :class:`~repro.obs.log.RunLog`; an
-    enabled one contributes a ``logs`` section (absent when logging is
-    off, so disabled-path manifests are byte-identical to before).
-    *verify* is a :class:`~repro.verify.runner.FuzzReport` and
-    contributes a ``repro.verify/1`` ``verify`` section.  *serve* is an
-    already-built ``repro.serve/1`` section dict (see
-    :func:`repro.serve.report.serve_section`) and is carried verbatim.
+    *registry*/*tracer* default to the process-global instances.  *log*
+    is a :class:`~repro.obs.log.RunLog`; an enabled one contributes a
+    ``logs`` section (absent when logging is off, so disabled-path
+    manifests are byte-identical to before).  *sections* maps further
+    section names to already-built dicts, carried verbatim; a None value
+    contributes nothing (e.g. :func:`repro.cache.cache_section` of a
+    disabled cache).
     """
     registry = registry if registry is not None else get_registry()
     tracer = tracer if tracer is not None else get_tracer()
-    if cache is None:
-        from repro.cache import get_cache
-
-        cache = get_cache()
     manifest = {
         "schema": SCHEMA,
         "name": name,
@@ -304,27 +134,18 @@ def build_manifest(
         "seed": seed,
         "config": dict(config) if config else {},
         "metrics": registry.snapshot(),
-        "hot_spans": hot_spans(tracer, top_k=top_k),
+        "hot_spans": hot_spans(tracer),
         "trace": {
             "n_spans": len(tracer.spans),
             "n_counters": len(tracer.counters),
             "tracks": tracer.tracks(),
         },
     }
-    if memory is not None:
-        manifest["memory"] = memory_section(memory)
-    if liveness is not None:
-        manifest["liveness"] = liveness_section(liveness)
-    if cache.enabled:
-        manifest["cache"] = cache_section(cache)
-    if guard:
-        manifest["guard"] = guard_section(guard)
     if log is not None and log.enabled:
         manifest["logs"] = logs_section(log)
-    if verify is not None:
-        manifest["verify"] = verify_section(verify)
-    if serve is not None:
-        manifest["serve"] = dict(serve)
+    for key, section in (sections or {}).items():
+        if section is not None:
+            manifest[key] = section
     return manifest
 
 
@@ -587,64 +408,3 @@ def render_report(manifest: dict) -> str:
                 f"x{s['calls']}"
             )
     return "\n".join(lines).rstrip("\n")
-
-
-# -- the smoke workload --------------------------------------------------------
-
-
-def smoke_manifest(size: int = 256, seed: int = 0) -> dict:
-    """Run a small, fully deterministic workload and build its manifest.
-
-    Compiles a poplin matmul graph twice under a fresh in-memory
-    compilation cache (the second compile is a guaranteed cache hit, so
-    the manifest's ``cache`` section always shows ``hits >= 1`` — CI
-    asserts this), compiles a small MLP forward graph with the memory
-    planner (so the baseline carries ``compile.peak_planned_bytes`` and
-    a nonzero ``compile.plan_reuse_fraction`` — CI gates the planned
-    peak against increases), runs liveness analysis and a BSP time
-    estimate under a fresh tracer + registry.  Every gateable metric is
-    simulated (cost-model) output, so two runs on any machine produce
-    identical ``metrics`` sections — this is what CI diffs against
-    ``benchmarks/baselines/smoke.json``.
-    """
-    from repro import nn
-    from repro.cache import caching
-    from repro.ipu.compiler import compile_graph
-    from repro.ipu.executor import Executor
-    from repro.ipu.liveness import compute_liveness
-    from repro.ipu.machine import GC200
-    from repro.ipu.poplin import build_matmul_graph
-    from repro.ipu.poptorch import IPUModule
-    from repro.obs.metrics import collecting
-    from repro.obs.tracer import tracing
-
-    with tracing() as tracer, collecting() as registry, caching() as cache:
-        graph, _ = build_matmul_graph(GC200, size, size, size)
-        compiled = compile_graph(graph, GC200, check_fit=False)
-        compile_graph(graph, GC200, check_fit=False)  # cache hit
-        liveness = compute_liveness(graph)
-        Executor(compiled).estimate()
-        mlp = nn.Sequential(
-            *[
-                m
-                for i in range(4)
-                for m in (
-                    nn.Linear(size // 2, size // 2, seed=i),
-                    nn.ReLU(),
-                )
-            ]
-        )
-        module = IPUModule(mlp, size // 2, size // 2, spec=GC200)
-        planned = compile_graph(
-            module.graph, GC200, check_fit=False, plan_memory=True
-        )
-    return build_manifest(
-        "smoke",
-        registry=registry,
-        tracer=tracer,
-        memory=planned.memory,
-        liveness=liveness,
-        cache=cache,
-        config={"size": size, "spec": GC200.name},
-        seed=seed,
-    )

@@ -36,7 +36,8 @@ import hashlib
 import html
 import pathlib
 
-from repro.obs.tracer import CounterRecord, SpanRecord
+from repro.obs.export import to_chrome_trace, write_chrome_trace
+from repro.obs.tracer import CounterRecord, SpanRecord, Tracer
 from repro.utils import format_seconds
 
 __all__ = [
@@ -44,6 +45,7 @@ __all__ = [
     "spans_from_manifest",
     "render_timeline_html",
     "write_timeline_html",
+    "write_trace_and_timeline",
 ]
 
 #: Per-track span cap in the rendered HTML (longest-first; the cut is
@@ -398,3 +400,30 @@ def write_timeline_html(
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(html_text)
     return path
+
+
+def write_trace_and_timeline(
+    tracer: Tracer,
+    out_dir: str | pathlib.Path,
+    name: str,
+    title: str,
+    subtitle: str,
+    events: list = (),
+) -> tuple[pathlib.Path, pathlib.Path]:
+    """Write ``NAME.trace.json`` and ``NAME.timeline.html`` into *out_dir*.
+
+    The timeline is rendered from the trace round-tripped through the
+    Chrome format, so it is exactly what ``python -m repro timeline
+    NAME.trace.json`` would render; *events* are the log events of its
+    log lane.  Returns ``(trace_path, timeline_path)``.
+    """
+    out_dir = pathlib.Path(out_dir)
+    trace_path = write_chrome_trace(tracer, out_dir / f"{name}.trace.json")
+    spans, counters = spans_from_chrome_trace(to_chrome_trace(tracer))
+    timeline_path = write_timeline_html(
+        render_timeline_html(
+            spans, counters, events=events, title=title, subtitle=subtitle
+        ),
+        out_dir / f"{name}.timeline.html",
+    )
+    return trace_path, timeline_path

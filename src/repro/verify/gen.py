@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import nn
 from repro.ipu.machine import GC200, IPUSpec
 from repro.utils import KiB
 
@@ -140,8 +141,6 @@ class Case:
 
 def _make_linear(spec: LayerSpec, in_features: int):
     """Instantiate one linear layer; returns ``(module, out_features)``."""
-    from repro import nn
-
     if spec.kind == "dense":
         return (
             nn.Linear(
@@ -198,8 +197,6 @@ def _make_linear(spec: LayerSpec, in_features: int):
 
 
 def _make_activation(name: str):
-    from repro import nn
-
     return {
         "none": None,
         "relu": nn.ReLU(),
@@ -214,8 +211,6 @@ def build_model(case: Case):
     Raises (``ValueError`` from a layer constructor) when the case is
     structurally invalid — the shrinker uses that as its validity probe.
     """
-    from repro import nn
-
     modules = []
     features = case.in_features
     for spec in case.layers:

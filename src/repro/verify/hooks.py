@@ -14,6 +14,9 @@ import contextlib
 
 import numpy as np
 
+from repro.nn import optim
+from repro.nn.structured.butterfly import ButterflyLinear
+
 __all__ = ["PLANTS", "plant"]
 
 
@@ -24,8 +27,6 @@ def _plant_nesterov():
     Wrong from the second step on (the formulas coincide while
     ``v == g``); caught by the ``optimizer_reference`` oracle.
     """
-    from repro.nn import optim
-
     original = optim._nesterov_direction
 
     def buggy(grad, momentum, velocity):
@@ -46,8 +47,6 @@ def _plant_butterfly_scale():
     no longer describes the layer — caught by ``forward_dense`` /
     ``metamorphic_probe`` on any case containing a butterfly layer.
     """
-    from repro.nn.structured.butterfly import ButterflyLinear
-
     original = ButterflyLinear.weight_dense
 
     def skewed(self) -> np.ndarray:

@@ -42,6 +42,17 @@ from typing import Callable
 
 import numpy as np
 
+from repro import nn
+from repro.cache import CompilationCache
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan
+from repro.ipu.compiler import compile_graph
+from repro.ipu.executor import Executor
+from repro.ipu.liveness import compute_liveness
+from repro.ipu.poptorch import IPUModule
+from repro.ipu.vertices import CODELETS, register_codelet
+from repro.nn.tensor import Tensor
+from repro.obs import MetricRegistry, collecting, get_registry
 from repro.verify.gen import Case, build_model, case_from_dict, case_to_dict
 
 __all__ = [
@@ -49,6 +60,7 @@ __all__ = [
     "Oracle",
     "OracleFailure",
     "check_case",
+    "check_oracle_names",
     "check_plan_sound",
     "codelet_doubles",
     "dense_twin",
@@ -94,8 +106,6 @@ def codelet_doubles():
     variable, so unsound buffer aliasing or an unrecovered fault shows
     up as divergence rather than silence.
     """
-    from repro.ipu.vertices import CODELETS, register_codelet
-
     originals = {name: CODELETS[name] for name in ESTIMATE_ONLY}
     try:
         for codelet in originals.values():
@@ -132,8 +142,6 @@ def dense_twin(model):
     contract of :mod:`repro.nn.structured`, the twin computes the same
     function — the forward/backward oracles assert exactly that.
     """
-    from repro import nn
-
     modules = []
     for child in model:
         if hasattr(child, "weight_dense"):
@@ -165,8 +173,6 @@ def _case_input(case: Case, salt: int) -> np.ndarray:
 
 def _lowered(case: Case):
     """The case's model lowered onto its generated spec."""
-    from repro.ipu.poptorch import IPUModule
-
     model = build_model(case)
     spec = case.spec()
     module = IPUModule(model, case.in_features, case.batch, spec=spec)
@@ -187,8 +193,6 @@ def _agree(oracle: str, got, want, what: str, rtol=1e-6, atol=1e-7) -> None:
 
 def forward_dense(case: Case) -> None:
     """Factored forward == dense-twin forward (the paper's claim)."""
-    from repro.nn.tensor import Tensor
-
     model = build_model(case)
     twin = dense_twin(model)
     x = _case_input(case, 1)
@@ -199,8 +203,6 @@ def forward_dense(case: Case) -> None:
 
 def backward_dense(case: Case) -> None:
     """Input gradients of the factored model match the dense twin's."""
-    from repro.nn.tensor import Tensor
-
     model = build_model(case)
     twin = dense_twin(model)
     x = _case_input(case, 2)
@@ -229,8 +231,6 @@ def batched_forward(case: Case) -> None:
     shapes identical on both paths, so the comparison is exact equality
     — not allclose.
     """
-    from repro.ipu.poptorch import IPUModule
-
     model = build_model(case)
     module = IPUModule(
         model, case.in_features, case.batch, spec=case.spec()
@@ -250,8 +250,6 @@ def batched_forward(case: Case) -> None:
 
 def metamorphic_linear(case: Case) -> None:
     """Superposition: activation-free models are affine maps."""
-    from repro.nn.tensor import Tensor
-
     model = build_model(case)
     x = _case_input(case, 5)
     y = _case_input(case, 6)
@@ -268,8 +266,6 @@ def metamorphic_linear(case: Case) -> None:
 
 def metamorphic_probe(case: Case) -> None:
     """Identity probe: ``layer(I) - bias == weight_dense().T`` per layer."""
-    from repro.nn.tensor import Tensor
-
     model = build_model(case)
     for child in model:
         if not hasattr(child, "weight_dense"):
@@ -300,9 +296,6 @@ def optimizer_reference(case: Case) -> None:
     ``(1 + mu) * v`` — only diverges from step two onward; hence three
     steps.
     """
-    from repro import nn
-    from repro.nn.tensor import Tensor
-
     lr, mu = 0.05, 0.9
     model = build_model(case)
     params = list(model.parameters())
@@ -357,8 +350,6 @@ def check_plan_sound(graph, plan) -> None:
     defined or used before its definition, and that every member fits
     its slot.
     """
-    from repro.ipu.liveness import compute_liveness
-
     report = compute_liveness(graph)
     intervals = {
         iv.var: iv for iv in (*report.intervals, *report.always_live)
@@ -403,9 +394,6 @@ def check_plan_sound(graph, plan) -> None:
 
 def planned_unplanned(case: Case) -> None:
     """Slot-aliased execution is bit-identical to private buffers."""
-    from repro.ipu.compiler import compile_graph
-    from repro.ipu.executor import Executor
-
     _model, spec, graph = _lowered(case)
     exclude = case.excluded_tiles or None
     planned = compile_graph(
@@ -436,9 +424,6 @@ def cached_cold(case: Case) -> None:
     Includes failure parity: a compile that OOMs cold must OOM
     identically when served from the cache.
     """
-    from repro.cache import CompilationCache
-    from repro.ipu.compiler import compile_graph
-
     def outcome(cache):
         try:
             compiled = compile_graph(
@@ -492,11 +477,6 @@ def cached_cold(case: Case) -> None:
 
 def _grid_worker(config: dict, seed_seq) -> tuple:
     """Picklable cell: compile + estimate one case variant."""
-    from repro.ipu.compiler import compile_graph
-    from repro.ipu.executor import Executor
-    from repro.ipu.poptorch import IPUModule
-    from repro.obs import get_registry
-
     case = case_from_dict(config)
     model = build_model(case)
     spec = case.spec()
@@ -538,9 +518,12 @@ def _grid_counters(registry) -> set:
 
 def grid_manifest(case: Case) -> None:
     """``jobs=1`` vs guarded ``jobs=2``: same results, same metrics."""
+    # Lazy: repro.bench.parallel and repro.guard add ~38 ms to the
+    # ~400 ms `import repro.verify.oracles`, which perf/'s fuzz workload
+    # pays in its set-up (median of 9 fresh interpreters, warm bytecode
+    # cache).
     from repro.bench.parallel import run_grid
     from repro.guard import GuardPolicy
-    from repro.obs import MetricRegistry, collecting
 
     configs = [
         case_to_dict(dataclasses.replace(case, batch=b))
@@ -580,11 +563,6 @@ def grid_manifest(case: Case) -> None:
 
 def chaos_recovery(case: Case) -> None:
     """Recovered faulted execution is bit-identical to a clean one."""
-    from repro.faults.injector import FaultInjector
-    from repro.faults.plan import FaultPlan
-    from repro.ipu.compiler import compile_graph
-    from repro.ipu.executor import Executor
-
     _model, spec, graph = _lowered(case)
     compiled = compile_graph(
         graph, spec, check_fit=False, plan_memory=case.run.plan_memory
@@ -721,6 +699,15 @@ ORACLES: dict[str, Oracle] = {
 }
 
 
+def check_oracle_names(names: list[str] | None) -> None:
+    """Raise ValueError naming each of *names* not in ORACLES (None: all)."""
+    unknown = [name for name in names or () if name not in ORACLES]
+    if unknown:
+        raise ValueError(
+            f"unknown oracle(s) {unknown}; choose from {', '.join(ORACLES)}"
+        )
+
+
 def check_case(
     case: Case, oracles: list[str] | None = None
 ) -> list[str]:
@@ -728,13 +715,7 @@ def check_case(
 
     Raises :class:`OracleFailure` on the first disagreement.
     """
-    if oracles is not None:
-        unknown = [name for name in oracles if name not in ORACLES]
-        if unknown:
-            raise ValueError(
-                f"unknown oracle(s) {unknown}; choose from "
-                f"{', '.join(ORACLES)}"
-            )
+    check_oracle_names(oracles)
     ran = []
     for oracle in ORACLES.values():
         if oracles is not None and oracle.name not in oracles:

@@ -6,7 +6,7 @@ trace span, counts ``verify.{cases,failures,shrink_steps}`` metrics, and
 — when shrinking is enabled — minimises each failure and stores it in
 the corpus.  The resulting :class:`FuzzReport` renders as text for the
 CLI and contributes the ``verify`` section of ``repro.run/1`` manifests
-(:func:`repro.obs.report.verify_section`).
+(:func:`verify_section`).
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from repro.obs import get_registry, get_tracer
 from repro.verify import shrink as shrinkmod
 from repro.verify.gen import Case, generate_case
 from repro.verify.hooks import plant as make_plant
-from repro.verify.oracles import ORACLES, OracleFailure, check_case
+from repro.verify.oracles import ORACLES, OracleFailure, check_case, check_oracle_names
 
-__all__ = ["FuzzFailure", "FuzzReport", "run_fuzz"]
+__all__ = ["FuzzFailure", "FuzzReport", "run_fuzz", "verify_section"]
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,40 @@ class FuzzReport:
         return "\n".join(lines)
 
 
+def verify_section(report: FuzzReport) -> dict:
+    """The ``repro.verify/1`` ``verify`` section of a manifest.
+
+    Per-failure entries carry the ``(seed, index)`` coordinates, so any
+    failure in a stored manifest regenerates bit-identically with
+    ``python -m repro fuzz --seed S --cases 1`` from that index.
+    """
+    failures = []
+    for failure in report.failures:
+        entry = {
+            "index": int(failure.index),
+            "oracle": failure.oracle,
+            "detail": failure.detail,
+            "shrink_steps": int(failure.shrink_steps),
+        }
+        if failure.corpus_path:
+            entry["reproducer"] = failure.corpus_path
+        failures.append(entry)
+    section = {
+        "schema": "repro.verify/1",
+        "seed": int(report.seed),
+        "cases": int(report.n_cases),
+        "ok": bool(report.ok),
+        "oracles_run": {
+            name: int(runs) for name, runs in report.oracles_run.items()
+        },
+        "failures": failures,
+        "shrink_steps": int(report.shrink_steps),
+    }
+    if report.plant:
+        section["plant"] = report.plant
+    return section
+
+
 def _check_one(case: Case, oracles: list[str] | None):
     """Run the oracles on one case; returns ``(ran, failure_or_None)``."""
     try:
@@ -111,13 +145,7 @@ def run_fuzz(
     :mod:`repro.verify.hooks` for the whole run (fuzzer self-tests and
     the acceptance gate).
     """
-    if oracles is not None:
-        unknown = [name for name in oracles if name not in ORACLES]
-        if unknown:
-            raise ValueError(
-                f"unknown oracle(s) {unknown}; choose from "
-                f"{', '.join(ORACLES)}"
-            )
+    check_oracle_names(oracles)
     tracer = get_tracer()
     registry = get_registry()
     report = FuzzReport(seed=seed, n_cases=cases, plant=plant)

@@ -3,7 +3,7 @@ kill/resume, and the CLI driver."""
 
 import pytest
 
-from repro.faults.chaos import (
+from repro.experiments.chaos import (
     ChaosResult,
     chaos_execute,
     default_plan,

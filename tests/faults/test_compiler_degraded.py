@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.faults.chaos import max_dead_tiles
+from repro.experiments.chaos import max_dead_tiles
 from repro.ipu.compiler import (
     IPUOutOfMemoryError,
     _tile_fold_map,

@@ -99,6 +99,9 @@ class TestCLI:
         (["serve", "--budget-mb", "0"], "--budget-mb"),
         (["serve", "--dim", "0"], "--dim"),
         (["serve", "--dim", "100", "--methods", "pixelfly"], "--dim"),
+        (["fuzz", "--oracle", "nope"], "--oracle"),
+        (["fuzz", "--plant", "nope"], "--plant"),
+        (["chaos", "--only", "nope"], "--only"),
     ],
     ids=[
         "fuzz-seed",
@@ -114,6 +117,9 @@ class TestCLI:
         "serve-budget",
         "serve-dim-zero",
         "serve-dim-pixelfly",
+        "fuzz-oracle",
+        "fuzz-plant",
+        "chaos-only",
     ],
 )
 def test_bad_seed_or_empty_methods_is_a_usage_error(argv, flag, capsys):
@@ -121,4 +127,7 @@ def test_bad_seed_or_empty_methods_is_a_usage_error(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert f"error: {flag} " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {flag} " in err
+    if "nope" in argv:
+        assert "nope" in err

@@ -10,7 +10,7 @@ only legitimate difference is the guard section's ``journal_hits``.
 import copy
 
 from repro import guard, obs
-from repro.cache import CompilationCache, caching
+from repro.cache import CompilationCache, cache_section, caching
 from repro.experiments import fig6
 from repro.guard import GuardPolicy
 
@@ -29,9 +29,11 @@ def _run_with(policy, cache_dir):
             "fig6-guard-resume",
             registry=registry,
             tracer=tracer,
-            cache=cache,
-            guard=reports,
             seed=0,
+            sections={
+                "cache": cache_section(cache),
+                "guard": guard.guard_section(reports),
+            },
         )
     return rows, manifest, reports
 

@@ -10,7 +10,7 @@ log streams must all match.
 import copy
 
 from repro import obs
-from repro.cache import CompilationCache, caching
+from repro.cache import CompilationCache, cache_section, caching
 from repro.experiments import fig6
 
 SIZES = [128, 256]
@@ -32,10 +32,10 @@ def _run_with(jobs: int, cache_dir):
             "fig6-determinism",
             registry=registry,
             tracer=tracer,
-            cache=cache,
             config={"jobs": jobs},
             seed=0,
             log=runlog,
+            sections={"cache": cache_section(cache)},
         )
     return rows, manifest, tracer, runlog
 

@@ -5,9 +5,10 @@ import json
 import pytest
 
 from repro import obs
-from repro.ipu.compiler import compile_graph
+from repro.experiments.smoke import smoke_manifest
+from repro.ipu.compiler import compile_graph, memory_section
 from repro.ipu.executor import Executor
-from repro.ipu.liveness import compute_liveness
+from repro.ipu.liveness import compute_liveness, liveness_section
 from repro.ipu.machine import GC200
 from repro.ipu.poplin import build_matmul_graph
 
@@ -26,10 +27,12 @@ def manifest(compiled):
         "unit",
         registry=registry,
         tracer=tracer,
-        memory=compiled.memory,
-        liveness=compute_liveness(compiled.graph),
         config={"size": 128},
         seed=7,
+        sections={
+            "memory": memory_section(compiled.memory),
+            "liveness": liveness_section(compute_liveness(compiled.graph)),
+        },
     )
 
 
@@ -191,8 +194,8 @@ class TestRender:
 
 class TestSmoke:
     def test_smoke_manifest_deterministic_metrics(self):
-        a = obs.smoke_manifest()
-        b = obs.smoke_manifest()
+        a = smoke_manifest()
+        b = smoke_manifest()
         assert a["metrics"] == b["metrics"]
         assert a["memory"] == b["memory"]
         assert a["liveness"] == b["liveness"]
@@ -210,5 +213,5 @@ class TestSmoke:
             / "smoke.json"
         )
         baseline = obs.read_manifest(baseline_path)
-        result = obs.regress(obs.smoke_manifest(), baseline)
+        result = obs.regress(smoke_manifest(), baseline)
         assert result.ok, result.render()

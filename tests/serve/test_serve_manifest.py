@@ -6,7 +6,7 @@ import pytest
 
 from repro import obs
 from repro.bench.parallel import run_grid
-from repro.cache import NULL_CACHE, CompilationCache, caching
+from repro.cache import CompilationCache, caching
 from repro.serve import (
     SERVE_METHODS,
     ServeScenario,
@@ -46,10 +46,9 @@ def build(results, seed=0):
         "serve",
         registry=registry,
         tracer=tracer,
-        cache=NULL_CACHE,
         config={"scenario": "test"},
         seed=seed,
-        serve=serve_section(results),
+        sections={"serve": serve_section(results)},
     )
 
 
