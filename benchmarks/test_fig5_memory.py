@@ -36,7 +36,7 @@ def test_fig5_structure_drives_memory(rows):
 def planner_rows():
     # Serial on purpose: the bench registry must observe the compile.*
     # plan metrics, which a worker-process grid would swallow.
-    return fig5.planner_run(jobs=1)
+    return fig5.planner_run()
 
 
 def test_fig5_planner_headroom(planner_rows, save_artefact):

@@ -976,6 +976,9 @@ def serve_main(argv: list[str]) -> int:
         parser.error(
             f"--methods must name at least one method, got {args.methods!r}"
         )
+    repeated = sorted({m for m in methods if methods.count(m) > 1})
+    if repeated:
+        parser.error(f"--methods names {', '.join(repeated)} more than once")
     unknown = [m for m in methods if m not in SERVE_METHODS]
     if unknown:
         parser.error(

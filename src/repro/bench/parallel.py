@@ -40,7 +40,6 @@ full speed.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -98,7 +97,6 @@ def run_grid(
     *,
     jobs: int = 1,
     seed: int = 0,
-    cache_dir: str | Path | None = None,
     registry: MetricRegistry | None = None,
     guard: GuardPolicy | None = None,
     name: str | None = None,
@@ -110,12 +108,11 @@ def run_grid(
     worker exception propagates as is.  Any other call is delegated to
     :func:`repro.guard.run_supervised_grid` (even ``jobs=1`` with a
     guard — the watchdog and journal need a subprocess): *worker* must
-    then be picklable (module top level) and *cache_dir* points every
-    worker at one shared on-disk cache — defaulting to the ambient
-    global cache's directory, so ``python -m repro fig5 --jobs 4``
-    shares its cache with the workers without any experiment-level
-    plumbing.  With neither an ambient cache nor *cache_dir* the
-    workers run uncached, as the serial loop does.  Worker metric
+    then be picklable (module top level).  Each worker opens the
+    ambient global cache's directory, so ``python -m repro fig5 --jobs
+    4`` shares its cache with the workers without any experiment-level
+    plumbing; without an ambient cache the workers run uncached, as the
+    serial loop does.  Worker metric
     snapshots merge into *registry* (default: the global one) and
     worker cache stats merge into the parent's global cache, in config
     order.
@@ -163,7 +160,6 @@ def run_grid(
         policy=policy,
         jobs=jobs,
         seed=seed,
-        cache_dir=cache_dir,
         registry=registry,
         name=name,
     )

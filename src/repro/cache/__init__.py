@@ -11,7 +11,7 @@ Usage::
 
     from repro import cache
 
-    with cache.caching(path="benchmarks/cache"):
+    with cache.caching(cache.CompilationCache("benchmarks/cache")):
         compile_graph(graph, GC200)   # miss: compiles + stores
         compile_graph(graph, GC200)   # hit: returns cached report
 

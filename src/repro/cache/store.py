@@ -62,8 +62,8 @@ __all__ = [
 #: resurrect stale entries — it simply misses and recompiles.
 CACHE_SCHEMA = "repro.cache/1"
 
-#: Default memory-tier capacity (decoded records, LRU-evicted).
-DEFAULT_MEMORY_ENTRIES = 128
+#: Memory-tier capacity (decoded records, LRU-evicted).
+MEMORY_ENTRIES = 128
 
 
 def canonical_key(*parts) -> str:
@@ -160,19 +160,10 @@ class CompilationCache:
     """
 
     def __init__(
-        self,
-        path: str | Path | None = None,
-        memory_entries: int = DEFAULT_MEMORY_ENTRIES,
-        *,
-        enabled: bool = True,
+        self, path: str | Path | None = None, *, enabled: bool = True
     ) -> None:
-        if memory_entries < 0:
-            raise ValueError(
-                f"memory_entries must be >= 0, got {memory_entries}"
-            )
         self.enabled = enabled
         self.path = Path(path) if path is not None else None
-        self.memory_entries = memory_entries
         self.stats = CacheStats()
         self._memory: OrderedDict[str, CacheRecord] = OrderedDict()
 
@@ -183,11 +174,9 @@ class CompilationCache:
         return self.path / f"{key}.npz"
 
     def _memory_put(self, key: str, record: CacheRecord) -> None:
-        if self.memory_entries == 0:
-            return
         self._memory[key] = record
         self._memory.move_to_end(key)
-        while len(self._memory) > self.memory_entries:
+        while len(self._memory) > MEMORY_ENTRIES:
             self._memory.popitem(last=False)
             self.stats.evictions += 1
             get_registry().counter("cache.evictions").inc()
@@ -323,15 +312,12 @@ def cache_section(cache: CompilationCache) -> dict | None:
 
 def caching(
     cache: CompilationCache | None = None,
-    path: str | Path | None = None,
 ) -> ContextManager[CompilationCache]:
     """Install a compilation cache for the duration of a ``with`` block.
 
-    Creates a fresh (memory-only, unless *path* is given)
-    :class:`CompilationCache` when none is supplied; restores the
+    Creates a fresh memory-only :class:`CompilationCache` when none is
+    supplied; restores the
     previously installed cache on exit, mirroring
     :func:`repro.obs.tracing` / :func:`repro.obs.collecting`.
     """
-    return _CACHE.use(
-        cache if cache is not None else CompilationCache(path=path)
-    )
+    return _CACHE.use(cache if cache is not None else CompilationCache())

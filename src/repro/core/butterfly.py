@@ -76,10 +76,10 @@ def _check_twiddle(twiddle: np.ndarray) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def identity_twiddle(n: int, dtype: np.dtype = np.float64) -> np.ndarray:
+def identity_twiddle(n: int) -> np.ndarray:
     """Twiddle array whose butterfly is the identity matrix."""
     log_n = log2_int(n)
-    twiddle = np.zeros((log_n, n // 2, 2, 2), dtype=dtype)
+    twiddle = np.zeros((log_n, n // 2, 2, 2))
     twiddle[..., 0, 0] = 1
     twiddle[..., 1, 1] = 1
     return twiddle
@@ -107,9 +107,7 @@ def random_twiddle(
 
 
 def orthogonal_twiddle(
-    n: int,
-    seed: int | np.random.Generator | None = 0,
-    dtype: np.dtype = np.float64,
+    n: int, seed: int | np.random.Generator | None = 0
 ) -> np.ndarray:
     """Twiddles of random 2x2 rotations — the butterfly is exactly orthogonal.
 
@@ -120,7 +118,7 @@ def orthogonal_twiddle(
     rng = as_rng(seed)
     theta = rng.uniform(0, 2 * np.pi, size=(log_n, n // 2))
     c, s = np.cos(theta), np.sin(theta)
-    twiddle = np.empty((log_n, n // 2, 2, 2), dtype=dtype)
+    twiddle = np.empty((log_n, n // 2, 2, 2))
     twiddle[..., 0, 0] = c
     twiddle[..., 0, 1] = -s
     twiddle[..., 1, 0] = s

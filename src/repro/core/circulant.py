@@ -78,12 +78,11 @@ def circulant_multiply_backward(
     return grad_c, grad_x
 
 
-def circulant_to_dense(c: np.ndarray, dtype: np.dtype | None = None) -> np.ndarray:
+def circulant_to_dense(c: np.ndarray) -> np.ndarray:
     """Dense ``(n, n)`` circulant with first column *c*."""
     c = np.asarray(c)
     if c.ndim != 1:
         raise ValueError(f"c must be 1-D, got shape {c.shape}")
     n = len(c)
     i = np.arange(n)
-    mat = c[(i[:, None] - i[None, :]) % n]
-    return mat.astype(dtype) if dtype is not None else mat
+    return c[(i[:, None] - i[None, :]) % n]

@@ -92,7 +92,7 @@ class FastfoodTransform:
 
     @classmethod
     def random(
-        cls, n: int, seed: int | np.random.Generator | None = 0
+        cls, n: int, seed: int | np.random.Generator | None
     ) -> "FastfoodTransform":
         """Standard fastfood initialisation.
 

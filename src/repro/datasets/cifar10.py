@@ -21,14 +21,14 @@ CIFAR10_DIM = 1024  # 32 x 32 grayscale
 CIFAR10_CLASSES = 10
 
 
-def cifar10_spec(noise: float = 0.35) -> SyntheticSpec:
+def cifar10_spec() -> SyntheticSpec:
     """The synthetic-CIFAR generative spec used by the Table 4 experiment."""
     return SyntheticSpec(
         dim=CIFAR10_DIM,
         n_classes=CIFAR10_CLASSES,
         support_size=48,
         signal=1.0,
-        noise=noise,
+        noise=0.35,
         butterfly_mixing=True,
     )
 
@@ -37,7 +37,6 @@ def load_cifar10(
     n_train: int = 6000,
     n_test: int = 2000,
     seed: int | np.random.Generator = 0,
-    noise: float = 0.35,
 ) -> tuple[ArrayDataset, ArrayDataset]:
     """Deterministic (train, test) synthetic CIFAR-10 splits.
 
@@ -45,7 +44,7 @@ def load_cifar10(
     planted transform but independent sample streams.
     """
     rng = as_rng(seed)
-    spec = cifar10_spec(noise=noise)
+    spec = cifar10_spec()
     # Both splits see identical parent generator state, so they share the
     # planted transform and class supports; the split index separates the
     # sample streams.

@@ -21,14 +21,14 @@ MNIST_DIM = 784  # 28 x 28 — deliberately not a power of two
 MNIST_CLASSES = 10
 
 
-def mnist_spec(noise: float = 0.3) -> SyntheticSpec:
+def mnist_spec() -> SyntheticSpec:
     """The synthetic-MNIST generative spec (easier task than CIFAR)."""
     return SyntheticSpec(
         dim=MNIST_DIM,
         n_classes=MNIST_CLASSES,
         support_size=40,
         signal=1.2,
-        noise=noise,
+        noise=0.3,
         butterfly_mixing=False,  # 784 is not a power of two
     )
 
@@ -37,11 +37,10 @@ def load_mnist(
     n_train: int = 6000,
     n_test: int = 2000,
     seed: int | np.random.Generator = 0,
-    noise: float = 0.3,
 ) -> tuple[ArrayDataset, ArrayDataset]:
     """Deterministic (train, test) synthetic MNIST splits."""
     rng = as_rng(seed)
-    spec = mnist_spec(noise=noise)
+    spec = mnist_spec()
     parent_entropy = int(rng.integers(0, 2**31))
     train = make_classification(
         n_train, spec, seed=np.random.default_rng(parent_entropy), split=0

@@ -40,6 +40,11 @@ __all__ = [
     "render",
 ]
 
+#: Sizes the AMP-codelet ablation re-times.
+AMP_SIZES = (1024, 4096)
+#: BSP sync costs (cycles) the sensitivity sweep tries.
+SYNC_VALUES = (100, 700, 3000)
+
 
 def _bf_speedup(n: int, spec: IPUSpec, host_io: bool) -> float:
     linear = IPUModule(
@@ -66,14 +71,14 @@ class StreamingAblationRow:
 
 
 def streaming_ablation(
-    sizes: tuple[int, ...] = (1024, 2048, 4096), spec: IPUSpec = GC200
+    sizes: tuple[int, ...] = (1024, 2048, 4096),
 ) -> list[StreamingAblationRow]:
     """Fig 6 IPU panel with and without PopTorch host streaming."""
     return [
         StreamingAblationRow(
             n=n,
-            speedup_with_streaming=_bf_speedup(n, spec, host_io=True),
-            speedup_without_streaming=_bf_speedup(n, spec, host_io=False),
+            speedup_with_streaming=_bf_speedup(n, GC200, host_io=True),
+            speedup_without_streaming=_bf_speedup(n, GC200, host_io=False),
         )
         for n in sizes
     ]
@@ -91,9 +96,7 @@ class AmpButterflyRow:
         return self.amp_codelet_speedup / self.stock_speedup
 
 
-def amp_butterfly_ablation(
-    sizes: tuple[int, ...] = (1024, 4096), spec: IPUSpec = GC200
-) -> list[AmpButterflyRow]:
+def amp_butterfly_ablation() -> list[AmpButterflyRow]:
     """What if a fused butterfly codelet could drive the AMP pipeline?
 
     Temporarily replaces the ButterflyStage cycle model with an AMP-rate
@@ -110,12 +113,12 @@ def amp_butterfly_ablation(
 
     rows = []
     try:
-        for n in sizes:
+        for n in AMP_SIZES:
             # host_io off: isolate the compute headroom (streaming would
             # otherwise mask it — see Ablation 1).
-            stock_speedup = _bf_speedup(n, spec, host_io=False)
+            stock_speedup = _bf_speedup(n, GC200, host_io=False)
             register_codelet(dataclasses.replace(stock, cycles=amp_cycles))
-            amp_speedup = _bf_speedup(n, spec, host_io=False)
+            amp_speedup = _bf_speedup(n, GC200, host_io=False)
             register_codelet(stock)
             rows.append(
                 AmpButterflyRow(
@@ -135,13 +138,11 @@ class SyncSensitivityRow:
     small_n_degradation: float  # butterfly slowdown at N=128
 
 
-def sync_sensitivity(
-    sync_values: tuple[int, ...] = (100, 700, 3000), spec: IPUSpec = GC200
-) -> list[SyncSensitivityRow]:
+def sync_sensitivity() -> list[SyncSensitivityRow]:
     """Small-N butterfly degradation as a function of BSP sync cost."""
     rows = []
-    for sync in sync_values:
-        tweaked = dataclasses.replace(spec, sync_cycles=sync)
+    for sync in SYNC_VALUES:
+        tweaked = dataclasses.replace(GC200, sync_cycles=sync)
         rows.append(
             SyncSensitivityRow(
                 sync_cycles=sync,
@@ -199,6 +200,3 @@ def render() -> str:
 
     return "\n\n".join(out)
 
-
-if __name__ == "__main__":
-    print(render())  # noqa: T201

@@ -51,7 +51,6 @@ from repro.faults.plan import (
     TRANSIENT_COMPUTE,
     FaultEvent,
     FaultPlan,
-    RecoveryPolicy,
 )
 from repro.ipu.compiler import IPUOutOfMemoryError, compile_graph
 from repro.ipu.executor import ExecutionReport, Executor
@@ -75,6 +74,14 @@ __all__ = [
     "run_chaos",
     "SCENARIOS",
 ]
+
+
+#: :func:`chaos_execute` gives up after this many degraded recompiles.
+MAX_RECOMPILES = 16
+#: :func:`kill_resume_check` checkpoints every this many steps.
+CHECKPOINT_EVERY = 5
+#: Worker processes of :func:`guard_grid_check`'s supervised grid.
+GUARD_JOBS = 4
 
 
 # -- executor chaos -----------------------------------------------------------
@@ -104,10 +111,7 @@ def chaos_execute(
     graph,
     spec: IPUSpec,
     plan: FaultPlan,
-    policy: RecoveryPolicy | None = None,
-    max_recompiles: int = 16,
     injector: FaultInjector | None = None,
-    plan_memory: bool = False,
 ) -> ChaosResult:
     """Estimate *graph* on *spec* while *plan*'s faults fire.
 
@@ -118,10 +122,10 @@ def chaos_execute(
     re-observed faults so the final report counts each injected fault
     once.  The run is declared failed (``error``) when the shrunk SRAM
     can no longer hold the graph, a transient fault exhausts its retry
-    budget, or the recompile limit is hit.
+    budget, or :data:`MAX_RECOMPILES` is hit.
     """
     if injector is None:
-        injector = FaultInjector(plan, policy)
+        injector = FaultInjector(plan)
     excluded: frozenset[int] = frozenset()
     recompiles = 0
     report: ExecutionReport | None = None
@@ -129,13 +133,8 @@ def chaos_execute(
     pending: FaultEvent | None = None
     while True:
         try:
-            # Each degraded recompile re-plans: the memory plan lives on
-            # logical tiles and is re-folded onto the survivors.
             compiled = compile_graph(
-                graph,
-                spec,
-                exclude_tiles=excluded or None,
-                plan_memory=plan_memory,
+                graph, spec, exclude_tiles=excluded or None
             )
         except IPUOutOfMemoryError as exc:
             error = str(exc)
@@ -148,9 +147,9 @@ def chaos_execute(
         try:
             report = executor.estimate()
         except PermanentTileFault as fault:
-            if recompiles >= max_recompiles:
+            if recompiles >= MAX_RECOMPILES:
                 error = (
-                    f"gave up after {max_recompiles} recompiles "
+                    f"gave up after {MAX_RECOMPILES} recompiles "
                     f"(last dead tile: {fault.tile})"
                 )
                 break
@@ -218,25 +217,22 @@ def recover_link_drops(
     plan: FaultPlan,
     injector: FaultInjector,
     nbytes: int,
-    machine=M2000,
-    n_ipus: int | None = None,
 ) -> list[tuple[FaultEvent, float, float]]:
     """Recover the plan's ``link_drop`` events over the surviving link.
 
     For each scheduled link drop the ring all-reduce is retried as a
     chain over the surviving direction (see
     :func:`repro.ipu.multi.allreduce_time`); the extra time over the
-    healthy collective is ledgered as that fault's recovery cost.
-    Returns ``(event, healthy_s, degraded_s)`` triples.
+    healthy collective is ledgered as that fault's recovery cost.  The
+    collective runs on an :data:`~repro.ipu.multi.M2000`.  Returns
+    ``(event, healthy_s, degraded_s)`` triples.
     """
     out = []
     for event in plan.events:
         if event.kind != LINK_DROP:
             continue
-        healthy = allreduce_time(machine, nbytes, n_ipus=n_ipus)
-        degraded = allreduce_time(
-            machine, nbytes, n_ipus=n_ipus, failed_links=1
-        )
+        healthy = allreduce_time(M2000, nbytes)
+        degraded = allreduce_time(M2000, nbytes, failed_links=1)
         injector.record_recovered(
             event, retries=1, retry_s=degraded - healthy
         )
@@ -255,10 +251,8 @@ def kill_resume_check(
     seed: int = 0,
     epochs: int = 3,
     kill_after_steps: int = 17,
-    checkpoint_every: int = 5,
     dim: int = 64,
     n_samples: int = 240,
-    directory: str | None = None,
 ) -> dict:
     """Train, kill after *kill_after_steps* steps, resume, compare.
 
@@ -282,7 +276,7 @@ def kill_resume_check(
     ref_trainer, train, val = build()
     ref = ref_trainer.fit(train, val, epochs=epochs)
 
-    tmp = directory or tempfile.mkdtemp(prefix="repro-chaos-ckpt-")
+    tmp = tempfile.mkdtemp(prefix="repro-chaos-ckpt-")
     try:
         manager = CheckpointManager(tmp, keep=3)
         killed_trainer, train, val = build()
@@ -303,7 +297,7 @@ def kill_resume_check(
                 val,
                 epochs=epochs,
                 checkpoint=manager,
-                checkpoint_every=checkpoint_every,
+                checkpoint_every=CHECKPOINT_EVERY,
             )
         except _Killed:
             killed = True
@@ -314,11 +308,10 @@ def kill_resume_check(
             val,
             epochs=epochs,
             checkpoint=manager,
-            checkpoint_every=checkpoint_every,
+            checkpoint_every=CHECKPOINT_EVERY,
         )
     finally:
-        if directory is None:
-            shutil.rmtree(tmp, ignore_errors=True)
+        shutil.rmtree(tmp, ignore_errors=True)
 
     ref_params = ref_trainer.model.state_dict()
     res_params = resumed_trainer.model.state_dict()
@@ -397,12 +390,7 @@ def _guard_grid_worker(config, seed_seq) -> float:
     return _guard_cell_value(n, seed_seq)
 
 
-def guard_grid_check(
-    seed: int = 0,
-    cell_timeout_s: float = 5.0,
-    directory: str | None = None,
-    jobs: int = 4,
-) -> dict:
+def guard_grid_check(seed: int = 0, cell_timeout_s: float = 5.0) -> dict:
     """Drive a fig5-shaped grid through worker pathologies and resume it.
 
     An 8-cell grid runs under supervision with one worker killed
@@ -417,7 +405,7 @@ def guard_grid_check(
       from the journal (the quarantined one) — everything else replays
       from the journal with identical results.
     """
-    tmp = directory or tempfile.mkdtemp(prefix="repro-chaos-guard-")
+    tmp = tempfile.mkdtemp(prefix="repro-chaos-guard-")
     marker_dir = pathlib.Path(tmp) / "markers"
     journal_dir = pathlib.Path(tmp) / "journal"
     marker_dir.mkdir(parents=True, exist_ok=True)
@@ -443,7 +431,7 @@ def guard_grid_check(
                 _guard_grid_worker,
                 configs,
                 policy=policy,
-                jobs=jobs,
+                jobs=GUARD_JOBS,
                 seed=seed,
                 name="chaos.guard",
             )
@@ -482,7 +470,7 @@ def guard_grid_check(
             policy=GuardPolicy(
                 retries=0, journal_dir=journal_dir, resume=True, seed=seed
             ),
-            jobs=jobs,
+            jobs=GUARD_JOBS,
             seed=seed,
             name="chaos.guard.resume",
         )
@@ -497,8 +485,7 @@ def guard_grid_check(
             )
         )
     finally:
-        if directory is None:
-            shutil.rmtree(tmp, ignore_errors=True)
+        shutil.rmtree(tmp, ignore_errors=True)
     return {
         "ok": survivors_identical and accounted and resume_ok,
         "survivors_identical": survivors_identical,
@@ -513,21 +500,13 @@ def guard_grid_check(
 # -- degraded-tile sweep ------------------------------------------------------
 
 
-def max_dead_tiles(
-    graph,
-    spec: IPUSpec = GC200,
-    seed: int = 0,
-    plan_memory: bool = False,
-) -> int:
+def max_dead_tiles(graph, spec: IPUSpec = GC200, seed: int = 0) -> int:
     """Largest number of dead tiles *graph* survives before genuine OOM.
 
     Tiles die in a seed-fixed shuffled order; the graph recompiles onto
     the survivors (round-robin fold, concentrating memory) and the
     search returns the largest count for which the fold still fits.
     Returns -1 when the graph does not even fit on the healthy device.
-    ``plan_memory=True`` gates each degraded recompile on the *planned*
-    peak, so graphs with reusable staging buffers survive more dead
-    tiles.
     """
     order = np.random.default_rng(
         np.random.SeedSequence([int(seed)])
@@ -538,9 +517,7 @@ def max_dead_tiles(
             frozenset(int(t) for t in order[:k]) if k else None
         )
         try:
-            compile_graph(
-                graph, spec, exclude_tiles=excl, plan_memory=plan_memory
-            )
+            compile_graph(graph, spec, exclude_tiles=excl)
             return True
         except IPUOutOfMemoryError:
             return False
@@ -561,7 +538,6 @@ def degraded_tile_sweep(
     methods: tuple[str, ...] = ("Baseline", "Butterfly", "Pixelfly"),
     dim: int = 2048,
     batch: int = 50,
-    spec: IPUSpec = GC200,
     seed: int = 0,
 ) -> Table:
     """Dead-tile tolerance of each weight parameterisation (a Table).
@@ -572,6 +548,7 @@ def degraded_tile_sweep(
     running on a GC200 that has lost most of its tiles while the dense
     baseline gives out much earlier.
     """
+    spec = GC200
     table = Table(
         title=(
             f"Dead-tile tolerance (SHL dim={dim}, batch={batch}, "
@@ -640,10 +617,7 @@ def check_scenario(name: str | None) -> None:
 
 
 def run_chaos(
-    seed: int = 0,
-    smoke: bool = False,
-    dim: int | None = None,
-    only: str | None = None,
+    seed: int = 0, smoke: bool = False, only: str | None = None
 ) -> tuple[str, bool]:
     """The full chaos suite; returns (rendered report, success flag).
 
@@ -665,7 +639,7 @@ def run_chaos(
     spec = GC200
 
     if want("executor"):
-        model_dim = dim if dim is not None else (256 if smoke else 1024)
+        model_dim = 256 if smoke else 1024
         model = shl_model("Butterfly", dim=model_dim, seed=seed)
         graph, param_bytes = lower_model(
             model, spec, batch=16 if smoke else 50, in_features=model_dim,
@@ -777,7 +751,6 @@ def run_chaos(
             else ("Baseline", "Butterfly", "Pixelfly"),
             dim=512 if smoke else 2048,
             batch=16 if smoke else 50,
-            spec=spec,
             seed=seed,
         )
         lines.append("")

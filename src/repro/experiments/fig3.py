@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from repro.bench.reporting import Table
 from repro.ipu.exchange import ExchangeModel
-from repro.ipu.machine import GC200, IPUSpec
+from repro.ipu.machine import GC200
 
 __all__ = ["NEIGHBOUR_PAIR", "DISTANT_PAIR", "default_sizes", "run", "render"]
 
@@ -41,13 +41,11 @@ class Fig3Row:
         return self.neighbour_latency_s == self.distant_latency_s
 
 
-def run(
-    spec: IPUSpec = GC200, sizes: list[int] | None = None
-) -> list[Fig3Row]:
+def run() -> list[Fig3Row]:
     """Sweep both tile pairs over the message sizes."""
-    model = ExchangeModel(spec)
+    model = ExchangeModel(GC200)
     rows = []
-    for size in sizes or default_sizes():
+    for size in default_sizes():
         near = model.measure(size, *NEIGHBOUR_PAIR)
         far = model.measure(size, *DISTANT_PAIR)
         rows.append(
@@ -62,7 +60,7 @@ def run(
     return rows
 
 
-def render(spec: IPUSpec = GC200) -> str:
+def render() -> str:
     """Text rendering of the Fig 3 series."""
     table = Table(
         title=(
@@ -78,7 +76,7 @@ def render(spec: IPUSpec = GC200) -> str:
             "distance-free",
         ],
     )
-    for row in run(spec):
+    for row in run():
         table.add_row(
             row.n_bytes,
             row.neighbour_latency_s * 1e6,
@@ -89,6 +87,3 @@ def render(spec: IPUSpec = GC200) -> str:
         )
     return table.render()
 
-
-if __name__ == "__main__":
-    print(render())  # noqa: T201

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 from repro.bench.flops import gflops
 from repro.bench.reporting import Table
-from repro.gpu.machine import A30, GPUSpec
+from repro.gpu.machine import A30
 from repro.gpu.simulator import GPUDevice
-from repro.ipu.machine import GC200, IPUSpec
+from repro.ipu.machine import GC200
 from repro.ipu.poplin import matmul_report
 
 __all__ = ["Fig4Row", "default_exponents", "skew_shape", "run", "render"]
@@ -60,18 +60,16 @@ class Fig4Row:
 def run(
     base: int = 2048,
     exponents: list[int] | None = None,
-    gpu: GPUSpec = A30,
-    ipu: IPUSpec = GC200,
 ) -> list[Fig4Row]:
     """Sweep the skew exponents on both devices."""
-    device = GPUDevice(gpu)
+    device = GPUDevice(A30)
     rows = []
     for e in exponents if exponents is not None else default_exponents():
         m, n, k = skew_shape(base, e)
         flops = 2 * m * n * k
         fp32 = device.matmul_cost(m, n, k, "cublas_fp32")
         tf32 = device.matmul_cost(m, n, k, "cublas_tf32")
-        ipu_t = matmul_report(ipu, m, n, k, check_fit=False).total_s
+        ipu_t = matmul_report(GC200, m, n, k, check_fit=False).total_s
         rows.append(
             Fig4Row(
                 skew=m / n,
@@ -113,6 +111,3 @@ def render(base: int = 2048) -> str:
         )
     return table.render()
 
-
-if __name__ == "__main__":
-    print(render())  # noqa: T201

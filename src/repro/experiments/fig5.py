@@ -33,7 +33,7 @@ from repro.guard import GuardPolicy
 from repro.bench.reporting import Table
 from repro.ipu.compiler import GraphProfile, cached_compile, compile_graph
 from repro.ipu.executor import Executor
-from repro.ipu.machine import GC200, IPUSpec
+from repro.ipu.machine import GC200
 from repro.ipu.poplin import build_matmul_graph, matmul_provenance
 from repro.ipu.poptorch import IPUModule
 from repro.utils import KiB, MiB
@@ -71,13 +71,12 @@ class Fig5Row:
         return self.profile.total_bytes / self.profile.variable_bytes
 
 
-def _profile_one(config: tuple[IPUSpec, int], seed_seq) -> Fig5Row:
+def _profile_one(n: int, seed_seq) -> Fig5Row:
     """Grid worker: compile one size's matmul (cache-aware) and profile."""
-    spec, n = config
     compiled = cached_compile(
         matmul_provenance(n, n, n),
-        lambda: build_matmul_graph(spec, n, n, n)[0],
-        spec,
+        lambda: build_matmul_graph(GC200, n, n, n)[0],
+        GC200,
         check_fit=False,
     )
     return Fig5Row(n=n, profile=compiled.profile())
@@ -89,10 +88,16 @@ def _profile_one(config: tuple[IPUSpec, int], seed_seq) -> Fig5Row:
 def planner_depths() -> list[int]:
     """MLP depths for the planner headroom sweep.
 
-    Sized (with ``dim=batch=2048``) so the deepest entries exceed GC200's
-    usable tile memory without buffer reuse but fit with the planner.
+    Sized (with :data:`PLANNER_DIM` and :data:`PLANNER_BATCH`) so the
+    deepest entries exceed GC200's usable tile memory without buffer
+    reuse but fit with the planner.
     """
     return [2, 4, 6, 8, 10]
+
+
+#: Layer width and batch rows of the planner headroom sweep's MLPs.
+PLANNER_DIM = 2048
+PLANNER_BATCH = 2048
 
 
 @dataclass(frozen=True)
@@ -129,15 +134,13 @@ def _mlp(depth: int, dim: int):
     )
 
 
-def _planner_one(
-    config: tuple[IPUSpec, int, int, int], seed_seq
-) -> PlannerRow:
+def _planner_one(config: tuple[int, int, int], seed_seq) -> PlannerRow:
     """Grid worker: profile one MLP depth planned and unplanned."""
-    spec, depth, dim, batch = config
-    module = IPUModule(_mlp(depth, dim), dim, batch, spec=spec)
-    unplanned = compile_graph(module.graph, spec, check_fit=False)
+    depth, dim, batch = config
+    module = IPUModule(_mlp(depth, dim), dim, batch, spec=GC200)
+    unplanned = compile_graph(module.graph, GC200, check_fit=False)
     planned = compile_graph(
-        module.graph, spec, check_fit=False, plan_memory=True
+        module.graph, GC200, check_fit=False, plan_memory=True
     )
     return PlannerRow(
         depth=depth,
@@ -148,53 +151,34 @@ def _planner_one(
     )
 
 
-def planner_run(
-    spec: IPUSpec = GC200,
-    depths: list[int] | None = None,
-    dim: int = 2048,
-    batch: int = 2048,
-    jobs: int = 1,
-    guard: GuardPolicy | None = None,
-) -> list[PlannerRow]:
-    """The planner headroom series: deep MLPs with/without buffer reuse.
-
-    Under a non-strict *guard*, quarantined depths are dropped from the
-    returned rows (the grid completes without them).
-    """
+def planner_run() -> list[PlannerRow]:
+    """The planner headroom series: deep MLPs with/without buffer reuse."""
     configs = [
-        (spec, depth, dim, batch) for depth in (depths or planner_depths())
+        (depth, PLANNER_DIM, PLANNER_BATCH) for depth in planner_depths()
     ]
-    rows = run_grid(
-        _planner_one, configs, jobs=jobs, guard=guard, name="fig5.planner"
-    )
-    return [row for row in rows if row is not None]
+    return run_grid(_planner_one, configs, name="fig5.planner")
 
 
-def verify_planner_numerics(
-    spec: IPUSpec = GC200,
-    depth: int = 4,
-    dim: int = 64,
-    batch: int = 32,
-    seed: int = 0,
-) -> bool:
-    """Execute a small MLP planned and unplanned; True iff bit-identical.
+def verify_planner_numerics() -> bool:
+    """Execute a 4-layer, 64-wide MLP at batch 32 planned and unplanned;
+    True iff bit-identical.
 
     The headroom sweep itself only *profiles* (its sizes are too big to
     execute in numpy); this companion check runs real numerics through the
     slot-aliased executor at a small size, including the executor's own
     shadow-replay verification (``check_aliasing=True``).
     """
-    module = IPUModule(_mlp(depth, dim), dim, batch, spec=spec)
+    module = IPUModule(_mlp(4, 64), 64, 32, spec=GC200)
     graph = module.graph
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     inputs = {
         name: rng.standard_normal(var.shape)
         for name, var in graph.variables.items()
         if name.startswith(("input", "linear_w", "linear_bias_"))
     }
-    plain = compile_graph(graph, spec, check_fit=False)
+    plain = compile_graph(graph, GC200, check_fit=False)
     planned = compile_graph(
-        graph, spec, check_fit=False, plan_memory=True
+        graph, GC200, check_fit=False, plan_memory=True
     )
     ref, _ = Executor(plain).run(inputs)
     out, _ = Executor(planned).run(inputs, check_aliasing=True)
@@ -205,22 +189,19 @@ def verify_planner_numerics(
 
 
 def run(
-    spec: IPUSpec = GC200,
     sizes: list[int] | None = None,
     jobs: int = 1,
     guard: GuardPolicy | None = None,
 ) -> list[Fig5Row]:
     """Compile a poplin matmul per size and collect profiles."""
-    configs = [(spec, n) for n in (sizes or default_sizes())]
     rows = run_grid(
-        _profile_one, configs, jobs=jobs, guard=guard, name="fig5"
+        _profile_one, sizes or default_sizes(), jobs=jobs, guard=guard,
+        name="fig5",
     )
     return [row for row in rows if row is not None]
 
 
-def render(
-    spec: IPUSpec = GC200, jobs: int = 1, guard: GuardPolicy | None = None
-) -> str:
+def render(jobs: int = 1, guard: GuardPolicy | None = None) -> str:
     """Text rendering of the Fig 5 series."""
     table = Table(
         title=(
@@ -238,7 +219,7 @@ def render(
             "overhead x",
         ],
     )
-    for row in run(spec, jobs=jobs, guard=guard):
+    for row in run(jobs=jobs, guard=guard):
         p = row.profile
         table.add_row(
             row.n,
@@ -254,14 +235,9 @@ def render(
     return table.render()
 
 
-def render_planner(
-    spec: IPUSpec = GC200,
-    jobs: int = 1,
-    verify: bool = True,
-    rows: list[PlannerRow] | None = None,
-    guard: GuardPolicy | None = None,
-) -> str:
-    """Text rendering of the planner headroom series."""
+def render_planner(rows: list[PlannerRow]) -> str:
+    """Text rendering of the planner headroom series, with the verdict of
+    :func:`verify_planner_numerics`."""
     table = Table(
         title=(
             "Fig 5 (planner): deep-MLP peak tile memory, "
@@ -276,8 +252,6 @@ def render_planner(
             "fits planned",
         ],
     )
-    if rows is None:
-        rows = planner_run(spec, jobs=jobs, guard=guard)
     for row in rows:
         table.add_row(
             row.depth,
@@ -287,17 +261,8 @@ def render_planner(
             "yes" if row.fits_no_reuse else "NO",
             "yes" if row.fits_planned else "NO",
         )
-    text = table.render()
-    if verify:
-        ok = verify_planner_numerics(spec)
-        text += (
-            "\nnumerics: planned execution "
-            + ("bit-identical to unplanned" if ok else "DIVERGED")
-        )
-    return text
-
-
-if __name__ == "__main__":
-    print(render())  # noqa: T201
-    print()  # noqa: T201
-    print(render_planner())  # noqa: T201
+    ok = verify_planner_numerics()
+    return table.render() + (
+        "\nnumerics: planned execution "
+        + ("bit-identical to unplanned" if ok else "DIVERGED")
+    )

@@ -21,10 +21,10 @@ from repro.guard import GuardPolicy
 from repro.bench.reporting import Table
 from repro.core.butterfly import butterfly_param_count
 from repro.core.pixelfly import pixelfly_param_count
-from repro.gpu.machine import A30, GPUSpec
+from repro.gpu.machine import A30
 from repro.gpu.simulator import GPUDevice, GPUOutOfMemoryError
 from repro.gpu.torchsim import GPUModule
-from repro.ipu.machine import GC200, IPUSpec
+from repro.ipu.machine import GC200
 from repro.ipu.poptorch import IPUModule
 
 __all__ = [
@@ -41,6 +41,11 @@ __all__ = [
 #: Fig 6's lightweight pixelfly configuration (few stride bands, rank 1) —
 #: the layer-benchmark default, unlike Table 4's parameter-matched config.
 FIG6_PIXELFLY = dict(block_size=32, butterfly_size=4, rank=1)
+
+#: The memory-limit probe tries ``N = 2**7 .. 2**LIMIT_MAX_EXP`` at a
+#: fixed batch of ``LIMIT_BATCH`` rows (see :func:`memory_limits`).
+LIMIT_MAX_EXP = 18
+LIMIT_BATCH = 256
 
 
 def default_sizes() -> list[int]:
@@ -76,17 +81,12 @@ def _layers(n: int):
     return linear, butterfly, pixelfly
 
 
-def layer_times(
-    device: str,
-    n: int,
-    gpu: GPUSpec = A30,
-    ipu: IPUSpec = GC200,
-) -> Fig6Row:
+def layer_times(device: str, n: int) -> Fig6Row:
     """Forward time of the three layers at size *n* on one panel."""
     linear, butterfly, pixelfly = _layers(n)
     if device == "ipu":
         times = [
-            IPUModule(layer, in_features=n, batch=n, spec=ipu, host_io=True)
+            IPUModule(layer, in_features=n, batch=n, spec=GC200, host_io=True)
             .forward_time()
             for layer in (linear, butterfly, pixelfly)
         ]
@@ -94,7 +94,7 @@ def layer_times(
         tc = device == "gpu_tc"
         times = [
             GPUModule(
-                layer, in_features=n, batch=n, tensor_cores=tc, spec=gpu
+                layer, in_features=n, batch=n, tensor_cores=tc, spec=A30
             ).forward_time()
             for layer in (linear, butterfly, pixelfly)
         ]
@@ -109,27 +109,20 @@ def layer_times(
     )
 
 
-def _layer_times_worker(
-    config: tuple[str, int, GPUSpec, IPUSpec], seed_seq
-) -> Fig6Row:
+def _layer_times_worker(config: tuple[str, int], seed_seq) -> Fig6Row:
     """Grid worker: one (device panel, size) cell."""
-    device, n, gpu, ipu = config
-    return layer_times(device, n, gpu=gpu, ipu=ipu)
+    return layer_times(*config)
 
 
 def run(
     sizes: list[int] | None = None,
     devices: tuple[str, ...] = ("gpu_notc", "gpu_tc", "ipu"),
-    gpu: GPUSpec = A30,
-    ipu: IPUSpec = GC200,
     jobs: int = 1,
     guard: GuardPolicy | None = None,
 ) -> list[Fig6Row]:
     """All three panels across the size sweep."""
     configs = [
-        (device, n, gpu, ipu)
-        for device in devices
-        for n in sizes or default_sizes()
+        (device, n) for device in devices for n in sizes or default_sizes()
     ]
     rows = run_grid(
         _layer_times_worker, configs, jobs=jobs, guard=guard, name="fig6"
@@ -147,12 +140,7 @@ class MemoryLimitRow:
     pixelfly_max: int
 
 
-def memory_limits(
-    max_exp: int = 18,
-    batch: int = 256,
-    gpu: GPUSpec = A30,
-    ipu: IPUSpec = GC200,
-) -> list[MemoryLimitRow]:
+def memory_limits() -> list[MemoryLimitRow]:
     """The Fig 6 footnote claim: Linear "reaches its limit earlier".
 
     Finds the largest ``N = 2**e`` at which each layer's forward pass is
@@ -163,7 +151,8 @@ def memory_limits(
     materialise the ``N x N`` weight, so they keep going long after the
     dense layer OOMs.
     """
-    device = GPUDevice(gpu)
+    max_exp, batch = LIMIT_MAX_EXP, LIMIT_BATCH
+    device = GPUDevice(A30)
     rows = []
 
     def gpu_fits(layer_kind: str, n: int) -> bool:
@@ -208,7 +197,7 @@ def memory_limits(
 
     def ipu_fits(layer_factory, n: int) -> bool:
         module = IPUModule(
-            layer_factory(n), in_features=n, batch=batch, spec=ipu
+            layer_factory(n), in_features=n, batch=batch, spec=GC200
         )
         return module.fits()
 
@@ -242,9 +231,8 @@ def memory_limits(
     return rows
 
 
-def render_memory_limits(limits: list[MemoryLimitRow] | None = None) -> str:
+def render_memory_limits() -> str:
     """Text rendering of the memory-limit probe (Fig 6 footnote claim)."""
-    limits = limits if limits is not None else memory_limits()
     table = Table(
         title=(
             "Fig 6 footnote: largest runnable layer size (batch 256) — "
@@ -252,7 +240,7 @@ def render_memory_limits(limits: list[MemoryLimitRow] | None = None) -> str:
         ),
         columns=["device", "linear max N", "butterfly max N", "pixelfly max N"],
     )
-    for row in limits:
+    for row in memory_limits():
         table.add_row(
             row.device, row.linear_max, row.butterfly_max, row.pixelfly_max
         )
@@ -297,6 +285,3 @@ def render(
         out.append(table.render())
     return "\n\n".join(out)
 
-
-if __name__ == "__main__":
-    print(render())  # noqa: T201

@@ -19,7 +19,7 @@ from repro.guard import GuardPolicy
 from repro.bench.reporting import Table
 from repro.experiments.fig6 import FIG6_PIXELFLY
 from repro.ipu.compiler import GraphProfile, compile_graph
-from repro.ipu.machine import GC200, IPUSpec
+from repro.ipu.machine import GC200
 from repro.ipu.poptorch import IPUModule
 from repro.utils import KiB, MiB
 
@@ -52,9 +52,8 @@ class Fig7Row:
         return self.planned.plan_saving_fraction
 
 
-def _profile_size(config: tuple[IPUSpec, int], seed_seq) -> list[Fig7Row]:
+def _profile_size(n: int, seed_seq) -> list[Fig7Row]:
     """Grid worker: profile the three layer graphs at one size."""
-    spec, n = config
     layers = {
         "linear": nn.Linear(n, n, bias=False, seed=0),
         "butterfly": nn.ButterflyLinear(n, n, bias=False, seed=0),
@@ -64,14 +63,14 @@ def _profile_size(config: tuple[IPUSpec, int], seed_seq) -> list[Fig7Row]:
     }
     rows = []
     for name, layer in layers.items():
-        module = IPUModule(layer, in_features=n, batch=n, spec=spec)
+        module = IPUModule(layer, in_features=n, batch=n, spec=GC200)
         rows.append(
             Fig7Row(
                 layer=name,
                 n=n,
                 profile=module.profile(),
                 planned=compile_graph(
-                    module.graph, spec, check_fit=False, plan_memory=True
+                    module.graph, GC200, check_fit=False, plan_memory=True
                 ).profile(),
             )
         )
@@ -79,21 +78,19 @@ def _profile_size(config: tuple[IPUSpec, int], seed_seq) -> list[Fig7Row]:
 
 
 def run(
-    spec: IPUSpec = GC200,
     sizes: list[int] | None = None,
     jobs: int = 1,
     guard: GuardPolicy | None = None,
 ) -> list[Fig7Row]:
     """Compile the three layer graphs per size and profile them."""
-    configs = [(spec, n) for n in (sizes or default_sizes())]
     per_size = run_grid(
-        _profile_size, configs, jobs=jobs, guard=guard, name="fig7"
+        _profile_size, sizes or default_sizes(), jobs=jobs, guard=guard,
+        name="fig7",
     )
     return [row for rows in per_size if rows is not None for row in rows]
 
 
 def render(
-    spec: IPUSpec = GC200,
     sizes: list[int] | None = None,
     jobs: int = 1,
     guard: GuardPolicy | None = None,
@@ -118,7 +115,7 @@ def render(
             "reclaimed",
         ],
     )
-    for row in run(spec, sizes, jobs=jobs, guard=guard):
+    for row in run(sizes, jobs=jobs, guard=guard):
         p = row.profile
         planned = row.planned
         table.add_row(
@@ -136,6 +133,3 @@ def render(
         )
     return table.render()
 
-
-if __name__ == "__main__":
-    print(render())  # noqa: T201

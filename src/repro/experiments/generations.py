@@ -24,11 +24,14 @@ from repro.utils import MiB
 
 __all__ = ["GenerationRow", "run", "render", "largest_fitting_matmul"]
 
+#: :func:`largest_fitting_matmul` searches ``N = 2**5 .. 2**MAX_EXP``.
+MAX_EXP = 14
 
-def largest_fitting_matmul(spec: IPUSpec, max_exp: int = 14) -> int:
+
+def largest_fitting_matmul(spec: IPUSpec) -> int:
     """Largest square N = 2**e whose poplin graph fits tile memory."""
     best = 0
-    for e in range(5, max_exp + 1):
+    for e in range(5, MAX_EXP + 1):
         n = 1 << e
         graph, _ = build_matmul_graph(spec, n, n, n)
         if compile_graph(graph, spec, check_fit=False).memory.fits:
@@ -87,9 +90,9 @@ def run(specs: tuple[IPUSpec, ...] = (GC2, GC200)) -> list[GenerationRow]:
     return rows
 
 
-def render(specs: tuple[IPUSpec, ...] = (GC2, GC200)) -> str:
+def render() -> str:
     """Text rendering of the generational comparison."""
-    rows = run(specs)
+    rows = run()
     table = Table(
         title="IPU generations: GC2 (2018) vs GC200 (2020)",
         columns=[
@@ -114,6 +117,3 @@ def render(specs: tuple[IPUSpec, ...] = (GC2, GC200)) -> str:
         )
     return table.render()
 
-
-if __name__ == "__main__":
-    print(render())  # noqa: T201

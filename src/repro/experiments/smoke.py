@@ -13,8 +13,11 @@ from repro.ipu.poptorch import IPUModule
 
 __all__ = ["smoke_manifest"]
 
+#: Side of the smoke workload's square matmul; its MLP is half as wide.
+SIZE = 256
 
-def smoke_manifest(size: int = 256, seed: int = 0) -> dict:
+
+def smoke_manifest() -> dict:
     """Run a small, fully deterministic workload and build its manifest.
 
     Compiles a poplin matmul graph twice under a fresh in-memory
@@ -29,6 +32,7 @@ def smoke_manifest(size: int = 256, seed: int = 0) -> dict:
     identical ``metrics`` sections — this is what CI diffs against
     ``benchmarks/baselines/smoke.json``.
     """
+    size = SIZE
     with obs.tracing() as tracer, obs.collecting() as registry, \
             caching() as cache:
         graph, _ = build_matmul_graph(GC200, size, size, size)
@@ -55,7 +59,7 @@ def smoke_manifest(size: int = 256, seed: int = 0) -> dict:
         registry=registry,
         tracer=tracer,
         config={"size": size, "spec": GC200.name},
-        seed=seed,
+        seed=0,
         sections={
             "memory": memory_section(planned.memory),
             "liveness": liveness_section(liveness),

@@ -8,17 +8,16 @@ rates against the datasheet peaks).
 from __future__ import annotations
 
 from repro.bench.reporting import Table
-from repro.gpu.machine import A30, GPUSpec
-from repro.ipu.machine import GC200, IPUSpec
+from repro.gpu.machine import A30
+from repro.ipu.machine import GC200
 from repro.utils import GiB, MiB
 
 __all__ = ["run", "render"]
 
 
-def run(
-    gpu: GPUSpec = A30, ipu: IPUSpec = GC200
-) -> list[tuple[str, str, str]]:
+def run() -> list[tuple[str, str, str]]:
     """Rows of (quantity, GPU value, IPU value), paper order."""
+    gpu, ipu = A30, GC200
     return [
         ("Number of cores", f"{gpu.sm_count * 64}", f"{ipu.n_tiles}"),
         (
@@ -59,16 +58,13 @@ def run(
     ]
 
 
-def render(gpu: GPUSpec = A30, ipu: IPUSpec = GC200) -> str:
+def render() -> str:
     """Text rendering of the Table 1 reproduction."""
     table = Table(
         title="Table 1: Comparison of Graphcore GC200 and NVIDIA A30",
-        columns=["", gpu.name, ipu.name],
+        columns=["", A30.name, GC200.name],
     )
-    for row in run(gpu, ipu):
+    for row in run():
         table.add_row(*row)
     return table.render()
 
-
-if __name__ == "__main__":
-    print(render())  # noqa: T201

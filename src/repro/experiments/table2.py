@@ -18,11 +18,11 @@ from repro.bench.flops import dense_equivalent, gflops
 from repro.bench.parallel import run_grid
 from repro.guard import GuardPolicy
 from repro.bench.reporting import Table
-from repro.gpu.machine import A30, GPUSpec
+from repro.gpu.machine import A30
 from repro.gpu.simulator import GPUDevice
 from repro.ipu.compiler import compile_graph
 from repro.ipu.executor import Executor
-from repro.ipu.machine import GC200, IPUSpec
+from repro.ipu.machine import GC200
 from repro.ipu.poplin import (
     build_blocked_matmul_graph,
     matmul_report,
@@ -57,12 +57,10 @@ def _best(values: list[float]) -> float:
     return max(values) if values else 0.0
 
 
-def _dense_columns_for_size(
-    config: tuple[GPUSpec, IPUSpec, int], seed_seq
-) -> dict[str, float]:
+def _dense_columns_for_size(n: int, seed_seq) -> dict[str, float]:
     """Grid worker: every dense Table 2 column at one square size."""
-    gpu, ipu, n = config
-    device = GPUDevice(gpu)
+    ipu = GC200
+    device = GPUDevice(A30)
     flops = 2 * n**3
     # The executor needs the concrete graph, so the blocked column builds
     # it even on a cache hit — compile_graph still skips the memory
@@ -105,21 +103,18 @@ def _dense_columns_for_size(
 
 
 def run(
-    gpu: GPUSpec = A30,
-    ipu: IPUSpec = GC200,
     sizes: list[int] | None = None,
     sparse_size: int = 2048,
-    seed: int = 0,
     jobs: int = 1,
     guard: GuardPolicy | None = None,
 ) -> Table2Result:
     """Evaluate every Table 2 column; returns best-over-sizes GFLOP/s."""
     sizes = sizes or default_sizes()
-    device = GPUDevice(gpu)
+    device = GPUDevice(A30)
 
     per_size = run_grid(
         _dense_columns_for_size,
-        [(gpu, ipu, n) for n in sizes],
+        sizes,
         jobs=jobs,
         guard=guard,
         name="table2",
@@ -134,12 +129,12 @@ def run(
     sparse: dict[str, float] = {}
     n = sparse_size
     for label, density in [("99%", 0.01), ("90%", 0.1)]:
-        csr = random_sparse(n, n, density, seed=seed, fmt="csr")
+        csr = random_sparse(n, n, density, seed=0, fmt="csr")
         gpu_cost = device.spmm_cost(csr, n)
         sparse[f"GPU cusparse {label}"] = dense_equivalent(
             n, n, n, gpu_cost.time_s
         )
-        ipu_rep = spmm_report(ipu, csr, n, check_fit=False)
+        ipu_rep = spmm_report(GC200, csr, n, check_fit=False)
         sparse[f"IPU popsparse {label}"] = dense_equivalent(
             n, n, n, ipu_rep.total_s
         )
@@ -150,14 +145,12 @@ def run(
 
 
 def render(
-    gpu: GPUSpec = A30,
-    ipu: IPUSpec = GC200,
     sizes: list[int] | None = None,
     jobs: int = 1,
     guard: GuardPolicy | None = None,
 ) -> str:
     """Text rendering of the Table 2 reproduction."""
-    result = run(gpu, ipu, sizes, jobs=jobs, guard=guard)
+    result = run(sizes, jobs=jobs, guard=guard)
     table = Table(
         title=(
             "Table 2: dense vs sparse matmul, GPU vs IPU (GFLOP/s; sparse "
@@ -170,6 +163,3 @@ def render(
         table.add_row(name, round(value))
     return table.render()
 
-
-if __name__ == "__main__":
-    print(render())  # noqa: T201

@@ -21,13 +21,16 @@ from repro import nn
 from repro.bench.reporting import Table
 from repro.core.compression import compression_ratio
 from repro.datasets import load_cifar10
-from repro.experiments.config import METHODS, TABLE3, Table3Hyperparameters, shl_model
-from repro.gpu.machine import A30, GPUSpec
+from repro.experiments.config import METHODS, TABLE3, shl_model
+from repro.gpu.machine import A30
 from repro.gpu.torchsim import GPUModule
-from repro.ipu.machine import GC200, IPUSpec
+from repro.ipu.machine import GC200
 from repro.ipu.poptorch import IPUModule
 
 __all__ = ["Table4Row", "run_method", "run", "render"]
+
+#: Seeds each method's initialisation, validation split and batch order.
+TRAIN_SEED = 2
 
 
 @dataclass(frozen=True)
@@ -46,22 +49,21 @@ class Table4Row:
         return compression_ratio(baseline_params, self.n_params)
 
 
-def _device_step_times(
-    model: nn.Module, hp: Table3Hyperparameters, gpu: GPUSpec, ipu: IPUSpec
-) -> tuple[float, float, float]:
+def _device_step_times(model: nn.Module) -> tuple[float, float, float]:
     """(GPU w/ TC, GPU w/o TC, IPU) seconds per training step."""
+    hp = TABLE3
     gpu_tc = GPUModule(
         model, in_features=hp.hidden_dim, batch=hp.batch_size,
-        tensor_cores=True, spec=gpu,
+        tensor_cores=True, spec=A30,
     ).training_step_time()
     gpu_notc = GPUModule(
         model, in_features=hp.hidden_dim, batch=hp.batch_size,
-        tensor_cores=False, spec=gpu,
+        tensor_cores=False, spec=A30,
     ).training_step_time()
     ipu_mod = IPUModule(
-        model, in_features=hp.hidden_dim, batch=hp.batch_size, spec=ipu
+        model, in_features=hp.hidden_dim, batch=hp.batch_size, spec=GC200
     )
-    ipu = ipu_mod.training_step_time() + ipu_mod.spec.host_step_overhead_s
+    ipu = ipu_mod.training_step_time() + GC200.host_step_overhead_s
     return gpu_tc, gpu_notc, ipu
 
 
@@ -69,13 +71,10 @@ def run_method(
     method: str,
     train: nn.ArrayDataset,
     test: nn.ArrayDataset,
-    hp: Table3Hyperparameters = TABLE3,
-    gpu: GPUSpec = A30,
-    ipu: IPUSpec = GC200,
-    seed: int = 2,
     epochs: int | None = None,
 ) -> Table4Row:
     """Train one method and integrate simulated device times over its steps."""
+    hp, seed = TABLE3, TRAIN_SEED
     epochs = hp.epochs if epochs is None else epochs
     model = shl_model(method, dim=hp.hidden_dim, seed=seed)
     trainer = nn.Trainer(
@@ -91,7 +90,7 @@ def run_method(
         epochs=epochs,
     )
     _, test_acc = trainer.evaluate(nn.DataLoader(test, 250, shuffle=False))
-    gpu_tc, gpu_notc, ipu_t = _device_step_times(model, hp, gpu, ipu)
+    gpu_tc, gpu_notc, ipu_t = _device_step_times(model)
     steps = history.steps
     return Table4Row(
         method=method,
@@ -104,7 +103,6 @@ def run_method(
 
 
 def run(
-    hp: Table3Hyperparameters = TABLE3,
     methods: list[str] | None = None,
     seed: int = 0,
     epochs: int | None = None,
@@ -113,10 +111,12 @@ def run(
 ) -> list[Table4Row]:
     """Full Table 4: train every method on the same data and seeds."""
     train, test = load_cifar10(
-        n_train=n_train or hp.n_train, n_test=n_test or hp.n_test, seed=seed
+        n_train=n_train or TABLE3.n_train,
+        n_test=n_test or TABLE3.n_test,
+        seed=seed,
     )
     return [
-        run_method(method, train, test, hp=hp, epochs=epochs)
+        run_method(method, train, test, epochs=epochs)
         for method in methods or METHODS
     ]
 
@@ -157,6 +157,3 @@ def render(rows: list[Table4Row] | None = None) -> str:
         )
     return header + table.render()
 
-
-if __name__ == "__main__":
-    print(render())  # noqa: T201

@@ -27,8 +27,8 @@ from repro.bench.parallel import run_grid
 from repro.guard import GuardPolicy
 from repro.bench.reporting import Table
 from repro.datasets import load_cifar10
-from repro.experiments.config import TABLE3, Table3Hyperparameters
-from repro.ipu.machine import GC200, IPUSpec
+from repro.experiments.config import TABLE3
+from repro.ipu.machine import GC200
 from repro.ipu.poptorch import IPUModule
 
 __all__ = [
@@ -45,6 +45,9 @@ __all__ = [
 BUTTERFLY_SIZES = [2, 4, 16, 128]
 BLOCK_SIZES = [8, 16, 32]
 RANK_SIZES = [2, 4, 64, 128]
+
+#: Seeds each configuration's initialisation and batch order.
+TRAIN_SEED = 2
 
 
 def default_grid() -> list[tuple[int, int, int]]:
@@ -83,12 +86,10 @@ def evaluate_config(
     rank: int,
     train: nn.ArrayDataset,
     test: nn.ArrayDataset,
-    hp: Table3Hyperparameters = TABLE3,
-    ipu: IPUSpec = GC200,
     epochs: int = 2,
-    seed: int = 2,
 ) -> SweepPoint:
     """Train one pixelfly SHL configuration and collect its metrics."""
+    hp, seed = TABLE3, TRAIN_SEED
     dim = hp.hidden_dim
     model = nn.Sequential(
         nn.PixelflyLinear(
@@ -110,8 +111,8 @@ def evaluate_config(
     )
     _, acc = trainer.evaluate(nn.DataLoader(test, 250, shuffle=False))
     step = IPUModule(
-        model, in_features=dim, batch=hp.batch_size, spec=ipu
-    ).training_step_time() + ipu.host_step_overhead_s
+        model, in_features=dim, batch=hp.batch_size, spec=GC200
+    ).training_step_time() + GC200.host_step_overhead_s
     return SweepPoint(
         butterfly_size=butterfly_size,
         block_size=block_size,
@@ -126,21 +127,19 @@ def _evaluate_config_worker(config: tuple, seed_seq) -> SweepPoint:
     """Grid worker: reload the dataset and train one configuration.
 
     Each worker re-derives the synthetic dataset from ``(n_train,
-    n_test, seed)`` — a pure function of those arguments — instead of
+    n_test)`` — a pure function of those arguments — instead of
     pickling the arrays, so results match the serial path exactly.
     """
-    bf, bs, r, hp, epochs, n_train, n_test, seed = config
-    train, test = load_cifar10(n_train=n_train, n_test=n_test, seed=seed)
-    return evaluate_config(bf, bs, r, train, test, hp=hp, epochs=epochs)
+    bf, bs, r, epochs, n_train, n_test = config
+    train, test = load_cifar10(n_train=n_train, n_test=n_test, seed=0)
+    return evaluate_config(bf, bs, r, train, test, epochs=epochs)
 
 
 def run(
     grid: list[tuple[int, int, int]] | None = None,
-    hp: Table3Hyperparameters = TABLE3,
     epochs: int = 2,
     n_train: int = 2000,
     n_test: int = 1000,
-    seed: int = 0,
     jobs: int = 1,
     guard: GuardPolicy | None = None,
 ) -> list[SweepPoint]:
@@ -148,22 +147,16 @@ def run(
     grid = grid or default_grid()
     if jobs == 1 and guard is None:
         # Serial path loads the dataset once and shares it across points.
-        train, test = load_cifar10(
-            n_train=n_train, n_test=n_test, seed=seed
-        )
+        train, test = load_cifar10(n_train=n_train, n_test=n_test, seed=0)
         return [
-            evaluate_config(bf, bs, r, train, test, hp=hp, epochs=epochs)
+            evaluate_config(bf, bs, r, train, test, epochs=epochs)
             for bf, bs, r in grid
         ]
-    configs = [
-        (bf, bs, r, hp, epochs, n_train, n_test, seed)
-        for bf, bs, r in grid
-    ]
+    configs = [(bf, bs, r, epochs, n_train, n_test) for bf, bs, r in grid]
     points = run_grid(
         _evaluate_config_worker,
         configs,
         jobs=jobs,
-        seed=seed,
         guard=guard,
         name="table5",
     )
@@ -247,6 +240,3 @@ def render(
         )
     return table.render()
 
-
-if __name__ == "__main__":
-    print(render())  # noqa: T201

@@ -38,7 +38,6 @@ from repro.faults.plan import (
     TRANSIENT_COMPUTE,
     FaultEvent,
     FaultPlan,
-    RecoveryPolicy,
 )
 
 __all__ = [
@@ -50,7 +49,6 @@ __all__ = [
     "FAULT_KINDS",
     "FaultEvent",
     "FaultPlan",
-    "RecoveryPolicy",
     "FaultError",
     "PermanentTileFault",
     "UnrecoveredFaultError",

@@ -120,38 +120,31 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     return arrays, meta
 
 
+#: Files of a :class:`CheckpointManager` match ``ckpt-<step>.npz``.
+_CHECKPOINT_NAME = re.compile(r"^ckpt-(\d+)\.npz$")
+
+
 class CheckpointManager:
-    """Rotating checkpoint store: ``<dir>/<prefix>-<step>.npz``.
+    """Rotating checkpoint store: ``<dir>/ckpt-<step>.npz``.
 
     ``keep`` >= 2 gives the corruption fallback something to fall back
     *to*; ``keep=0`` disables pruning entirely.
     """
 
-    def __init__(
-        self,
-        directory: str | Path,
-        prefix: str = "ckpt",
-        keep: int = 3,
-    ) -> None:
+    def __init__(self, directory: str | Path, keep: int = 3) -> None:
         if keep < 0:
             raise ValueError(f"keep must be >= 0, got {keep}")
-        if not re.fullmatch(r"[A-Za-z0-9_.-]+", prefix):
-            raise ValueError(f"prefix must be a simple name, got {prefix!r}")
         self.directory = Path(directory)
-        self.prefix = prefix
         self.keep = keep
-        self._pattern = re.compile(
-            rf"^{re.escape(prefix)}-(\d+)\.npz$"
-        )
 
     def path_for(self, step: int) -> Path:
-        return self.directory / f"{self.prefix}-{step:010d}.npz"
+        return self.directory / f"ckpt-{step:010d}.npz"
 
     def step_of(self, path: str | Path) -> int:
         """The step number encoded in a checkpoint filename."""
-        m = self._pattern.match(Path(path).name)
+        m = _CHECKPOINT_NAME.match(Path(path).name)
         if m is None:
-            raise ValueError(f"{path} is not a {self.prefix!r} checkpoint")
+            raise ValueError(f"{path} is not a 'ckpt' checkpoint")
         return int(m.group(1))
 
     def checkpoints(self) -> list[Path]:
@@ -161,7 +154,7 @@ class CheckpointManager:
         found = [
             p
             for p in self.directory.iterdir()
-            if self._pattern.match(p.name)
+            if _CHECKPOINT_NAME.match(p.name)
         ]
         return sorted(found, key=self.step_of)
 

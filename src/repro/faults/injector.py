@@ -24,7 +24,6 @@ from repro.faults.plan import (
     PERMANENT_TILE,
     FaultEvent,
     FaultPlan,
-    RecoveryPolicy,
 )
 from repro.obs import get_logger, get_registry
 from repro.utils import format_seconds
@@ -57,7 +56,7 @@ class PermanentTileFault(FaultError):
 
 
 class UnrecoveredFaultError(FaultError):
-    """A retryable fault exhausted the recovery policy's retry budget."""
+    """A retryable fault exhausted the executor's retry budget."""
 
     def __init__(self, event: FaultEvent, max_retries: int) -> None:
         super().__init__(
@@ -145,13 +144,8 @@ class FaultReport:
 class FaultInjector:
     """Stateful delivery of a :class:`FaultPlan` plus the outcome ledger."""
 
-    def __init__(
-        self,
-        plan: FaultPlan | None = None,
-        policy: RecoveryPolicy | None = None,
-    ) -> None:
+    def __init__(self, plan: FaultPlan | None = None) -> None:
         self.plan = plan if plan is not None else FaultPlan.none()
-        self.policy = policy if policy is not None else RecoveryPolicy()
         #: Fast-path flag, mirroring ``Tracer.enabled``: when False the
         #: executor skips every fault hook.
         self.active: bool = not self.plan.is_empty

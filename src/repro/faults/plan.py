@@ -37,7 +37,6 @@ __all__ = [
     "LINK_DROP",
     "FAULT_KINDS",
     "FaultEvent",
-    "RecoveryPolicy",
     "FaultPlan",
 ]
 
@@ -89,34 +88,6 @@ class FaultEvent:
     def key(self) -> tuple[str, int, int | None]:
         """Identity used to deduplicate re-observations of one fault."""
         return (self.kind, self.step, self.tile)
-
-
-@dataclass(frozen=True)
-class RecoveryPolicy:
-    """Bounds and costs of the recovery machinery."""
-
-    #: Maximum re-executions of a superstep before a transient fault is
-    #: declared fatal.
-    max_retries: int = 3
-    #: Base exponential-backoff delay before retry attempt 1 (doubles per
-    #: subsequent attempt) — models the poll-and-resync the host performs.
-    backoff_base_s: float = 1e-6
-    #: Host-link stall duration per ``host_stall`` severity unit.
-    host_stall_s: float = 500e-6
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.backoff_base_s < 0 or self.host_stall_s < 0:
-            raise ValueError("backoff_base_s and host_stall_s must be >= 0")
-
-    def backoff_s(self, attempt: int) -> float:
-        """Backoff delay before retry *attempt* (1-based, exponential)."""
-        if attempt < 1:
-            raise ValueError(f"attempt must be >= 1, got {attempt}")
-        return self.backoff_base_s * 2.0 ** (attempt - 1)
 
 
 @dataclass(frozen=True)

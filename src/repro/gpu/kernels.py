@@ -88,7 +88,6 @@ def _gemm_cost(
     peak: float,
     efficiency: float,
     tile: tuple[int, int],
-    extra_overhead_s: float = 0.0,
 ) -> KernelCost:
     flops = matmul_flops(m, n, k)
     nbytes = matmul_bytes(m, n, k)
@@ -97,9 +96,7 @@ def _gemm_cost(
     rate = peak * efficiency * quant * occ
     compute_s = flops / rate
     memory_s = nbytes / spec.effective_bandwidth
-    time_s = spec.kernel_launch_s + extra_overhead_s + max(
-        compute_s, memory_s
-    )
+    time_s = spec.kernel_launch_s + max(compute_s, memory_s)
     return KernelCost(name=name, time_s=time_s, flops=flops, bytes_moved=nbytes)
 
 
@@ -170,12 +167,12 @@ def pytorch_matmul_cost(
 
 
 def stream_cost(
-    spec: GPUSpec, nbytes: int, name: str = "stream", flops: int = 0,
-    passes: float = 1.0,
+    spec: GPUSpec, nbytes: int, name: str = "stream", passes: float = 1.0
 ) -> KernelCost:
-    """A bandwidth-bound elementwise/copy kernel over *nbytes* (x passes)."""
+    """A bandwidth-bound elementwise/copy kernel over *nbytes* (x passes);
+    it does no FLOPs."""
     time_s = spec.kernel_launch_s + passes * nbytes / spec.effective_bandwidth
-    return KernelCost(name, time_s, flops, int(passes * nbytes))
+    return KernelCost(name, time_s, 0, int(passes * nbytes))
 
 
 def run_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

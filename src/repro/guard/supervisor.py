@@ -211,7 +211,6 @@ def run_supervised_grid(
     policy: GuardPolicy,
     jobs: int = 1,
     seed: int = 0,
-    cache_dir=None,
     registry: MetricRegistry | None = None,
     name: str | None = None,
 ) -> tuple[list[Any], GridReport]:
@@ -232,12 +231,10 @@ def run_supervised_grid(
     tracer = get_tracer()
     runlog = get_logger()
     parent_cache = get_cache()
-    # Cells cache only when the parent does or the caller names a
-    # directory for them.
-    cached = parent_cache.enabled or cache_dir is not None
-    if cache_dir is None and parent_cache.enabled:
-        cache_dir = parent_cache.path
-    cache_dir = str(cache_dir) if cache_dir is not None else None
+    # Cells cache only when the parent does, sharing its disk directory.
+    cached = parent_cache.enabled
+    path = parent_cache.path
+    cache_dir = str(path) if path is not None else None
 
     grid_name = name or getattr(worker, "__qualname__", "grid")
     run_id = derive_run_id(grid_name, seed, len(configs))

@@ -866,9 +866,6 @@ def cached_compile(
     build: Callable[[], Graph],
     spec: IPUSpec,
     check_fit: bool = True,
-    exclude_tiles: "frozenset[int] | set[int] | None" = None,
-    cache: CompilationCache | None = None,
-    plan_memory: bool = False,
 ) -> CompiledGraph:
     """Compile-by-provenance: skip graph *construction* on a warm hit.
 
@@ -883,14 +880,14 @@ def cached_compile(
 
     The provenance tuple is also attached to the built graph, so a
     plain ``compile_graph`` of the same construction shares the key.
+    It compiles onto every tile, without the memory planner.
     """
-    excluded = frozenset(int(t) for t in (exclude_tiles or ()))
+    excluded: frozenset[int] = frozenset()
     provenance = tuple(provenance)
-    cache = cache if cache is not None else get_cache()
+    cache = get_cache()
     if cache.enabled:
         key = _key_from_parts(
-            ("provenance",) + provenance, spec, excluded,
-            planned=plan_memory,
+            ("provenance",) + provenance, spec, excluded, planned=False
         )
         record = cache.lookup(key)
         if record is not None:
@@ -901,25 +898,12 @@ def cached_compile(
     graph = build()
     graph.provenance = provenance
     if not cache.enabled:
-        return compile_graph(
-            graph,
-            spec,
-            check_fit=check_fit,
-            exclude_tiles=excluded,
-            plan_memory=plan_memory,
-        )
+        return compile_graph(graph, spec, check_fit=check_fit)
     # The lookup above already counted this key's miss; compile uncached
     # and store under the same key so hot and cold stats stay exact.
     # Fit checking happens after the store: OOM outcomes are cached and
     # re-raised on hits just like compile_graph's own cached path.
-    compiled = compile_graph(
-        graph,
-        spec,
-        check_fit=False,
-        exclude_tiles=excluded,
-        cache=NULL_CACHE,
-        plan_memory=plan_memory,
-    )
+    compiled = compile_graph(graph, spec, check_fit=False, cache=NULL_CACHE)
     cache.store(key, _record_from(compiled))
     if check_fit and not compiled.memory.fits:
         _raise_oom(graph.name, compiled.memory, excluded)

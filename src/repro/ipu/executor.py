@@ -7,7 +7,7 @@ Timing is therefore
 
     ``t_cs = sync + max_tile(compute cycles)/f + exchange(max tile recv)``
 
-Copies and host I/O are separate program steps with their own costs.  The
+Host I/O steps are separate program steps with their own costs.  The
 executor can run with numerics (validating the simulator against numpy) or
 as a pure estimate (for large sweeps).
 
@@ -49,6 +49,15 @@ from repro.obs import get_logger, get_registry, get_tracer
 from repro.utils import format_seconds
 
 __all__ = ["StepTiming", "ExecutionReport", "Executor"]
+
+#: Maximum re-executions of a superstep before a transient fault is
+#: declared fatal.
+MAX_RETRIES = 3
+#: Exponential-backoff delay before retry attempt 1 (doubling per later
+#: attempt): models the poll-and-resync the host performs.
+BACKOFF_BASE_S = 1e-6
+#: Host-link stall duration per ``host_stall`` severity unit.
+HOST_STALL_S = 500e-6
 
 
 @dataclass(frozen=True)
@@ -215,22 +224,6 @@ class Executor:
         ]
         return compiled.cs_timings
 
-    def _copy_timing(self, src: str, dst: str) -> StepTiming:
-        src_var = self.graph.variables[src]
-        dst_var = self.graph.variables[dst]
-        # Copy streams through the exchange; tiles move their shares in
-        # parallel, bounded by the most-loaded destination tile.
-        per_tile = src_var.total_bytes / dst_var.tile_span
-        exchange_s = self.exchange.gather_time({0: int(np.ceil(per_tile))})
-        sync_s = self.spec.sync_cycles / self.spec.clock_hz
-        return StepTiming(
-            name=f"copy {src}->{dst}",
-            kind="copy",
-            exchange_s=exchange_s,
-            sync_s=sync_s,
-            exchange_bytes=int(src_var.total_bytes),
-        )
-
     def _host_timing(self, var: str, kind: str) -> StepTiming:
         nbytes = self.graph.variables[var].total_bytes
         host_s = nbytes / self.spec.effective_host_bandwidth
@@ -252,10 +245,9 @@ class Executor:
         windows for trace emission.  Raises :class:`PermanentTileFault`
         for permanent tile deaths (recorded fatal until the caller
         recompiles and marks them recovered) and
-        :class:`UnrecoveredFaultError` when a transient fault exceeds the
-        policy's retry budget.
+        :class:`UnrecoveredFaultError` when a transient fault exceeds
+        :data:`MAX_RETRIES`.
         """
-        policy = self.injector.policy
         sync_s = self.spec.sync_cycles / self.spec.clock_hz
         windows: list[tuple[FaultEvent, list[tuple[str, str, float]]]] = []
         retry_s = 0.0
@@ -277,7 +269,7 @@ class Executor:
             if event.kind == TRANSIENT_COMPUTE:
                 if timing.kind != "compute":
                     continue
-                if event.severity > policy.max_retries:
+                if event.severity > MAX_RETRIES:
                     self.injector.record_fatal(event)
                     log = get_logger()
                     if log.enabled:
@@ -286,9 +278,9 @@ class Executor:
                             "retry budget exhausted",
                             step=step_index,
                             tile=event.tile,
-                            max_retries=policy.max_retries,
+                            max_retries=MAX_RETRIES,
                         )
-                    raise UnrecoveredFaultError(event, policy.max_retries)
+                    raise UnrecoveredFaultError(event, MAX_RETRIES)
                 # Each failed attempt: backoff, then re-run the whole
                 # superstep (compute + re-exchange + resync); one final
                 # resync once the retry succeeds.
@@ -297,14 +289,14 @@ class Executor:
                     (
                         f"retry{a}",
                         "retry",
-                        policy.backoff_s(a) + rerun_s,
+                        BACKOFF_BASE_S * 2.0 ** (a - 1) + rerun_s,
                     )
                     for a in range(1, event.severity + 1)
                 ]
                 segments.append(("recovery", "recovery", sync_s))
                 n_retries = event.severity
             elif event.kind == EXCHANGE_CORRUPTION:
-                if timing.kind not in ("compute", "copy"):
+                if timing.kind != "compute":
                     continue
                 # ECC scrub + full re-exchange of the superstep's data,
                 # then a resync so all tiles rejoin the BSP schedule.
@@ -324,7 +316,7 @@ class Executor:
                     (
                         "retry1",
                         "retry",
-                        policy.host_stall_s * event.severity,
+                        HOST_STALL_S * event.severity,
                     ),
                     ("recovery", "recovery", 0.0),
                 ]
@@ -350,8 +342,6 @@ class Executor:
         """Timing of one program step, faults included when injecting."""
         if step.kind == "compute":
             timing = self._compute_set_timings()[step.ref]
-        elif step.kind == "copy":
-            timing = self._copy_timing(*step.ref)
         else:
             timing = self._host_timing(step.ref, step.kind)
         if self.injector.active:
@@ -539,11 +529,6 @@ class Executor:
                 self._records[step.ref] = records
             for vertex in records:
                 CODELETS[vertex.codelet].execute(vertex, state)
-        elif step.kind == "copy":
-            src, dst = step.ref
-            state[dst][...] = state[src].reshape(
-                self.graph.variables[dst].shape
-            )
 
     def _verify_aliasing(
         self,

@@ -184,17 +184,16 @@ class ComputeSet:
 
 @dataclass
 class ProgramStep:
-    """One step of the program: a compute set, a copy, or host I/O.
+    """One step of the program: a compute set, or host I/O.
 
     ``kind`` is one of ``'compute'`` (``ref`` = compute-set index),
-    ``'copy'`` (``ref`` = (src_var, dst_var)), ``'host_write'`` or
-    ``'host_read'`` (``ref`` = var name).
+    ``'host_write'`` or ``'host_read'`` (``ref`` = var name).
     """
 
     kind: str
     ref: Any
 
-    _KINDS = ("compute", "copy", "host_write", "host_read")
+    _KINDS = ("compute", "host_write", "host_read")
 
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
@@ -470,26 +469,12 @@ class Graph:
             params,
         )[0]
 
-    def add_compute_set(self, name: str, schedule: bool = True) -> int:
-        """Create a compute set; optionally append it to the program."""
+    def add_compute_set(self, name: str) -> int:
+        """Create a compute set and append it to the program."""
         cs_id = len(self.compute_sets)
         self.compute_sets.append(ComputeSet(name=name))
-        if schedule:
-            self.program.append(ProgramStep("compute", cs_id))
+        self.program.append(ProgramStep("compute", cs_id))
         return cs_id
-
-    def add_copy(self, src: str, dst: str) -> None:
-        """Schedule an on-device copy between two variables."""
-        for name in (src, dst):
-            if name not in self.variables:
-                raise ValueError(f"unknown variable {name!r}")
-        if self.variables[src].n_elements != self.variables[dst].n_elements:
-            raise ValueError(
-                f"copy size mismatch: {src} has "
-                f"{self.variables[src].n_elements} elements, {dst} has "
-                f"{self.variables[dst].n_elements}"
-            )
-        self.program.append(ProgramStep("copy", (src, dst)))
 
     def add_host_write(self, var: str) -> None:
         """Schedule a host -> device stream of *var*."""

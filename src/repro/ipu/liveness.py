@@ -11,11 +11,11 @@ actual slot assignments.
 
 Definitions
 -----------
-A variable is *defined* at a step that writes it (a vertex output edge, a
-copy destination, a host write) and *used* at a step that reads it (vertex
-input, copy source, host read).  Its live interval spans first definition to
-last use.  Variables never written inside the program (weights, inputs fed
-via :meth:`Executor.run`) are conservatively live for the whole program.
+A variable is *defined* at a step that writes it (a vertex output edge or
+a host write) and *used* at a step that reads it (a vertex input or a host
+read).  Its live interval spans first definition to last use.  Variables
+never written inside the program (weights, inputs fed via
+:meth:`Executor.run`) are conservatively live for the whole program.
 
 A variable *used before its first in-program def* must hold externally
 supplied data at program start, so its interval starts at step 0 — not at
@@ -143,7 +143,7 @@ def compute_liveness(graph: Graph) -> LivenessReport:
     var_ids = {name: i for i, name in enumerate(names)}
     none = n_steps + 1
     # Per variable: first def, first use and last def-or-use step, read
-    # off the edge table; copies and host I/O are folded in per step.
+    # off the edge table; host I/O is folded in per step.
     first_def = np.full(len(names), none, dtype=np.int64)
     first_use = np.full(len(names), none, dtype=np.int64)
     last_use = np.full(len(names), -1, dtype=np.int64)
@@ -156,20 +156,12 @@ def compute_liveness(graph: Graph) -> LivenessReport:
             cs_first[step.ref] = min(cs_first[step.ref], step_idx)
             cs_last[step.ref] = step_idx
             continue
-        if step.kind == "copy":
-            used, defined = step.ref
-        elif step.kind == "host_write":
-            used, defined = None, step.ref
+        i = var_ids[step.ref]
+        if step.kind == "host_write":
+            first_def[i] = min(first_def[i], step_idx)
         else:
-            used, defined = step.ref, None
-        if used is not None:
-            u = var_ids[used]
-            first_use[u] = min(first_use[u], step_idx)
-            last_use[u] = max(last_use[u], step_idx)
-        if defined is not None:
-            d = var_ids[defined]
-            first_def[d] = min(first_def[d], step_idx)
-            last_use[d] = max(last_use[d], step_idx)
+            first_use[i] = min(first_use[i], step_idx)
+        last_use[i] = max(last_use[i], step_idx)
 
     edges = graph.edge_table()
     edge_cs = graph.vertex_table().cs[edges.vertex]
@@ -182,7 +174,7 @@ def compute_liveness(graph: Graph) -> LivenessReport:
 
     # Elements written at each variable's first defining step: the sum
     # of its output edges in that step's compute set, or every element
-    # for a copy / host write.
+    # for a host write.
     def_var = var[out]
     at_first = step_cs[first_def[def_var]] == cs[out]
     coverage = np.bincount(

@@ -123,7 +123,6 @@ class DataParallelReport:
     compute_s: float
     allreduce_s: float
     single_ipu_s: float
-    failed_links: int = 0
 
     @property
     def step_s(self) -> float:
@@ -149,18 +148,16 @@ def data_parallel_step(
     model: Module,
     in_features: int,
     global_batch: int,
-    machine: IPULinkSpec = M2000,
     n_ipus: int | None = None,
-    failed_links: int = 0,
 ) -> DataParallelReport:
-    """Model one synchronous data-parallel training step.
+    """Model one synchronous data-parallel training step on an
+    :data:`M2000`.
 
     Each replica runs ``global_batch / n_ipus`` samples through the
     single-IPU step model, then gradients (one FP32 value per parameter)
-    ring-allreduce across the machine.  ``failed_links`` degrades the
-    all-reduce (see :func:`allreduce_time`): compute is unaffected, only
-    the gradient exchange pays the surviving-direction penalty.
+    ring-allreduce across the machine.
     """
+    machine = M2000
     p = machine.n_ipus if n_ipus is None else n_ipus
     if not 1 <= p <= machine.n_ipus:
         raise ValueError(
@@ -175,9 +172,7 @@ def data_parallel_step(
         model, in_features=in_features, batch=local_batch, spec=machine.ipu
     )
     compute_s = replica.training_step_time()
-    reduce_s = allreduce_time(
-        machine, replica.param_bytes, n_ipus=p, failed_links=failed_links
-    )
+    reduce_s = allreduce_time(machine, replica.param_bytes, n_ipus=p)
     single = IPUModule(
         model, in_features=in_features, batch=global_batch, spec=machine.ipu
     ).training_step_time()
@@ -187,7 +182,6 @@ def data_parallel_step(
         compute_s=compute_s,
         allreduce_s=reduce_s,
         single_ipu_s=single,
-        failed_links=failed_links,
     )
 
 
@@ -214,10 +208,9 @@ def streaming_step(
     model: Module,
     in_features: int,
     batch: int,
-    spec: IPUSpec = GC200,
     weight_budget_bytes: int | None = None,
 ) -> StreamingReport:
-    """Model one training step with optional weight streaming.
+    """Model one GC200 training step with optional weight streaming.
 
     If the model's parameters fit in *weight_budget_bytes* (default: a
     quarter of In-Processor-Memory, leaving room for activations and code),
@@ -226,6 +219,7 @@ def streaming_step(
     after the backward pass — ``2 x param_bytes`` over the DDR link per
     step, the paper's streaming-memory trade.
     """
+    spec = GC200
     module = IPUModule(model, in_features=in_features, batch=batch, spec=spec)
     budget = (
         spec.total_memory_bytes // 4

@@ -28,6 +28,7 @@ from repro.ipu.executor import ExecutionReport, Executor
 from repro.ipu.graph import Edge, Graph
 from repro.ipu.machine import IPUSpec
 from repro.ipu.vertices import VERTEX_OVERHEAD_CYCLES
+from repro.linalg.dense import ELEMENT_BYTES
 
 __all__ = [
     "MatMulPlan",
@@ -135,9 +136,7 @@ def _ceil_div(a, b):
     return -(-a // b)
 
 
-def choose_grid(
-    spec: IPUSpec, m: int, n: int, k: int, element_bytes: int = 4
-) -> MatMulPlan:
+def choose_grid(spec: IPUSpec, m: int, n: int, k: int) -> MatMulPlan:
     """Pick the fastest memory-feasible partition grid for a GEMM.
 
     Every candidate grid is costed at once: per-tile memory
@@ -150,7 +149,7 @@ def choose_grid(
     budget = spec.usable_tile_memory * 0.8  # leave headroom for code/buffers
     pm, pn, pk = _candidates(m, n, k, 64 * spec.n_tiles)
     mt, nt, kt = _ceil_div(m, pm), _ceil_div(n, pn), _ceil_div(k, pk)
-    memory = element_bytes * (mt * kt + kt * nt + mt * nt)
+    memory = ELEMENT_BYTES * (mt * kt + kt * nt + mt * nt)
     feasible = np.flatnonzero(memory <= budget)
     if not len(feasible):
         # Nothing fits: return the least-bad plan; compile_graph will raise.
@@ -163,7 +162,7 @@ def choose_grid(
             mt * nt * kt / (spec.amp_macs_per_cycle * np.maximum(amp_eff, 1e-3))
         )
         # ExchangeModel.transfer_cycles of each vertex's operand bytes.
-        exchange_bytes = element_bytes * (mt * kt + kt * nt)
+        exchange_bytes = ELEMENT_BYTES * (mt * kt + kt * nt)
         per_step_exchange = (
             spec.exchange_setup_cycles
             + np.ceil(exchange_bytes / spec.exchange_bytes_per_cycle)
@@ -185,7 +184,7 @@ def choose_grid(
         best = int(near[np.argmin((pm * pn * pk)[near])])
     return MatMulPlan(
         m, n, k, int(pm[best]), int(pn[best]), int(pk[best]),
-        element_bytes, spec.n_tiles,
+        ELEMENT_BYTES, spec.n_tiles,
     )
 
 
@@ -269,7 +268,6 @@ def build_matmul_graph(
     codelet: str = "MatMulPartialAMP",
     plan: MatMulPlan | None = None,
     host_io: bool = False,
-    name: str = "matmul",
 ) -> tuple[Graph, MatMulPlan]:
     """Materialise a planned GEMM as a standalone executable IPU graph.
 
@@ -278,7 +276,7 @@ def build_matmul_graph(
     program also streams A/B in and C out (the PopTorch measurement mode of
     the paper's Note 4).
     """
-    graph = Graph(spec.n_tiles, name=name)
+    graph = Graph(spec.n_tiles, name="matmul")
     graph.add_variable("A", (m, k))
     graph.add_variable("B", (k, n))
     graph.add_variable("C", (m, n))
@@ -288,7 +286,7 @@ def build_matmul_graph(
     explicit_plan = plan is not None
     plan = emit_matmul(
         graph, spec, "A", "B", "C", m, n, k, codelet=codelet, plan=plan,
-        name=name,
+        name="matmul",
     )
     if host_io:
         graph.add_host_read("C")
@@ -325,7 +323,6 @@ def build_blocked_matmul_graph(
     n: int,
     k: int,
     block: int = 128,
-    name: str = "blocked_matmul",
 ) -> Graph:
     """The paper's hand-blocked variant: staged copies + live partials.
 
@@ -341,7 +338,7 @@ def build_blocked_matmul_graph(
     phases = math.ceil(k / block)
     pm_b = math.ceil(m / block)
     pn_b = math.ceil(n / block)
-    graph = Graph(spec.n_tiles, name=name)
+    graph = Graph(spec.n_tiles, name="blocked_matmul")
     graph.add_variable("A", (m, k))
     graph.add_variable("B", (k, n))
     graph.add_variable("C", (m, n))
@@ -367,7 +364,7 @@ def build_blocked_matmul_graph(
         kb = k1 - k0
         # Stage the operand panels through temporaries: a full extra
         # superstep of exchange per phase ("many copies taking place").
-        cs_copy = graph.add_compute_set(f"{name}/copy_in_{phase}")
+        cs_copy = graph.add_compute_set(f"blocked_matmul/copy_in_{phase}")
         a_rows = slice(r0, r1)
         graph.add_vertices(
             cs_copy,
@@ -384,7 +381,7 @@ def build_blocked_matmul_graph(
             inputs=[Edge("B", kb * cols_b, key=(slice(k0, k1), b_cols))],
             outputs=[Edge("tmpB", kb * cols_b, key=(slice(0, kb), b_cols))],
         )
-        cs_mm = graph.add_compute_set(f"{name}/mm_{phase}")
+        cs_mm = graph.add_compute_set(f"blocked_matmul/mm_{phase}")
         graph.add_vertices(
             cs_mm,
             # A hand-written codelet drives neither the AMP pipeline nor
@@ -403,7 +400,7 @@ def build_blocked_matmul_graph(
             params={"m": rows_b[bi], "n": cols_b[bj], "k": kb},
         )
 
-    cs_red = graph.add_compute_set(f"{name}/reduce")
+    cs_red = graph.add_compute_set("blocked_matmul/reduce")
     graph.add_vertices(
         cs_red,
         "ReduceAdd",

@@ -47,13 +47,12 @@ def build_spmm_graph(
     spec: IPUSpec,
     a: CSRMatrix | COOMatrix,
     n_cols: int,
-    name: str = "spmm",
 ) -> Graph:
     """Graph computing ``C = A_sparse @ B`` for dense ``B (k, n_cols)``."""
     if n_cols <= 0:
         raise ValueError(f"n_cols must be positive, got {n_cols}")
     m, k = a.shape
-    graph = Graph(spec.n_tiles, name=name)
+    graph = Graph(spec.n_tiles, name="spmm")
     graph.add_variable("B", (k, n_cols))
     graph.add_variable("C", (m, n_cols))
     # Index/value storage is part of the device footprint.
@@ -65,7 +64,7 @@ def build_spmm_graph(
         graph.add_variable("A_rows", (a.nnz,))
         graph.add_variable("A_cols", (a.nnz,))
 
-    cs = graph.add_compute_set(f"{name}/spmm")
+    cs = graph.add_compute_set("spmm/spmm")
     if isinstance(a, CSRMatrix):
         ranges = np.array(_csr_row_partition(a, spec.n_tiles), dtype=np.int64)
         r0, r1 = ranges[:, 0], ranges[:, 1]

@@ -677,7 +677,7 @@ class IPUModule:
         """Seconds for one forward pass (including engine overhead)."""
         return self.forward_report().total_s
 
-    def training_step_time(self, stream_io: bool = True) -> float:
+    def training_step_time(self) -> float:
         """Seconds for one training step (fwd + bwd + optimiser update).
 
         Backward re-runs the layer pipeline with roughly twice the device
@@ -685,9 +685,8 @@ class IPUModule:
         adds one elementwise compute set per parameter tensor.  Everything
         shares a single engine run, as PopTorch compiles the full step.
 
-        With ``stream_io`` (the default, matching how PopTorch training
-        actually behaves — the paper's Note 4), each step also streams the
-        input mini-batch from the host.
+        Each step also streams the input mini-batch from the host, as
+        PopTorch training does (the paper's Note 4).
         """
         fwd = self.forward_report()
         device_work = fwd.total_s - fwd.engine_overhead_s
@@ -697,7 +696,7 @@ class IPUModule:
             + (self.param_bytes / 4) / self.spec.vector_flops_per_second
         )
         stream_s = 0.0
-        if stream_io and not self.host_io:  # avoid double counting
+        if not self.host_io:  # avoid double counting
             stream_s = (
                 self.batch * self.in_features * 4
             ) / self.spec.effective_host_bandwidth

@@ -316,9 +316,8 @@ def random_sparse(
     density: float,
     seed: int | np.random.Generator | None = 0,
     fmt: str = "csr",
-    dtype: np.dtype = np.float32,
 ) -> CSRMatrix | COOMatrix:
-    """Generate a uniformly random sparse matrix with exact nnz count.
+    """Generate a uniformly random FP32 sparse matrix with exact nnz count.
 
     ``density`` is the fraction of nonzeros (paper's "99 % sparsity" equals
     ``density=0.01``).  Positions are sampled without replacement so the nnz
@@ -332,7 +331,7 @@ def random_sparse(
     flat = rng.choice(total, size=nnz, replace=False)
     rows = (flat // n).astype(np.int64)
     cols = (flat % n).astype(np.int64)
-    vals = rng.standard_normal(nnz).astype(dtype)
+    vals = rng.standard_normal(nnz).astype(np.float32)
     # Avoid sampled zeros so nnz stays exact after any from_dense round-trip.
     vals[vals == 0] = 1.0
     coo = COOMatrix(row=rows, col=cols, data=vals, shape=(m, n))

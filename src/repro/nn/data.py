@@ -74,7 +74,6 @@ class DataLoader:
         dataset: ArrayDataset,
         batch_size: int = 50,
         shuffle: bool = True,
-        drop_last: bool = False,
         seed: int | np.random.Generator | None = 0,
     ) -> None:
         if batch_size <= 0:
@@ -82,7 +81,6 @@ class DataLoader:
         self.dataset = dataset
         self.batch_size = batch_size
         self.shuffle = shuffle
-        self.drop_last = drop_last
         if isinstance(seed, np.random.Generator):
             self.rng = seed.spawn(1)[0]
         else:
@@ -92,8 +90,6 @@ class DataLoader:
 
     def __len__(self) -> int:
         n = len(self.dataset)
-        if self.drop_last:
-            return n // self.batch_size
         return (n + self.batch_size - 1) // self.batch_size
 
     def rng_state(self) -> dict:
@@ -112,9 +108,6 @@ class DataLoader:
     def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         n = len(self.dataset)
         order = self.rng.permutation(n) if self.shuffle else np.arange(n)
-        end = (n // self.batch_size) * self.batch_size if self.drop_last else n
-        for start in range(0, end, self.batch_size):
+        for start in range(0, n, self.batch_size):
             idx = order[start : start + self.batch_size]
-            if self.drop_last and len(idx) < self.batch_size:
-                break
             yield self.dataset.x[idx], self.dataset.y[idx]

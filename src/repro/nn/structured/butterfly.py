@@ -11,11 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.butterfly import (
-    butterfly_to_dense,
-    identity_twiddle,
-    orthogonal_twiddle,
-)
+from repro.core.butterfly import butterfly_to_dense, orthogonal_twiddle
 from repro.nn import functional as F
 from repro.nn import init
 from repro.nn.module import Module
@@ -44,9 +40,9 @@ class ButterflyLinear(Module):
         consecutive blocks compose like an FFT/IFFT pair.  One butterfly
         spans only a subset of matrices; products widen the expressible
         class at ``nblocks x 2 n log2 n`` parameters.
-    init_mode:
-        ``'orthogonal'`` (random 2x2 rotations; keeps activations
-        norm-preserving at init — Dao's recipe) or ``'identity'``.
+
+    Twiddles start as random 2x2 rotations, which keeps activations
+    norm-preserving at init (Dao's recipe).
     """
 
     def __init__(
@@ -56,7 +52,6 @@ class ButterflyLinear(Module):
         bias: bool = True,
         increasing_stride: bool = True,
         nblocks: int = 1,
-        init_mode: str = "orthogonal",
         seed: int | np.random.Generator | None = 0,
     ) -> None:
         super().__init__()
@@ -72,14 +67,9 @@ class ButterflyLinear(Module):
         rng = as_rng(seed)
         self._twiddle_names: list[str] = []
         for block in range(nblocks):
-            if init_mode == "orthogonal":
-                twiddle = orthogonal_twiddle(
-                    self.n, seed=derive_rng(rng, "twiddle", block)
-                )
-            elif init_mode == "identity":
-                twiddle = identity_twiddle(self.n)
-            else:
-                raise ValueError(f"unknown init_mode {init_mode!r}")
+            twiddle = orthogonal_twiddle(
+                self.n, seed=derive_rng(rng, "twiddle", block)
+            )
             name = "twiddle" if block == 0 else f"twiddle{block}"
             setattr(self, name, Parameter(twiddle))
             self._twiddle_names.append(name)

@@ -50,15 +50,10 @@ class Tensor:
 
     __array_priority__ = 1000  # make numpy defer to our reflected ops
 
-    def __init__(
-        self,
-        data,
-        requires_grad: bool = False,
-        dtype: np.dtype | None = None,
-    ) -> None:
+    def __init__(self, data, requires_grad: bool = False) -> None:
         if isinstance(data, Tensor):
             data = data.data
-        arr = np.asarray(data, dtype=dtype)
+        arr = np.asarray(data)
         if requires_grad and not np.issubdtype(arr.dtype, np.floating):
             arr = arr.astype(np.float64)
         self.data: np.ndarray = arr
@@ -197,8 +192,8 @@ class Tensor:
 class Parameter(Tensor):
     """A trainable tensor — ``requires_grad=True`` and float dtype."""
 
-    def __init__(self, data, dtype: np.dtype | None = None) -> None:
-        super().__init__(data, requires_grad=True, dtype=dtype)
+    def __init__(self, data) -> None:
+        super().__init__(data, requires_grad=True)
 
     def __repr__(self) -> str:
         return f"Parameter(shape={self.shape}, dtype={self.dtype})"

@@ -429,8 +429,7 @@ class Trainer:
                         "train_loader is exhausted: it yielded no batches "
                         f"in epoch {epoch} (dataset of "
                         f"{len(train_loader.dataset)} samples, batch_size="
-                        f"{train_loader.batch_size}, drop_last="
-                        f"{train_loader.drop_last})"
+                        f"{train_loader.batch_size})"
                     )
                 if consumed < skip:
                     raise CheckpointError(

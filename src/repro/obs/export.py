@@ -16,6 +16,10 @@ from repro.obs.tracer import Tracer, jsonable as _jsonable
 
 __all__ = ["to_chrome_trace", "write_chrome_trace", "flame_summary"]
 
+#: Span-name rows :func:`flame_summary` prints per track (heaviest first;
+#: the cut is announced, never silent).
+FLAME_ROWS = 40
+
 _PID = 1
 
 
@@ -87,9 +91,7 @@ def _format_s(seconds: float) -> str:
     return f"{seconds * 1e9:.1f} ns"
 
 
-def flame_summary(
-    tracer: Tracer, max_rows: int = 40, track: str | None = None
-) -> str:
+def flame_summary(tracer: Tracer, track: str | None = None) -> str:
     """Aggregate spans by name per track, heaviest first.
 
     The text analogue of a flame graph's top table: for each track, every
@@ -124,7 +126,7 @@ def flame_summary(
                  f"{'mean':>12s} {'share':>7s}  track"
         lines.append(header)
         lines.append("  " + "-" * (len(header) - 2))
-        for span_name, (total, calls) in ranked[:max_rows]:
+        for span_name, (total, calls) in ranked[:FLAME_ROWS]:
             share = total / top_level_total if top_level_total > 0 else 0.0
             lines.append(
                 f"  {span_name[:40]:<40s} {int(calls):>6d} "
@@ -132,11 +134,11 @@ def flame_summary(
                 f"{_format_s(total / calls):>12s} {share:>6.1%}"
                 f"  {track_label}"
             )
-        if len(ranked) > max_rows:
+        if len(ranked) > FLAME_ROWS:
             # No-silent-caps: capped output must say it is capped.
             lines.append(
-                f"  … and {len(ranked) - max_rows} more rows "
-                f"(of {len(ranked)}; raise max_rows to see all)"
+                f"  … and {len(ranked) - FLAME_ROWS} more rows "
+                f"(of {len(ranked)}; narrow it with a track pattern)"
             )
         lines.append("")
     if not lines and track is not None:

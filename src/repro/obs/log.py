@@ -109,10 +109,14 @@ class LogEvent:
         )
 
 
+#: Events a :class:`RunLog` buffers before it starts counting drops.
+MAX_EVENTS = 10_000
+
+
 class RunLog:
     """Records structured events; cheap enough to thread everywhere.
 
-    The buffer is bounded (``max_events``): once full, further events
+    The buffer is bounded (:data:`MAX_EVENTS`): once full, further events
     are counted in :attr:`dropped` instead of growing memory without
     limit inside a long worker — the cap is always visible in the
     manifest ``logs`` section, never silent.
@@ -122,13 +126,10 @@ class RunLog:
     state.
     """
 
-    def __init__(
-        self, max_events: int = 10_000, *, enabled: bool = True
-    ) -> None:
+    def __init__(self, *, enabled: bool = True) -> None:
         self.enabled = enabled
         self.events: list[LogEvent] = []
         self.dropped = 0
-        self.max_events = max_events
         self._origin = time.perf_counter()
         self._seq = 0
 
@@ -154,7 +155,7 @@ class RunLog:
         """
         if not self.enabled:
             return None
-        if len(self.events) >= self.max_events:
+        if len(self.events) >= MAX_EVENTS:
             self.dropped += 1
             return None
         ctx = get_context()

@@ -334,15 +334,14 @@ def render_timeline_html(
     metrics: list | None = None,
     title: str = "repro timeline",
     subtitle: str = "",
-    max_spans_per_track: int = MAX_SPANS_PER_TRACK,
-    max_log_rows: int = MAX_LOG_ROWS,
 ) -> str:
     """Render the unified timeline as one self-contained HTML document.
 
     *events* are :class:`~repro.obs.log.LogEvent` records (the log
     lane + table); *metrics* a manifest-style snapshot list.  Per-track
-    spans beyond *max_spans_per_track* keep only the longest (the track
-    header says how many were cut); the log table is capped likewise.
+    spans beyond :data:`MAX_SPANS_PER_TRACK` keep only the longest (the
+    track header says how many were cut); the log table is capped at
+    :data:`MAX_LOG_ROWS` likewise.
     """
     times = (
         [s.start_s for s in spans]
@@ -380,12 +379,12 @@ def render_timeline_html(
                 by_track.get(track, []),
                 t0,
                 span_s,
-                max_spans_per_track,
+                MAX_SPANS_PER_TRACK,
             )
         )
     if events:
         out.extend(_render_log_lane(events, t0, span_s))
-        out.extend(_render_log_table(events, max_log_rows))
+        out.extend(_render_log_table(events, MAX_LOG_ROWS))
     if metrics:
         out.extend(_render_metrics(metrics))
     out.append("</body></html>")

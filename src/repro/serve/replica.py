@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from repro import nn
 from repro.ipu.executor import Executor
-from repro.ipu.machine import GC200, IPUSpec
+from repro.ipu.machine import GC200
 from repro.ipu.poptorch import IPUModule
 
 __all__ = [
@@ -113,11 +113,11 @@ def build_pool(
     batch_rows: int,
     budget_bytes: float,
     depth: int = 3,
-    spec: IPUSpec = GC200,
     max_replicas: int = 64,
     seed: int = 0,
 ) -> ReplicaPool:
-    """Compile *method* once and size the pool from the memory budget.
+    """Compile *method* once for GC200 and size the pool from the memory
+    budget.
 
     Raises :class:`ValueError` when not even one replica fits — an
     undersized budget is a configuration error, not a zero-throughput
@@ -128,7 +128,7 @@ def build_pool(
     if max_replicas < 1:
         raise ValueError(f"max_replicas must be >= 1, got {max_replicas}")
     model = build_model(method, dim, depth=depth, seed=seed)
-    module = IPUModule(model, in_features=dim, batch=batch_rows, spec=spec)
+    module = IPUModule(model, in_features=dim, batch=batch_rows, spec=GC200)
     compiled = module.compile(check_fit=False)
     replica_bytes = float(compiled.memory.total_bytes)
     n = min(max_replicas, math.floor(budget_bytes / replica_bytes))

@@ -93,7 +93,6 @@ class ServeConfig:
 
     batch_policy: BatchPolicy
     queue_max_requests: int = 32
-    guard: GuardPolicy = SERVE_GUARD
     #: ``(replica_index, time_s)`` pairs; see :func:`death_schedule`.
     deaths: tuple[tuple[int, float], ...] = ()
 
@@ -414,7 +413,7 @@ class Server:
         # Give back the unserved tail of the lost batch's service time.
         replica.busy_s -= max(0.0, start_s + self.pool.service_s - now_s)
         self._batch_records[batch_id]["status"] = "lost"
-        guard = self.config.guard
+        guard = SERVE_GUARD
         for request in batch.requests:
             outcome = self._outcomes[request.index]
             outcome.attempts += 1

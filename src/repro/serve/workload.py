@@ -34,6 +34,12 @@ ARRIVALS = ("poisson", "burst")
 # Child-stream index of a request's gap and row-count draws.
 _ARRIVAL_STREAM = 0
 
+#: The ``burst`` process runs at ``BURST_FACTOR`` x the base rate for the
+#: first ``BURST_DUTY`` of every ``BURST_PERIOD_S`` of simulated time.
+BURST_FACTOR = 4.0
+BURST_PERIOD_S = 0.25
+BURST_DUTY = 0.25
+
 
 @dataclass(frozen=True)
 class Request:
@@ -56,21 +62,18 @@ class Request:
 class WorkloadSpec:
     """Declarative description of an open-loop request stream.
 
-    ``rate_rps`` is the long-run offered load in requests/second.  The
+    ``rate_rps`` is the base offered load in requests/second.  The
     ``burst`` process alternates between a quiet phase and a burst phase
-    (``burst_factor`` × the base rate) with period ``burst_period_s``
-    and duty cycle ``burst_duty``; the *current* phase is decided by the
-    arrival time accumulated so far, so the process stays a pure
-    function of the seed.
+    (:data:`BURST_FACTOR` × the base rate) with period
+    :data:`BURST_PERIOD_S` and duty cycle :data:`BURST_DUTY`; the
+    *current* phase is decided by the arrival time accumulated so far, so
+    the process stays a pure function of the seed.
     """
 
     seed: int = 0
     n_requests: int = 200
     rate_rps: float = 200.0
     arrival: str = "poisson"
-    burst_factor: float = 4.0
-    burst_period_s: float = 0.25
-    burst_duty: float = 0.25
     rows_min: int = 1
     rows_max: int = 4
     slo_s: float = 0.05
@@ -95,27 +98,15 @@ class WorkloadSpec:
             )
         if not 0 < self.slo_s < math.inf:
             raise ValueError(f"slo_s must be > 0, got {self.slo_s}")
-        if not 1 <= self.burst_factor < math.inf:
-            raise ValueError(
-                f"burst_factor must be >= 1, got {self.burst_factor}"
-            )
-        if not 0 < self.burst_duty < 1:
-            raise ValueError(
-                f"burst_duty must be in (0, 1), got {self.burst_duty}"
-            )
-        if not 0 < self.burst_period_s < math.inf:
-            raise ValueError(
-                f"burst_period_s must be > 0, got {self.burst_period_s}"
-            )
 
 
 def _local_rate(spec: WorkloadSpec, now_s: float) -> float:
     """The instantaneous arrival rate at simulated time *now_s*."""
     if spec.arrival != "burst":
         return spec.rate_rps
-    phase = math.fmod(now_s, spec.burst_period_s)
-    in_burst = phase < spec.burst_duty * spec.burst_period_s
-    return spec.rate_rps * spec.burst_factor if in_burst else spec.rate_rps
+    phase = math.fmod(now_s, BURST_PERIOD_S)
+    in_burst = phase < BURST_DUTY * BURST_PERIOD_S
+    return spec.rate_rps * BURST_FACTOR if in_burst else spec.rate_rps
 
 
 def generate_requests(spec: WorkloadSpec) -> list[Request]:

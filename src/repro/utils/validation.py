@@ -18,7 +18,7 @@ def check_power_of_two(n: int, name: str = "n") -> int:
     return n
 
 
-def log2_int(n: int, name: str = "n") -> int:
+def log2_int(n: int) -> int:
     """Return log2(n) for a power-of-two *n* as an exact int."""
-    check_power_of_two(n, name)
+    check_power_of_two(n)
     return int(n).bit_length() - 1

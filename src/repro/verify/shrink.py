@@ -43,6 +43,9 @@ __all__ = [
 #: Schema tag of stored reproducers.
 CORPUS_SCHEMA = "repro.verify/1"
 
+#: Candidate evaluations :func:`shrink` may spend on one case.
+MAX_EVALS = 400
+
 
 def _ladder_down(value: int) -> int | None:
     """The largest ladder entry strictly below *value*, if any."""
@@ -156,15 +159,13 @@ def make_predicate(oracle: str) -> Callable[[Case], str | None]:
 
 
 def shrink(
-    case: Case,
-    predicate: Callable[[Case], str | None],
-    max_evals: int = 400,
+    case: Case, predicate: Callable[[Case], str | None]
 ) -> tuple[Case, int, str]:
     """Greedily minimise *case* while *predicate* keeps failing.
 
     Returns ``(minimal_case, accepted_steps, final_detail)``.  The
-    original case must fail the predicate.  *max_evals* bounds the total
-    number of candidate evaluations, so shrinking always terminates
+    original case must fail the predicate.  :data:`MAX_EVALS` bounds the
+    total number of candidate evaluations, so shrinking always terminates
     quickly even on pathological cases.
     """
     detail = predicate(case)
@@ -178,11 +179,11 @@ def shrink(
     steps = 0
     evals = 0
     improved = True
-    while improved and evals < max_evals:
+    while improved and evals < MAX_EVALS:
         improved = False
         for candidate in _candidates(case):
             evals += 1
-            if evals > max_evals:
+            if evals > MAX_EVALS:
                 break
             if not _valid(candidate):
                 continue

@@ -23,6 +23,7 @@ from repro.cache import (
     dataclass_key,
     get_cache,
 )
+from repro.cache import store
 from repro.ipu.compiler import (
     IPUOutOfMemoryError,
     cached_compile,
@@ -129,14 +130,14 @@ class TestHitsAreByteIdentical:
             calls.append(1)
             return small_graph()
 
-        for _ in range(2):
-            compiled = cached_compile(
-                matmul_provenance(64, 64, 64),
-                build,
-                GC200,
-                check_fit=False,
-                cache=cache,
-            )
+        with caching(cache):
+            for _ in range(2):
+                compiled = cached_compile(
+                    matmul_provenance(64, 64, 64),
+                    build,
+                    GC200,
+                    check_fit=False,
+                )
         assert calls == [1]  # second call never built the graph
         assert compiled.profile().n_vertices > 0
 
@@ -208,8 +209,9 @@ class TestCorruptionFallback:
 
 
 class TestEvictionAndNull:
-    def test_memory_lru_evicts_oldest(self):
-        cache = CompilationCache(memory_entries=2)
+    def test_memory_lru_evicts_oldest(self, monkeypatch):
+        monkeypatch.setattr(store, "MEMORY_ENTRIES", 2)
+        cache = CompilationCache()
         for key in ("k1", "k2", "k3"):
             cache.store(
                 key, CacheRecord(arrays={}, meta={"spec": key})

@@ -18,8 +18,8 @@ from repro.faults.plan import (
     TRANSIENT_COMPUTE,
     FaultEvent,
     FaultPlan,
-    RecoveryPolicy,
 )
+from repro.ipu import executor
 from repro.ipu.machine import GC200
 
 from tests.faults.test_executor_faults import (
@@ -66,7 +66,7 @@ class TestChaosExecute:
         assert result.excluded_tiles == frozenset({0, 1})
         assert result.faults.n_injected == 2
 
-    def test_unrecovered_transient_reported_as_error(self):
+    def test_unrecovered_transient_reported_as_error(self, monkeypatch):
         graph = build_pipeline()
         step = compute_step_indices(graph)[0]
         plan = FaultPlan(
@@ -74,9 +74,8 @@ class TestChaosExecute:
                 FaultEvent(TRANSIENT_COMPUTE, step=step, tile=0, severity=9),
             )
         )
-        result = chaos_execute(
-            graph, GC200, plan, policy=RecoveryPolicy(max_retries=2)
-        )
+        monkeypatch.setattr(executor, "MAX_RETRIES", 2)
+        result = chaos_execute(graph, GC200, plan)
         assert not result.ok
         assert "not recovered" in result.error
         assert result.faults.n_fatal == 1
@@ -132,14 +131,9 @@ class TestLinkDropRecovery:
 
 
 class TestKillResume:
-    def test_bit_identical(self, tmp_path):
+    def test_bit_identical(self):
         result = kill_resume_check(
-            seed=0,
-            epochs=2,
-            kill_after_steps=7,
-            dim=32,
-            n_samples=96,
-            directory=str(tmp_path),
+            seed=0, epochs=2, kill_after_steps=7, dim=32, n_samples=96
         )
         assert result["killed"]
         assert result["bit_identical"]

@@ -122,8 +122,6 @@ class TestManager:
     def test_validation(self, tmp_path):
         with pytest.raises(ValueError, match="keep"):
             CheckpointManager(tmp_path, keep=-1)
-        with pytest.raises(ValueError, match="prefix"):
-            CheckpointManager(tmp_path, prefix="bad/name")
         with pytest.raises(ValueError, match="step"):
             CheckpointManager(tmp_path).save(-1, {}, {})
 

@@ -17,8 +17,8 @@ from repro.faults.plan import (
     TRANSIENT_COMPUTE,
     FaultEvent,
     FaultPlan,
-    RecoveryPolicy,
 )
+from repro.ipu import executor
 from repro.ipu.compiler import compile_graph
 from repro.ipu.executor import Executor
 from repro.ipu.graph import Edge, Graph, Vertex
@@ -128,6 +128,24 @@ class TestTransientRecovery:
         assert report.all_recovered
         assert report.total_retries == 2
 
+    def test_backoff_doubles_per_attempt(self, monkeypatch):
+        # Large enough to dominate, small enough to stay exact in binary.
+        monkeypatch.setattr(executor, "BACKOFF_BASE_S", 2.0**-10)
+        graph = build_pipeline()
+        step = compute_step_indices(graph)[0]
+        plan = FaultPlan(
+            events=(
+                FaultEvent(TRANSIENT_COMPUTE, step=step, tile=1, severity=3),
+            )
+        )
+        compiled = compile_graph(graph, GC200)
+        h = Executor(compiled).estimate().steps[step]
+        f = Executor(compiled, injector=FaultInjector(plan)).estimate()
+        rerun = h.compute_s + h.exchange_s + h.sync_s
+        # Attempts 1..3 back off 1, 2 and 4 base delays; then one resync.
+        expected = 7 * 2.0**-10 + 3 * rerun + GC200.sync_cycles / GC200.clock_hz
+        assert f.steps[step].retry_s == pytest.approx(expected, rel=1e-12)
+
     def test_exhausted_retry_budget_is_fatal(self):
         graph = build_pipeline()
         step = compute_step_indices(graph)[0]
@@ -136,7 +154,7 @@ class TestTransientRecovery:
                 FaultEvent(TRANSIENT_COMPUTE, step=step, tile=0, severity=9),
             )
         )
-        injector = FaultInjector(plan, RecoveryPolicy(max_retries=3))
+        injector = FaultInjector(plan)  # MAX_RETRIES = 3
         executor = Executor(compile_graph(graph, GC200), injector=injector)
         with pytest.raises(UnrecoveredFaultError, match="3 retries"):
             executor.estimate()
@@ -161,16 +179,14 @@ class TestExchangeAndHostFaults:
         assert faulty.steps[step].retry_s == pytest.approx(expected)
         assert faulty.steps[step].retries == 1
 
-    def test_host_stall_scales_with_severity(self):
+    def test_host_stall_scales_with_severity(self, monkeypatch):
+        monkeypatch.setattr(executor, "HOST_STALL_S", 1e-4)
         graph = build_pipeline()
         plan = FaultPlan(
             events=(FaultEvent(HOST_STALL, step=0, severity=3),)
         )
-        policy = RecoveryPolicy(host_stall_s=1e-4)
         compiled = compile_graph(graph, GC200)
-        faulty = Executor(
-            compiled, injector=FaultInjector(plan, policy)
-        ).estimate()
+        faulty = Executor(compiled, injector=FaultInjector(plan)).estimate()
         assert graph.program[0].kind == "host_write"
         assert faulty.steps[0].retry_s == pytest.approx(3e-4)
 

@@ -10,7 +10,6 @@ from repro.faults.plan import (
     TRANSIENT_COMPUTE,
     FaultEvent,
     FaultPlan,
-    RecoveryPolicy,
 )
 
 
@@ -27,22 +26,6 @@ class TestFaultEvent:
         a = FaultEvent(TRANSIENT_COMPUTE, step=3, tile=7)
         b = FaultEvent(TRANSIENT_COMPUTE, step=3, tile=7, severity=2)
         assert a.key == b.key == (TRANSIENT_COMPUTE, 3, 7)
-
-
-class TestRecoveryPolicy:
-    def test_backoff_doubles(self):
-        policy = RecoveryPolicy(backoff_base_s=1e-6)
-        assert policy.backoff_s(1) == 1e-6
-        assert policy.backoff_s(2) == 2e-6
-        assert policy.backoff_s(3) == 4e-6
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RecoveryPolicy(max_retries=-1)
-        with pytest.raises(ValueError):
-            RecoveryPolicy(backoff_base_s=-1.0)
-        with pytest.raises(ValueError):
-            RecoveryPolicy().backoff_s(0)
 
 
 class TestFaultPlan:

@@ -113,7 +113,7 @@ def test_resume_after_completion_is_noop(tmp_path):
 
 
 def test_steps_per_epoch_recorded():
-    dataset = make_dataset(n=95)  # 10 batches of 10 (no drop_last)
+    dataset = make_dataset(n=95)  # 10 batches of 10, the last one short
     trainer = make_trainer(dataset)
     history = trainer.fit(DataLoader(dataset, batch_size=10, seed=1), epochs=2)
     assert history.steps_per_epoch == [10, 10]
@@ -122,9 +122,9 @@ def test_steps_per_epoch_recorded():
 
 
 def test_exhausted_loader_raises():
-    dataset = make_dataset(n=5)
-    loader = DataLoader(dataset, batch_size=10, drop_last=True, seed=1)
-    trainer = make_trainer(dataset)
+    dataset = make_dataset(n=0)
+    loader = DataLoader(dataset, batch_size=10, seed=1)
+    trainer = make_trainer(make_dataset())
     with pytest.raises(ValueError, match="exhausted"):
         trainer.fit(loader, epochs=1)
 

@@ -91,6 +91,7 @@ class TestCLI:
         (["serve", "--seed", "-1"], "--seed"),
         (["chaos", "--seed", "-1", "--smoke", "--only", "executor"], "--seed"),
         (["serve", "--methods", ","], "--methods"),
+        (["serve", "--methods", "dense,dense"], "--methods"),
         (["serve", "--rate", "-1"], "--rate"),
         (["serve", "--rate", "nan"], "--rate"),
         (["serve", "--slo-ms", "0"], "--slo-ms"),
@@ -109,6 +110,7 @@ class TestCLI:
         "serve-seed",
         "chaos-seed",
         "serve-methods",
+        "serve-methods-dup",
         "serve-rate",
         "serve-rate-nan",
         "serve-slo",

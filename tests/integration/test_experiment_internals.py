@@ -15,14 +15,15 @@ pytestmark = pytest.mark.slow
 
 
 class TestFig6Internals:
-    def test_render_memory_limits_from_precomputed(self):
+    def test_render_memory_limits_from_precomputed(self, monkeypatch):
         from repro.experiments.fig6 import MemoryLimitRow, render_memory_limits
 
         rows = [
             MemoryLimitRow("gpu", 1024, 4096, 4096),
             MemoryLimitRow("ipu", 512, 1024, 1024),
         ]
-        text = render_memory_limits(rows)
+        monkeypatch.setattr(fig6, "memory_limits", lambda: rows)
+        text = render_memory_limits()
         assert "linear max N" in text
         assert "4,096" in text or "4096" in text
 
@@ -39,9 +40,10 @@ class TestFig6Internals:
 
 
 class TestGenerationsInternals:
-    def test_largest_fitting_matmul_monotone_in_memory(self):
-        small = generations.largest_fitting_matmul(GC2, max_exp=12)
-        large = generations.largest_fitting_matmul(GC200, max_exp=12)
+    def test_largest_fitting_matmul_monotone_in_memory(self, monkeypatch):
+        monkeypatch.setattr(generations, "MAX_EXP", 12)
+        small = generations.largest_fitting_matmul(GC2)
+        large = generations.largest_fitting_matmul(GC200)
         assert large >= small
         assert small > 0
 

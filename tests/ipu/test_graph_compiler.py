@@ -58,12 +58,6 @@ class TestGraphConstruction:
         with pytest.raises(ValueError, match="compute set"):
             g.add_vertex(99, Vertex(codelet="Copy", tile=0))
 
-    def test_copy_size_mismatch(self):
-        g = tiny_graph()
-        g.add_variable("z", (3,))
-        with pytest.raises(ValueError, match="mismatch"):
-            g.add_copy("x", "z")
-
     def test_host_io_unknown_variable(self):
         g = tiny_graph()
         with pytest.raises(ValueError, match="unknown"):

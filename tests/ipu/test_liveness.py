@@ -85,16 +85,6 @@ class TestIntervals:
         assert by_var["y"].end == 2  # kept alive until host read
         assert report.always_live_bytes == 0
 
-    def test_copy_steps_tracked(self):
-        g = Graph(GC200.n_tiles)
-        g.add_variable("a", (50,))
-        g.add_variable("b", (50,))
-        g.add_copy("a", "b")
-        report = compute_liveness(g)
-        by_var = {iv.var: iv for iv in report.intervals}
-        assert "b" in by_var
-        assert report.always_live_bytes == 200  # a: read-only input
-
     def test_interval_helpers(self):
         from repro.ipu.liveness import LiveInterval
 

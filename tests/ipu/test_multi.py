@@ -128,38 +128,6 @@ class TestDataParallel:
         with pytest.raises(ValueError, match="batch"):
             data_parallel_step(self._model(), 1024, 2, n_ipus=4)
 
-    def test_degraded_step_slower_but_compute_unchanged(self):
-        healthy = data_parallel_step(
-            self._model("dense"), 1024, global_batch=512, n_ipus=4
-        )
-        degraded = data_parallel_step(
-            self._model("dense"), 1024, global_batch=512, n_ipus=4,
-            failed_links=1,
-        )
-        assert degraded.failed_links == 1
-        assert degraded.compute_s == healthy.compute_s
-        assert degraded.allreduce_s > healthy.allreduce_s
-        assert degraded.speedup < healthy.speedup
-
-    def test_butterfly_shrinks_the_degraded_link_penalty(self):
-        """Compression pays off twice on a broken ring: the halved
-        bandwidth is applied to a ~97 % smaller gradient payload."""
-        def penalty(kind):
-            healthy = data_parallel_step(
-                self._model(kind), 1024, global_batch=512, n_ipus=4
-            )
-            degraded = data_parallel_step(
-                self._model(kind), 1024, global_batch=512, n_ipus=4,
-                failed_links=1,
-            )
-            return degraded.allreduce_s - healthy.allreduce_s
-
-        # Both pay the same detection timeout; the bandwidth term of the
-        # penalty tracks the parameter compression.
-        timeout = M2000.link_retry_timeout_s
-        assert (penalty("butterfly") - timeout) < (
-            penalty("dense") - timeout
-        ) / 10
 
 
 class TestStreaming:
@@ -227,18 +195,6 @@ class TestEdgeCases:
         report = data_parallel_step(model, 256, 8, n_ipus=1)
         assert report.allreduce_s == 0.0
         assert report.n_ipus == 1
-
-    def test_data_parallel_single_replica_survives_failed_links(self):
-        model = nn.Sequential(nn.Linear(256, 256, bias=False, seed=0))
-        report = data_parallel_step(
-            model, 256, 8, n_ipus=1, failed_links=2
-        )
-        assert report.allreduce_s == 0.0
-
-    def test_data_parallel_partitioned_ring_raises(self):
-        model = nn.Sequential(nn.Linear(256, 256, bias=False, seed=0))
-        with pytest.raises(ValueError, match="partition"):
-            data_parallel_step(model, 256, 8, n_ipus=4, failed_links=2)
 
     def test_streaming_zero_parameter_model(self):
         # A parameter-free model streams zero bytes: resident under any

@@ -33,9 +33,7 @@ def external_inputs(graph, seed=0):
     """Deterministic values for every variable the program never writes."""
     written = graph.vertex_output_variables()
     for step in graph.program:
-        if step.kind == "copy":
-            written.add(step.ref[1])
-        elif step.kind == "host_write":
+        if step.kind == "host_write":
             written.add(step.ref)
     rng = np.random.default_rng(seed)
     return {

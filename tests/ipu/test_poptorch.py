@@ -137,12 +137,6 @@ class TestTiming:
         )
         assert stream.forward_time() > plain.forward_time()
 
-    def test_stream_io_flag(self):
-        module = IPUModule(nn.Linear(256, 256, seed=0), 256, 64)
-        with_io = module.training_step_time(stream_io=True)
-        without = module.training_step_time(stream_io=False)
-        assert with_io > without
-
     def test_table4_ipu_method_ordering(self):
         """Within-IPU Table 4 ordering: pixelfly slowest, fastfood next,
         circulant and low-rank at or below baseline."""

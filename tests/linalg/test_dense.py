@@ -8,4 +8,4 @@ class TestFlops:
         assert matmul_flops(2, 3, 4) == 48
 
     def test_matmul_bytes(self):
-        assert matmul_bytes(2, 3, 4, element_bytes=4) == 4 * (8 + 12 + 6)
+        assert matmul_bytes(2, 3, 4) == 4 * (8 + 12 + 6)

@@ -63,13 +63,6 @@ class TestDataLoader:
         assert len(batches) == 11
         assert batches[-1][0].shape[0] == 3
 
-    def test_drop_last(self):
-        loader = DataLoader(
-            toy_dataset(103), batch_size=10, drop_last=True, shuffle=False
-        )
-        assert len(loader) == 10
-        assert all(x.shape[0] == 10 for x, _ in loader)
-
     def test_no_shuffle_preserves_order(self):
         ds = toy_dataset(20)
         loader = DataLoader(ds, batch_size=7, shuffle=False)

@@ -39,13 +39,6 @@ class TestButterflyLinear:
         layer = nn.ButterflyLinear(1024, 1024, seed=0)
         assert layer.param_count() == 20480 + 1024
 
-    def test_identity_init(self, rng):
-        layer = nn.ButterflyLinear(
-            8, 8, bias=False, init_mode="identity", seed=0
-        )
-        x = rng.standard_normal((2, 8))
-        np.testing.assert_allclose(layer(Tensor(x)).data, x)
-
     def test_orthogonal_init_preserves_norm(self, rng):
         layer = nn.ButterflyLinear(64, 64, bias=False, seed=0)
         x = rng.standard_normal((10, 64))
@@ -53,10 +46,6 @@ class TestButterflyLinear:
         np.testing.assert_allclose(
             np.linalg.norm(y, axis=1), np.linalg.norm(x, axis=1), rtol=1e-9
         )
-
-    def test_invalid_init_mode(self):
-        with pytest.raises(ValueError, match="init_mode"):
-            nn.ButterflyLinear(8, 8, init_mode="bogus")
 
     def test_wrong_input_features(self, rng):
         layer = nn.ButterflyLinear(8, 8)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.obs import export
 
 
 def sample_tracer() -> obs.Tracer:
@@ -99,19 +100,21 @@ class TestFlameSummary:
         text = obs.flame_summary(tracer)
         assert text.index("big") < text.index("small")
 
-    def test_max_rows_truncates_with_footer(self):
+    def test_max_rows_truncates_with_footer(self, monkeypatch):
+        monkeypatch.setattr(export, "FLAME_ROWS", 3)
         tracer = obs.Tracer()
         for i in range(10):
             tracer.add_span(f"s{i}", 1e-6, "dev")
-        text = obs.flame_summary(tracer, max_rows=3)
+        text = obs.flame_summary(tracer)
         # No-silent-caps rule: capped output announces the cap and the
         # true row count, so it can never be mistaken for complete.
         assert "… and 7 more rows" in text
         assert "of 10" in text
 
-    def test_no_footer_when_complete(self):
+    def test_no_footer_when_complete(self, monkeypatch):
+        monkeypatch.setattr(export, "FLAME_ROWS", 3)
         tracer = obs.Tracer()
         for i in range(3):
             tracer.add_span(f"s{i}", 1e-6, "dev")
-        text = obs.flame_summary(tracer, max_rows=3)
+        text = obs.flame_summary(tracer)
         assert "more rows" not in text

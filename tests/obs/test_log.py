@@ -6,6 +6,7 @@ import pytest
 
 from repro import obs
 from repro.obs.context import TraceContext, context
+from repro.obs import log as log_module
 from repro.obs.log import LEVELS, LOG_SCHEMA, LogEvent, RunLog
 
 
@@ -37,8 +38,9 @@ class TestRecording:
         assert times == sorted(times)
         assert all(t >= 0.0 for t in times)
 
-    def test_bounded_buffer_counts_drops(self):
-        log = RunLog(max_events=2)
+    def test_bounded_buffer_counts_drops(self, monkeypatch):
+        monkeypatch.setattr(log_module, "MAX_EVENTS", 2)
+        log = RunLog()
         assert log.info("a") is not None
         assert log.info("b") is not None
         assert log.info("c") is None

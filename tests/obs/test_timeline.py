@@ -1,6 +1,7 @@
 """Timeline report: trace/manifest ingestion and self-contained HTML."""
 
 from repro import obs
+from repro.obs import timeline
 from repro.obs.log import RunLog
 from repro.obs.timeline import (
     _recover_depths,
@@ -116,22 +117,22 @@ class TestRenderTimelineHtml:
         assert "cache.hits" in html_text
         assert "<h2>Metrics</h2>" in html_text
 
-    def test_span_cap_is_announced_not_silent(self):
+    def test_span_cap_is_announced_not_silent(self, monkeypatch):
+        monkeypatch.setattr(timeline, "MAX_SPANS_PER_TRACK", 3)
         spans = [
             SpanRecord(f"s{i}", "c", "t", start_s=float(i), duration_s=0.5)
             for i in range(10)
         ]
         _recover_depths(spans)
-        html_text = render_timeline_html(spans, max_spans_per_track=3)
+        html_text = render_timeline_html(spans)
         assert "showing the 3 longest of 10 spans" in html_text
 
-    def test_log_table_cap_is_announced(self):
+    def test_log_table_cap_is_announced(self, monkeypatch):
+        monkeypatch.setattr(timeline, "MAX_LOG_ROWS", 2)
         log = RunLog()
         for i in range(5):
             log.info(f"e{i}")
-        html_text = render_timeline_html(
-            [], events=list(log.events), max_log_rows=2
-        )
+        html_text = render_timeline_html([], events=list(log.events))
         assert "3 more events" in html_text
 
     def test_empty_inputs_still_render(self):

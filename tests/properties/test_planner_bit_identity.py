@@ -91,9 +91,7 @@ METHODS = [
 def external_inputs(graph, seed):
     written = graph.vertex_output_variables()
     for step in graph.program:
-        if step.kind == "copy":
-            written.add(step.ref[1])
-        elif step.kind == "host_write":
+        if step.kind == "host_write":
             written.add(step.ref)
     rng = np.random.default_rng(seed)
     return {
@@ -147,12 +145,15 @@ def test_planned_peak_never_exceeds_no_reuse(method, dim, batch):
     )
 
 
-def test_fig5_planner_sweep_records_reuse_saving():
+def test_fig5_planner_sweep_records_reuse_saving(monkeypatch):
     # The fig5 headroom sweep (shrunk to one depth for test runtime)
     # must report a nonzero reclaimed fraction.
     from repro.experiments import fig5
 
-    rows = fig5.planner_run(depths=[4], dim=256, batch=256)
+    monkeypatch.setattr(fig5, "planner_depths", lambda: [4])
+    monkeypatch.setattr(fig5, "PLANNER_DIM", 256)
+    monkeypatch.setattr(fig5, "PLANNER_BATCH", 256)
+    rows = fig5.planner_run()
     assert rows[0].reclaimed_fraction > 0.0
     assert (
         rows[0].planned.peak_tile_bytes

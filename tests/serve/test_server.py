@@ -8,6 +8,7 @@ and the expected event order can be checked by hand.
 import pytest
 
 from repro.guard.policy import TRANSIENT, GuardPolicy, classify_exception
+from repro.serve import server
 from repro.serve.batcher import BatchPolicy
 from repro.serve.replica import Replica, ReplicaPool
 from repro.serve.server import (
@@ -162,16 +163,18 @@ class TestDeaths:
             [request(0, 0.0, rows=4)]
         )
         [outcome] = result.outcomes
-        backoff = config.guard.backoff_s(0, 1)
+        backoff = server.SERVE_GUARD.backoff_s(0, 1)
         # Lost at 0.5, re-queued at 0.5 + backoff (full batch, so it
         # dispatches immediately), served for 1.0 on the survivor.
         assert outcome.completed_s == pytest.approx(1.5 + backoff)
 
-    def test_retries_exhausted_fails(self):
-        guard = GuardPolicy(
-            retries=0, backoff_base_s=1e-4, backoff_max_s=1e-3
+    def test_retries_exhausted_fails(self, monkeypatch):
+        monkeypatch.setattr(
+            server,
+            "SERVE_GUARD",
+            GuardPolicy(retries=0, backoff_base_s=1e-4, backoff_max_s=1e-3),
         )
-        config = make_config(deaths=((0, 0.5),), guard=guard)
+        config = make_config(deaths=((0, 0.5),))
         result = Server(make_pool(n_replicas=2), config).run(
             [request(0, 0.0, rows=4)]
         )

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.serve import workload
 from repro.serve.batcher import BatchPolicy
 from repro.serve.replica import build_pool
 from repro.serve.workload import Request, WorkloadSpec, generate_requests
@@ -46,14 +47,11 @@ class TestShape:
         achieved = spec.n_requests / last.arrival_s
         assert achieved == pytest.approx(1000.0, rel=0.1)
 
-    def test_burst_arrivals_are_denser_than_poisson(self):
+    def test_burst_arrivals_are_denser_than_poisson(self, monkeypatch):
+        monkeypatch.setattr(workload, "BURST_FACTOR", 8.0)
         base = WorkloadSpec(seed=0, n_requests=500, rate_rps=1000.0)
         burst = WorkloadSpec(
-            seed=0,
-            n_requests=500,
-            rate_rps=1000.0,
-            arrival="burst",
-            burst_factor=8.0,
+            seed=0, n_requests=500, rate_rps=1000.0, arrival="burst"
         )
         t_poisson = generate_requests(base)[-1].arrival_s
         t_burst = generate_requests(burst)[-1].arrival_s
@@ -66,8 +64,6 @@ class TestShape:
 NON_FINITE_BUILDERS = {
     "rate_rps": lambda v: WorkloadSpec(rate_rps=v),
     "slo_s": lambda v: WorkloadSpec(slo_s=v),
-    "burst_factor": lambda v: WorkloadSpec(burst_factor=v),
-    "burst_period_s": lambda v: WorkloadSpec(burst_period_s=v),
     "max_delay_s": lambda v: BatchPolicy(8, max_delay_s=v),
     "budget_bytes": lambda v: build_pool("dense", 64, 8, v),
 }

@@ -5,9 +5,9 @@ renderer's returned string, or the tracer — never stdout: a ``print``
 buried in ``src/repro`` corrupts piped artefact output and is invisible
 to the merged grid timeline.  Allowed:
 
-* ``src/repro/__main__.py`` — the CLI front end *is* the terminal;
-* statements inside an ``if __name__ == "__main__":`` block (the
-  historical ``python -m repro.experiments.fig6`` driver entry points);
+* ``src/repro/__main__.py`` — the CLI front end *is* the terminal, and
+  ``python -m repro <name>`` is the one command-line entry point of
+  every artefact;
 * lines carrying an explicit ``# noqa: T201`` opt-out (e.g. the
   trainer's ``verbose=True`` progress output).
 
@@ -21,27 +21,6 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 
 ALLOWED_FILES = {SRC / "__main__.py"}
-
-
-def _main_guard_linenos(tree: ast.Module) -> set[int]:
-    """Line numbers covered by top-level ``if __name__ == "__main__":``."""
-    covered: set[int] = set()
-    for node in tree.body:
-        if not isinstance(node, ast.If):
-            continue
-        test = node.test
-        is_main_guard = (
-            isinstance(test, ast.Compare)
-            and isinstance(test.left, ast.Name)
-            and test.left.id == "__name__"
-            and len(test.comparators) == 1
-            and isinstance(test.comparators[0], ast.Constant)
-            and test.comparators[0].value == "__main__"
-        )
-        if is_main_guard:
-            end = node.end_lineno or node.lineno
-            covered.update(range(node.lineno, end + 1))
-    return covered
 
 
 def _print_calls(tree: ast.Module) -> list[int]:
@@ -62,10 +41,7 @@ def test_no_bare_print_in_library():
         text = path.read_text()
         lines = text.splitlines()
         tree = ast.parse(text, filename=str(path))
-        allowed_linenos = _main_guard_linenos(tree)
         for lineno in _print_calls(tree):
-            if lineno in allowed_linenos:
-                continue
             if "# noqa: T201" in lines[lineno - 1]:
                 continue
             offenders.append(f"{path.relative_to(SRC.parent.parent)}:{lineno}")
@@ -77,12 +53,10 @@ def test_no_bare_print_in_library():
 
 
 def test_rule_catches_a_print(tmp_path):
-    # The checker itself must not silently rot: a synthetic module with
-    # a stray print outside any main guard is flagged.
+    # The checker itself must not silently rot: a synthetic module's
+    # prints are flagged, inside a main guard too.
     tree = ast.parse(
         "def f():\n    print('x')\n\nif __name__ == \"__main__\":\n"
         "    print('ok')\n"
     )
     assert _print_calls(tree) == [2, 5]
-    assert 5 in _main_guard_linenos(tree)
-    assert 2 not in _main_guard_linenos(tree)

@@ -1,6 +1,7 @@
 """Delta-debugging: minimisation, signature stability, corpus I/O."""
 
 import dataclasses
+import importlib
 
 import pytest
 
@@ -75,7 +76,11 @@ class TestShrink:
         # And the minimal case passes once the plant is gone.
         assert predicate(minimal) is None
 
-    def test_eval_budget_bounds_work(self):
+    def test_eval_budget_bounds_work(self, monkeypatch):
+        # repro.verify re-exports the function under the module's name.
+        monkeypatch.setattr(
+            importlib.import_module("repro.verify.shrink"), "MAX_EVALS", 10
+        )
         calls = 0
 
         def predicate(case):
@@ -83,7 +88,7 @@ class TestShrink:
             calls += 1
             return "still failing"
 
-        shrink(generate_case(0, 2), predicate, max_evals=10)
+        shrink(generate_case(0, 2), predicate)
         assert calls <= 12  # initial check + budgeted candidate evals
 
 
