@@ -22,7 +22,6 @@ against an independent dense expansion.
 from repro.core.permutations import bit_reversal_permutation
 from repro.core.butterfly import (
     random_twiddle,
-    identity_twiddle,
     orthogonal_twiddle,
     fft_twiddle,
     butterfly_multiply,
@@ -56,7 +55,6 @@ from repro.core.compression import compression_ratio, CompressionReport
 __all__ = [
     "bit_reversal_permutation",
     "random_twiddle",
-    "identity_twiddle",
     "orthogonal_twiddle",
     "fft_twiddle",
     "butterfly_multiply",

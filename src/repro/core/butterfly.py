@@ -17,6 +17,12 @@ The multiply contracts each 2x2 block with its index pair; levels run with
 strides ``1, 2, ..., n/2`` (``increasing_stride=True``, decimation-in-time)
 or reversed.
 
+The kernels work on the columns of a batch: ``x.T`` as one C-ordered
+``(n, batch)`` array, viewed per level as ``(n // (2 s), s, 2, batch)``, so
+that each level is a single batched ``np.matmul`` of the ``(2, 2)`` twiddles
+against ``(2, batch)`` column pairs, written with ``out=`` into a buffer the
+next level reads.  The batch is transposed in once and out once.
+
 The backward pass (needed by :mod:`repro.nn.structured.butterfly`) is
 implemented here as well so it can be validated against finite differences
 independently of the autograd engine.
@@ -30,7 +36,6 @@ from repro.utils import as_rng, log2_int
 
 __all__ = [
     "random_twiddle",
-    "identity_twiddle",
     "orthogonal_twiddle",
     "fft_twiddle",
     "butterfly_multiply",
@@ -74,15 +79,6 @@ def _check_twiddle(twiddle: np.ndarray) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # Twiddle constructors
 # ---------------------------------------------------------------------------
-
-
-def identity_twiddle(n: int) -> np.ndarray:
-    """Twiddle array whose butterfly is the identity matrix."""
-    log_n = log2_int(n)
-    twiddle = np.zeros((log_n, n // 2, 2, 2))
-    twiddle[..., 0, 0] = 1
-    twiddle[..., 1, 1] = 1
-    return twiddle
 
 
 def random_twiddle(
@@ -152,17 +148,26 @@ def fft_twiddle(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _apply_level(
-    twiddle_level: np.ndarray, x: np.ndarray, stride: int
-) -> np.ndarray:
-    """Apply one butterfly level to batched rows ``x`` of shape (B, n)."""
-    batch, n = x.shape
-    nblocks = n // (2 * stride)
-    x4 = x.reshape(batch, nblocks, 2, stride)
-    t4 = twiddle_level.reshape(nblocks, stride, 2, 2)
-    # y[b, k, r, p] = sum_c t[k, p, r, c] * x[b, k, c, p]
-    y4 = np.einsum("kprc,bkcp->bkrp", t4, x4, optimize=True)
-    return y4.reshape(batch, n)
+def _columns(rows: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """``rows.T`` as a fresh C-ordered ``(n, batch)`` array of *dtype*."""
+    return np.array(rows.T, dtype=dtype, order="C")
+
+
+def _pairs(cols: np.ndarray, stride: int) -> np.ndarray:
+    """View ``(n, batch)`` columns as one level's ``(n/(2s), s, 2, batch)``
+    pairs: entry ``[k, p, c]`` is row ``2 s k + s c + p``, the ``c``-th
+    member of pair ``p`` in block ``k``."""
+    n, batch = cols.shape
+    return cols.reshape(n // (2 * stride), 2, stride, batch).transpose(0, 2, 1, 3)
+
+
+def _level(
+    twiddle_level: np.ndarray, cols: np.ndarray, stride: int, out: np.ndarray
+) -> None:
+    """Write one level of columns *cols* into *out*: per pair,
+    ``out[k, p] = t[k, p] @ cols[k, p]``, a ``(2, 2) @ (2, batch)`` GEMM."""
+    t4 = twiddle_level.reshape(-1, stride, 2, 2)
+    np.matmul(t4, _pairs(cols, stride), out=_pairs(out, stride))
 
 
 def butterfly_multiply(
@@ -172,37 +177,77 @@ def butterfly_multiply(
 
     ``x`` may be 1-D (a single vector) or 2-D ``(batch, n)``.  Cost is
     ``O(batch * n log n)`` versus ``O(batch * n**2)`` for the dense matmul
-    it replaces.
+    it replaces.  The levels run on the columns ``x.T``, alternating
+    between two buffers, so no level allocates.
     """
     log_n, n = _check_twiddle(twiddle)
     x = np.asarray(x)
     squeeze = x.ndim == 1
     if squeeze:
         x = x[None, :]
+    if x.ndim != 2:
+        raise ValueError(f"x must be 1-D or (batch, n), got shape {x.shape}")
     if x.shape[1] != n:
         raise ValueError(f"x has {x.shape[1]} features, butterfly expects {n}")
-    y = x
-    for level in range(log_n):
-        stride = level_stride(level, log_n, increasing_stride)
-        y = _apply_level(twiddle[level], y, stride)
-    return y[0] if squeeze else y
+    if log_n:
+        y = _columns(x, np.result_type(twiddle, x))
+        spare = np.empty_like(y)
+        for level in range(log_n):
+            stride = level_stride(level, log_n, increasing_stride)
+            _level(twiddle[level], y, stride, out=spare)
+            y, spare = spare, y
+        x = y.T.copy()
+    return x[0] if squeeze else x
 
 
 def butterfly_multiply_with_intermediates(
     twiddle: np.ndarray, x: np.ndarray, increasing_stride: bool = True
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Forward pass that also returns each level's *input* (for backward)."""
+    """Forward pass that also returns each level's *input* (for backward).
+
+    The saved input of level 0 is ``x`` itself; that of every later level
+    is the C-ordered ``(n, batch)`` array of columns (the transpose of its
+    rows) the level read.
+    """
     log_n, n = _check_twiddle(twiddle)
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] != n:
         raise ValueError(f"x must be (batch, {n}), got {x.shape}")
-    inputs: list[np.ndarray] = []
-    y = x
+    if not log_n:
+        return x, []
+    inputs = [x]
+    y = _columns(x, np.result_type(twiddle, x))
     for level in range(log_n):
+        if level:
+            inputs.append(y)
         stride = level_stride(level, log_n, increasing_stride)
-        inputs.append(y)
-        y = _apply_level(twiddle[level], y, stride)
-    return y, inputs
+        out = np.empty_like(y)
+        _level(twiddle[level], y, stride, out=out)
+        y = out
+    return y.T.copy(), inputs
+
+
+def _twiddle_grad(
+    x_cols: np.ndarray, g_cols: np.ndarray, stride: int
+) -> np.ndarray:
+    """One level's ``(n/2, 2, 2)`` twiddle gradient from the columns of its
+    input and of its output's gradient: per pair, the batch sum of
+    ``g[r] x[c]``.
+
+    The sum's bits depend on the operands BLAS is handed, so these are the
+    ones the einsum kernels formed: ``x`` first as ``(pairs, 2, batch)``,
+    ``g`` as ``(pairs, batch, 2)``, C-ordered copies of the pairs at an
+    inner level.  At an edge level (stride 1, or a single block) einsum
+    multiplied strided views of row-layout arrays instead, so there the
+    caller passes ``rows.T`` and the reshapes below stay views.  A batch of
+    one is a plain product, as in einsum, which keeps signed zeros.
+    """
+    batch = x_cols.shape[1]
+    x = _pairs(x_cols, stride).reshape(-1, 2, batch)
+    g = _pairs(g_cols, stride).swapaxes(2, 3).reshape(-1, batch, 2)
+    if batch == 1:
+        return g.swapaxes(1, 2) * x.swapaxes(1, 2)
+    return np.matmul(x, g).swapaxes(1, 2)
 
 
 def butterfly_multiply_backward(
@@ -220,7 +265,8 @@ def butterfly_multiply_backward(
         As in the forward pass.
     inputs:
         The per-level inputs saved by
-        :func:`butterfly_multiply_with_intermediates`.
+        :func:`butterfly_multiply_with_intermediates`: ``x`` for level 0,
+        then one ``(n, batch)`` array of columns per later level.
     grad_out:
         Gradient w.r.t. the output, shape ``(batch, n)``.
     need_grad_x:
@@ -230,27 +276,41 @@ def butterfly_multiply_backward(
     Returns
     -------
     (grad_twiddle, grad_x):
-        Gradients w.r.t. the twiddle array and the input batch.
+        Gradients w.r.t. the twiddle array and the input batch.  The input
+        gradient runs on columns like the forward, through the levels'
+        transposed twiddles.
     """
     log_n, n = _check_twiddle(twiddle)
-    grad_t = np.zeros_like(twiddle)
+    if len(inputs) != log_n:
+        raise ValueError(
+            f"inputs must hold one saved input per level ({log_n}), "
+            f"got {len(inputs)}"
+        )
     g = np.asarray(grad_out)
-    batch = g.shape[0]
+    out_shape = np.shape(inputs[0] if inputs else g)[:1] + (n,)
+    if g.shape != out_shape:
+        raise ValueError(
+            f"grad_out must have the output's shape {out_shape}, got {g.shape}"
+        )
+    grad_t = np.zeros_like(twiddle)
+    if not log_n:
+        return grad_t, g if need_grad_x else None
+    cols = _columns(g, np.result_type(twiddle, g))
+    spare = np.empty_like(cols)
     for level in reversed(range(log_n)):
         stride = level_stride(level, log_n, increasing_stride)
-        nblocks = n // (2 * stride)
-        x4 = inputs[level].reshape(batch, nblocks, 2, stride)
-        g4 = g.reshape(batch, nblocks, 2, stride)
-        t4 = twiddle[level].reshape(nblocks, stride, 2, 2)
-        # dL/dt[k, p, r, c] = sum_b g[b, k, r, p] * x[b, k, c, p]
-        gt = np.einsum("bkrp,bkcp->kprc", g4, x4, optimize=True)
-        grad_t[level] = gt.reshape(n // 2, 2, 2)
+        if level in (0, log_n - 1):
+            # The edge levels (stride 1 or one block) read row layout: the
+            # caller's x and grad_out, and a row copy of the other operand.
+            x_rows = inputs[0] if level == 0 else inputs[level].T.copy()
+            g_rows = g if level == log_n - 1 else cols.T.copy()
+            grad_t[level] = _twiddle_grad(x_rows.T, g_rows.T, stride)
+        else:
+            grad_t[level] = _twiddle_grad(inputs[level], cols, stride)
         if level or need_grad_x:
-            # dL/dx[b, k, c, p] = sum_r t[k, p, r, c] * g[b, k, r, p]
-            g = np.einsum("kprc,bkrp->bkcp", t4, g4, optimize=True).reshape(
-                batch, n
-            )
-    return grad_t, g if need_grad_x else None
+            _level(twiddle[level].swapaxes(1, 2), cols, stride, out=spare)
+            cols, spare = spare, cols
+    return grad_t, cols.T.copy() if need_grad_x else None
 
 
 # ---------------------------------------------------------------------------

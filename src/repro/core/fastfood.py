@@ -7,9 +7,10 @@ composed with two fixed Walsh–Hadamard transforms ``H`` and a fixed random
 permutation ``P``.  The Hadamard transforms mix coordinates at FFT-like cost,
 so applying ``V`` is ``O(n log n)``.
 
-The fast Walsh–Hadamard transform (FWHT) here is fully vectorised over the
-batch dimension (a reshape/stack butterfly identical in structure to
-:func:`repro.core.butterfly.butterfly_multiply` with constant ±1 twiddles).
+The fast Walsh–Hadamard transform (FWHT) here is a butterfly with constant
+±1 twiddles, run like :func:`repro.core.butterfly.butterfly_multiply` on the
+columns of the batch: each level is one ``np.add`` and one ``np.subtract``
+over contiguous runs, written into the other of two buffers.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils import as_rng, check_power_of_two, log2_int
+from repro.utils import check_power_of_two, log2_int
 
 __all__ = [
     "fwht",
@@ -39,25 +40,29 @@ def fwht(x: np.ndarray, normalized: bool = False) -> np.ndarray:
 
     Unnormalised by default (``H @ H == n * I``); with ``normalized=True``
     the transform is orthonormal (an involution).  Accepts any leading batch
-    shape; the last axis length must be a power of two.
+    shape; the last axis length must be a power of two.  The output has
+    the memory order of a copy of the ``(batch, n)`` input rows: an
+    F-ordered input gives an F-ordered output.
     """
     x = np.asarray(x)
     n = x.shape[-1]
     log_n = log2_int(n)
-    batch_shape = x.shape[:-1]
-    y = x.reshape(-1, n).astype(np.result_type(x, np.float32), copy=True)
-    h = 1
-    for _ in range(log_n):
-        y = y.reshape(-1, n // (2 * h), 2, h)
-        a = y[:, :, 0, :].copy()
-        b = y[:, :, 1, :].copy()
-        y[:, :, 0, :] = a + b
-        y[:, :, 1, :] = a - b
-        y = y.reshape(-1, n)
-        h *= 2
+    rows = x.reshape(-1, n)
+    s0, s1 = map(abs, rows.strides)
+    order = "C" if rows.flags.c_contiguous or s0 >= s1 else "F"
+    # Level l adds and subtracts the rows 2**l apart of the columns
+    # rows.T: each half of a block of 2**(l + 1) rows is one contiguous run.
+    y = np.array(rows.T, dtype=np.result_type(x, np.float32), order="C")
+    spare = np.empty_like(y)
+    for level in range(log_n):
+        half = y.reshape(n >> (level + 1), 2, -1)
+        out = spare.reshape(half.shape)
+        np.add(half[:, 0], half[:, 1], out=out[:, 0])
+        np.subtract(half[:, 0], half[:, 1], out=out[:, 1])
+        y, spare = spare, y
     if normalized:
-        y = y / np.sqrt(n)
-    return y.reshape(*batch_shape, n)
+        return np.divide(y.T, np.sqrt(n), order=order).reshape(x.shape)
+    return np.asarray(y.T, order=order).reshape(x.shape)
 
 
 def fwht_matrix(n: int, normalized: bool = False) -> np.ndarray:
@@ -89,25 +94,6 @@ class FastfoodTransform:
         if not (len(self.g) == len(self.b) == len(self.perm) == n):
             raise ValueError("all fastfood components must have length n")
         self.n = n
-
-    @classmethod
-    def random(
-        cls, n: int, seed: int | np.random.Generator | None
-    ) -> "FastfoodTransform":
-        """Standard fastfood initialisation.
-
-        ``B`` Rademacher (±1), ``G`` Gaussian, ``S`` chi-distributed scaling
-        normalised by ``||G||`` (Le et al.'s recipe), ``P`` uniform.
-        """
-        check_power_of_two(n)
-        rng = as_rng(seed)
-        b = rng.choice([-1.0, 1.0], size=n)
-        g = rng.standard_normal(n)
-        # Chi(n)-distributed row norms relative to ||G||_F.
-        s_raw = np.sqrt(rng.chisquare(df=n, size=n))
-        s = s_raw / np.sqrt((g**2).sum())
-        perm = rng.permutation(n)
-        return cls(s=s, g=g, b=b, perm=perm)
 
     @property
     def param_count(self) -> int:

@@ -243,7 +243,10 @@ def block_sparse_multiply(
     bs = pattern.block_size
     xb = x.reshape(x.shape[0], pattern.n // bs, bs)
     gathered = xb[:, pattern.block_cols, :]  # (batch, n_blocks, bs)
-    partial = np.einsum("kij,bkj->bki", blocks, gathered, optimize=True)
+    # One (batch, bs) @ (bs, bs) GEMM per block: x_k @ block_k.T.
+    partial = np.matmul(
+        gathered.transpose(1, 0, 2), blocks.transpose(0, 2, 1)
+    ).transpose(1, 0, 2)
     out = _segment_sum(partial, pattern, partial.dtype)
     return out[0] if squeeze else out
 
@@ -281,7 +284,7 @@ def block_sparse_multiply_backward(
     grad_blocks = g_rows.transpose(1, 2, 0) @ x_cols.transpose(1, 0, 2)
     if not need_grad_x:
         return grad_blocks, None
-    partial = np.einsum("kij,bki->bkj", blocks, g_rows, optimize=True)
+    partial = np.matmul(g_rows.transpose(1, 0, 2), blocks).transpose(1, 0, 2)
     # A stable sort by column groups each block-column's blocks and keeps
     # them in storage order, the order a scatter would add them in.
     by_col = np.argsort(pattern.block_cols, kind="stable")

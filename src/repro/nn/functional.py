@@ -262,6 +262,8 @@ class MatMul(Function):
     for an F-ordered ``a``, such as Fastfood's FWHT output, which
     therefore keeps ``a.T @ grad``, and for a float32 ``a`` (cast by
     numpy) against a ``b`` of a few columns, which takes the rule.
+    ``fwht`` keeps its input's memory order, so the F-ordered batch its
+    permutation gather hands the second transform reaches this rule F-ordered.
     """
 
     def forward(self, a, b):

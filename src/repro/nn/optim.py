@@ -111,6 +111,15 @@ class SGD(Optimizer):
         self.momentum = momentum
         self.nesterov = nesterov
         self._velocity: list[np.ndarray | None] = [None] * len(self.params)
+        # Every parameter's ``lr * g`` is written here, not into a fresh
+        # array per parameter per step.  It is at least float64, which
+        # holds a float32 product exactly.
+        self._scratch = np.empty(
+            max(p.data.size for p in self.params),
+            dtype=np.result_type(
+                lr, np.float64, *{p.data.dtype for p in self.params}
+            ),
+        )
 
     def step(self) -> None:
         """Apply one update using the gradients currently on the params."""
@@ -130,7 +139,9 @@ class SGD(Optimizer):
                     )
                 else:
                     g = self._velocity[i]
-            p.data -= self.lr * g
+            step = self._scratch[: g.size].reshape(g.shape)
+            np.multiply(self.lr, g, out=step)
+            p.data -= step
 
     def _slots(self) -> dict[str, list]:
         return {"velocity": self._velocity}

@@ -71,19 +71,29 @@ class TestFWHT:
         )
 
 
+def random_fastfood(n, seed):
+    """Le et al.'s initialisation: ``B`` Rademacher, ``G`` Gaussian, ``S``
+    chi-distributed row norms over ``||G||``, ``P`` uniform."""
+    rng = np.random.default_rng(seed)
+    b = rng.choice([-1.0, 1.0], size=n)
+    g = rng.standard_normal(n)
+    s = np.sqrt(rng.chisquare(df=n, size=n)) / np.sqrt((g**2).sum())
+    return FastfoodTransform(s=s, g=g, b=b, perm=rng.permutation(n))
+
+
 class TestFastfood:
     def test_param_count(self):
         assert fastfood_param_count(1024) == 3072
 
     def test_multiply_matches_dense(self, rng):
-        ff = FastfoodTransform.random(32, seed=1)
+        ff = random_fastfood(32, seed=1)
         x = rng.standard_normal((4, 32))
         np.testing.assert_allclose(
             ff(x), x @ ff.to_dense().T, atol=1e-10
         )
 
     def test_explicit_composition(self, rng):
-        ff = FastfoodTransform.random(16, seed=2)
+        ff = random_fastfood(16, seed=2)
         x = rng.standard_normal(16)
         h = fwht_matrix(16, normalized=True)
         p = np.zeros((16, 16))
@@ -92,7 +102,7 @@ class TestFastfood:
         np.testing.assert_allclose(ff(x), manual @ x, atol=1e-10)
 
     def test_wrong_feature_count(self, rng):
-        ff = FastfoodTransform.random(16, seed=0)
+        ff = random_fastfood(16, seed=0)
         with pytest.raises(ValueError, match="features"):
             ff(rng.standard_normal(8))
 
@@ -102,13 +112,8 @@ class TestFastfood:
                 s=np.ones(8), g=np.ones(8), b=np.ones(8), perm=np.arange(4)
             )
 
-    def test_deterministic(self):
-        a = FastfoodTransform.random(16, seed=3)
-        b = FastfoodTransform.random(16, seed=3)
-        np.testing.assert_array_equal(a.to_dense(), b.to_dense())
-
     def test_output_scale_is_reasonable(self, rng):
-        ff = FastfoodTransform.random(256, seed=4)
+        ff = random_fastfood(256, seed=4)
         x = rng.standard_normal((50, 256))
         ratio = np.linalg.norm(ff(x)) / np.linalg.norm(x)
         assert 0.3 < ratio < 3.0
