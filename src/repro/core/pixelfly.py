@@ -70,6 +70,21 @@ def flat_butterfly_mask(n: int, n_levels: int | None = None) -> np.ndarray:
     return mask
 
 
+def _block_grid(
+    n: int, block_size: int, butterfly_size: int | None
+) -> tuple[int, int]:
+    """Validate the grid arguments; return ``(nb, butterfly_size)``."""
+    check_power_of_two(n)
+    check_power_of_two(block_size, "block_size")
+    if block_size > n:
+        raise ValueError(f"block_size {block_size} exceeds n {n}")
+    nb = n // block_size
+    if butterfly_size is None:
+        butterfly_size = nb
+    check_power_of_two(butterfly_size, "butterfly_size")
+    return nb, butterfly_size
+
+
 def block_butterfly_mask(
     n: int, block_size: int, butterfly_size: int | None = None
 ) -> np.ndarray:
@@ -81,14 +96,7 @@ def block_butterfly_mask(
     block grid), so growing ``butterfly_size`` monotonically densifies the
     mask until it saturates.
     """
-    check_power_of_two(n)
-    check_power_of_two(block_size, "block_size")
-    if block_size > n:
-        raise ValueError(f"block_size {block_size} exceeds n {n}")
-    nb = n // block_size
-    if butterfly_size is None:
-        butterfly_size = nb
-    check_power_of_two(butterfly_size, "butterfly_size")
+    nb, butterfly_size = _block_grid(n, block_size, butterfly_size)
     levels = log2_int(butterfly_size)
     idx = np.arange(nb)
     diff = idx[:, None] ^ idx[None, :]
@@ -217,8 +225,18 @@ def pixelfly_pattern(
 def pixelfly_param_count(
     n: int, block_size: int = 32, butterfly_size: int | None = None, rank: int = 1
 ) -> int:
-    """Parameter count of a pixelfly weight without materialising blocks."""
-    return pixelfly_pattern(n, block_size, butterfly_size, rank).total_params()
+    """Parameter count of a pixelfly weight without building its pattern.
+
+    Equals ``pixelfly_pattern(...).total_params()``.  Each stride band
+    is an XOR permutation of the ``nb x nb`` block grid, and the strides
+    ``2**level % nb`` below ``nb`` are distinct, so every block-row holds
+    ``1 + min(log2(butterfly_size), log2(nb))`` blocks.
+    """
+    nb, butterfly_size = _block_grid(n, block_size, butterfly_size)
+    if rank < 0:
+        raise ValueError(f"rank must be non-negative, got {rank}")
+    per_row = 1 + min(log2_int(butterfly_size), log2_int(nb))
+    return nb * per_row * block_size**2 + 2 * n * rank
 
 
 # ---------------------------------------------------------------------------

@@ -563,7 +563,7 @@ def degraded_tile_sweep(
     )
     for method in methods:
         model = shl_model(method, dim=dim, seed=seed)
-        n_params = sum(p.data.size for p in model.parameters())
+        n_params = model.param_count()
         graph, _ = lower_model(model, spec, batch=batch, in_features=dim)
         dead = max_dead_tiles(graph, spec, seed=seed)
         table.add_row(

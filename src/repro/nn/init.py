@@ -2,13 +2,15 @@
 
 Matches the fan-based recipes PyTorch's ``nn.Linear`` uses, so the baseline
 SHL model trains under the paper's Table 3 hyper-parameters without extra
-tuning.
+tuning.  Each takes the array's shape first and its generator
+explicitly, the form :meth:`repro.nn.Parameter.drawn` calls.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.butterfly import orthogonal_twiddle
 from repro.utils import as_rng
 
 __all__ = [
@@ -16,13 +18,14 @@ __all__ = [
     "uniform_fan_in",
     "zeros",
     "normal",
+    "rotations",
 ]
 
 
 def kaiming_uniform(
     shape: tuple[int, ...],
     fan_in: int,
-    rng: int | np.random.Generator | None = 0,
+    rng: int | np.random.Generator | None,
     gain: float = np.sqrt(2.0),
 ) -> np.ndarray:
     """He/Kaiming uniform: ``U(-bound, bound)``, ``bound = gain*sqrt(3/fan_in)``."""
@@ -36,7 +39,7 @@ def kaiming_uniform(
 def uniform_fan_in(
     shape: tuple[int, ...],
     fan_in: int,
-    rng: int | np.random.Generator | None = 0,
+    rng: int | np.random.Generator | None,
 ) -> np.ndarray:
     """PyTorch's default bias init: ``U(-1/sqrt(fan_in), 1/sqrt(fan_in))``."""
     rng = as_rng(rng)
@@ -51,9 +54,18 @@ def zeros(shape: tuple[int, ...], dtype: np.dtype = np.float64) -> np.ndarray:
 
 def normal(
     shape: tuple[int, ...],
-    std: float = 1.0,
-    rng: int | np.random.Generator | None = 0,
+    std: float,
+    rng: int | np.random.Generator | None,
 ) -> np.ndarray:
     """Zero-mean Gaussian with standard deviation *std*."""
     rng = as_rng(rng)
     return rng.standard_normal(shape) * std
+
+
+def rotations(
+    shape: tuple[int, ...], rng: int | np.random.Generator | None
+) -> np.ndarray:
+    """Butterfly twiddles of random 2x2 rotations for *shape*
+    ``(log2 n, n // 2, 2, 2)`` (:func:`~repro.core.butterfly.orthogonal_twiddle`),
+    so a butterfly layer starts norm-preserving (Dao's recipe)."""
+    return orthogonal_twiddle(1 << shape[0], seed=rng)

@@ -40,19 +40,19 @@ class Linear(Module):
         self.in_features = in_features
         self.out_features = out_features
         rng = as_rng(seed)
-        self.weight = Parameter(
-            init.kaiming_uniform(
-                (out_features, in_features),
-                fan_in=in_features,
-                rng=derive_rng(rng, "weight"),
-                gain=1.0,  # PyTorch Linear uses kaiming_uniform with a=sqrt(5)
-            )
+        self.weight = Parameter.drawn(
+            init.kaiming_uniform,
+            (out_features, in_features),
+            fan_in=in_features,
+            rng=derive_rng(rng, "weight"),
+            gain=1.0,  # PyTorch Linear uses kaiming_uniform with a=sqrt(5)
         )
         self.bias = (
-            Parameter(
-                init.uniform_fan_in(
-                    (out_features,), in_features, rng=derive_rng(rng, "bias")
-                )
+            Parameter.drawn(
+                init.uniform_fan_in,
+                (out_features,),
+                fan_in=in_features,
+                rng=derive_rng(rng, "bias"),
             )
             if bias
             else None

@@ -93,10 +93,10 @@ class Module:
                 f"unexpected={sorted(unexpected)}"
             )
         for name, value in state.items():
-            if params[name].data.shape != value.shape:
+            if params[name].shape != value.shape:
                 raise ValueError(
                     f"shape mismatch for {name}: model "
-                    f"{params[name].data.shape} vs state {value.shape}"
+                    f"{params[name].shape} vs state {value.shape}"
                 )
             params[name].data = value.copy()
 

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.butterfly import butterfly_to_dense, orthogonal_twiddle
+from repro.core.butterfly import butterfly_to_dense
 from repro.nn import functional as F
 from repro.nn import init
 from repro.nn.module import Module
 from repro.nn.structured._functions import ButterflyMultiplyFn
 from repro.nn.tensor import Parameter, Tensor
-from repro.utils import as_rng, derive_rng
+from repro.utils import as_rng, derive_rng, log2_int
 
 __all__ = ["ButterflyLinear"]
 
@@ -67,17 +67,20 @@ class ButterflyLinear(Module):
         rng = as_rng(seed)
         self._twiddle_names: list[str] = []
         for block in range(nblocks):
-            twiddle = orthogonal_twiddle(
-                self.n, seed=derive_rng(rng, "twiddle", block)
+            twiddle = Parameter.drawn(
+                init.rotations,
+                (log2_int(self.n), self.n // 2, 2, 2),
+                rng=derive_rng(rng, "twiddle", block),
             )
             name = "twiddle" if block == 0 else f"twiddle{block}"
-            setattr(self, name, Parameter(twiddle))
+            setattr(self, name, twiddle)
             self._twiddle_names.append(name)
         self.bias = (
-            Parameter(
-                init.uniform_fan_in(
-                    (out_features,), in_features, rng=derive_rng(rng, "bias")
-                )
+            Parameter.drawn(
+                init.uniform_fan_in,
+                (out_features,),
+                fan_in=in_features,
+                rng=derive_rng(rng, "bias"),
             )
             if bias
             else None

@@ -30,18 +30,18 @@ class CirculantLinear(Module):
         self.features = features
         rng = as_rng(seed)
         # Variance 1/n keeps ||Cx|| ~ ||x|| at init (rows have n entries).
-        self.c = Parameter(
-            init.normal(
-                (features,),
-                std=1.0 / np.sqrt(features),
-                rng=derive_rng(rng, "c"),
-            )
+        self.c = Parameter.drawn(
+            init.normal,
+            (features,),
+            std=1.0 / np.sqrt(features),
+            rng=derive_rng(rng, "c"),
         )
         self.bias = (
-            Parameter(
-                init.uniform_fan_in(
-                    (features,), features, rng=derive_rng(rng, "bias")
-                )
+            Parameter.drawn(
+                init.uniform_fan_in,
+                (features,),
+                fan_in=features,
+                rng=derive_rng(rng, "bias"),
             )
             if bias
             else None

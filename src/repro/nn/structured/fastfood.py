@@ -46,10 +46,11 @@ class FastfoodLinear(Module):
         # Fixed permutation between the Hadamards (not learnable).
         self.perm = derive_rng(rng, "perm").permutation(features)
         self.bias = (
-            Parameter(
-                init.uniform_fan_in(
-                    (features,), features, rng=derive_rng(rng, "bias")
-                )
+            Parameter.drawn(
+                init.uniform_fan_in,
+                (features,),
+                fan_in=features,
+                rng=derive_rng(rng, "bias"),
             )
             if bias
             else None

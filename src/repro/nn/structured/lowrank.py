@@ -33,25 +33,26 @@ class LowRankLinear(Module):
         self.out_features = out_features
         self.rank = rank
         rng = as_rng(seed)
-        self.u = Parameter(
-            init.kaiming_uniform(
-                (out_features, rank), fan_in=rank, rng=derive_rng(rng, "u"),
-                gain=1.0,
-            )
+        self.u = Parameter.drawn(
+            init.kaiming_uniform,
+            (out_features, rank),
+            fan_in=rank,
+            rng=derive_rng(rng, "u"),
+            gain=1.0,
         )
-        self.v = Parameter(
-            init.kaiming_uniform(
-                (in_features, rank),
-                fan_in=in_features,
-                rng=derive_rng(rng, "v"),
-                gain=1.0,
-            )
+        self.v = Parameter.drawn(
+            init.kaiming_uniform,
+            (in_features, rank),
+            fan_in=in_features,
+            rng=derive_rng(rng, "v"),
+            gain=1.0,
         )
         self.bias = (
-            Parameter(
-                init.uniform_fan_in(
-                    (out_features,), in_features, rng=derive_rng(rng, "bias")
-                )
+            Parameter.drawn(
+                init.uniform_fan_in,
+                (out_features,),
+                fan_in=in_features,
+                rng=derive_rng(rng, "bias"),
             )
             if bias
             else None

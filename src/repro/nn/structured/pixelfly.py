@@ -52,34 +52,32 @@ class PixelflyLinear(Module):
         rng = as_rng(seed)
         # Fan-in of the sparse term = active blocks per row * block size.
         fan_in = self.pattern.blocks_per_row * block_size
-        self.blocks = Parameter(
-            init.kaiming_uniform(
-                (self.pattern.n_blocks, block_size, block_size),
-                fan_in=fan_in,
-                rng=derive_rng(rng, "blocks"),
-                gain=1.0,
-            )
+        self.blocks = Parameter.drawn(
+            init.kaiming_uniform,
+            (self.pattern.n_blocks, block_size, block_size),
+            fan_in=fan_in,
+            rng=derive_rng(rng, "blocks"),
+            gain=1.0,
         )
         if rank > 0:
             scale = 1.0 / np.sqrt(features * max(rank, 1))
-            self.u = Parameter(
-                init.normal(
-                    (features, rank), std=scale, rng=derive_rng(rng, "u")
-                )
+            self.u = Parameter.drawn(
+                init.normal, (features, rank), std=scale,
+                rng=derive_rng(rng, "u"),
             )
-            self.v = Parameter(
-                init.normal(
-                    (features, rank), std=scale, rng=derive_rng(rng, "v")
-                )
+            self.v = Parameter.drawn(
+                init.normal, (features, rank), std=scale,
+                rng=derive_rng(rng, "v"),
             )
         else:
             self.u = None
             self.v = None
         self.bias = (
-            Parameter(
-                init.uniform_fan_in(
-                    (features,), features, rng=derive_rng(rng, "bias")
-                )
+            Parameter.drawn(
+                init.uniform_fan_in,
+                (features,),
+                fan_in=features,
+                rng=derive_rng(rng, "bias"),
             )
             if bias
             else None

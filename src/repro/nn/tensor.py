@@ -19,6 +19,9 @@ Design notes
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
 __all__ = ["Tensor", "Parameter", "no_grad", "is_grad_enabled"]
@@ -190,10 +193,65 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A trainable tensor — ``requires_grad=True`` and float dtype."""
+    """A trainable tensor — ``requires_grad=True`` and float dtype.
+
+    :meth:`drawn` builds one whose initialiser runs on the first read of
+    ``.data``.  ``shape``, ``ndim`` and ``size`` answer without drawing,
+    so a model that is only lowered to a device never allocates its
+    weights.
+    """
 
     def __init__(self, data) -> None:
         super().__init__(data, requires_grad=True)
+
+    @classmethod
+    def drawn(cls, initialiser, shape: tuple[int, ...], **kwargs) -> "Parameter":
+        """A parameter holding ``initialiser(shape, **kwargs)``, drawn on
+        the first read of ``.data``.
+
+        The values are the bytes an eager draw gives provided the
+        generator in *kwargs* is the parameter's own (each layer derives
+        one per parameter in its constructor): nothing else draws from
+        it in between.  *initialiser* must be a module-level function so
+        that an undrawn parameter pickles; a pickled or deep-copied one
+        draws the same bytes.  Assigning ``.data`` first means it is
+        never drawn.
+        """
+        param = cls.__new__(cls)
+        param.requires_grad = True
+        param.grad = None
+        param._ctx = None
+        param._parents = ()
+        param._draw = (initialiser, tuple(shape), kwargs)
+        return param
+
+    @functools.cached_property
+    def data(self) -> np.ndarray:
+        # Reached only while the instance holds no ``data``, i.e. before
+        # the first read of a drawn parameter.  The result is stored as
+        # the instance attribute, so every later read is a plain one.
+        initialiser, shape, kwargs = self._draw
+        values = initialiser(shape, **kwargs)
+        if values.shape != shape:
+            raise RuntimeError(
+                f"{initialiser.__name__} drew shape {values.shape} for a "
+                f"parameter of shape {shape}"
+            )
+        del self._draw
+        return values
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        data = self.__dict__.get("data")
+        return self._draw[1] if data is None else data.shape
+
+    @property
+    def ndim(self) -> int:
+        return len(self.shape)
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
 
     def __repr__(self) -> str:
         return f"Parameter(shape={self.shape}, dtype={self.dtype})"

@@ -1,5 +1,7 @@
 """Tests for pixelfly masks and block-sparse numerics."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -97,6 +99,35 @@ class TestPattern:
 
     def test_param_count_helper(self):
         assert pixelfly_param_count(1024, 32, None, 96) == 393216
+
+    def test_param_count_helper_equals_the_pattern(self):
+        # Every power-of-two n to 4096 and block size, butterfly sizes
+        # past the grid (their strides wrap), up to 512 block-rows.
+        cases = 0
+        for n in (1 << e for e in range(13)):
+            for bs in (1 << k for k in range(n.bit_length())):
+                nb = n // bs
+                if nb > 512:
+                    continue
+                for bf in [None] + [1 << j for j in range(nb.bit_length() + 2)]:
+                    for rank in (0, 1, 3):
+                        want = pixelfly_pattern(n, bs, bf, rank).total_params()
+                        assert pixelfly_param_count(n, bs, bf, rank) == want, (
+                            n, bs, bf, rank
+                        )
+                        cases += 1
+        assert cases == 1920
+
+    @pytest.mark.parametrize(
+        "args",
+        [(48, 8, None, 1), (64, 6, None, 1), (64, 128, None, 1),
+         (64, 8, 3, 1), (64, 8, 0, 1), (64, 8, None, -1), (0, 1, None, 0)],
+    )
+    def test_param_count_helper_rejects_what_the_pattern_rejects(self, args):
+        with pytest.raises(ValueError) as want:
+            pixelfly_pattern(*args)
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            pixelfly_param_count(*args)
 
     def test_density(self):
         pat = pixelfly_pattern(64, block_size=8, rank=0)
