@@ -29,13 +29,16 @@ serial run:
   parent cache's stats.
 
 Worker functions must be defined at module top level: every attempt
-runs in a process forked from a ``forkserver``, which receives the
-worker pickled by reference.  They receive ``(config, seed_seq)`` and
-return any picklable value.  Forking is safe with threaded BLAS here
-because the server itself only imports modules, and OpenBLAS re-creates
-its thread pool in a forked child: on a 2-vCPU Linux host, three forks
-made after a threaded 1500x1500 GEMM in the parent each ran the GEMM at
-full speed.
+runs in a process forked from the grid's own process, and its task is
+pickled before the fork (the worker by reference), so a worker that
+does not pickle fails before any process starts.  They receive
+``(config, seed_seq)`` and return any picklable value.  Forking the
+grid's process is safe: ``repro`` starts no threads and installs no
+signal handlers, every temporary file name carries the writer's pid,
+and OpenBLAS, whose thread pool is the only other thread, shuts the
+pool down around ``fork`` and re-creates it in the child: on a 2-vCPU
+Linux host, three forks made after a threaded 1500x1500 GEMM in the
+parent each ran the GEMM at full speed.
 """
 
 from __future__ import annotations

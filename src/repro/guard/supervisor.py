@@ -1,13 +1,13 @@
 """The supervised worker pool: every multi-process grid runs here.
 
-Each attempt runs in a process of its own, forked from a
-``forkserver`` that imported every numpy and ``repro`` module the
-parent had loaded when the server first started, so an attempt starts
-without re-importing either package.  The task goes in as the process
-argument and exactly one message comes back over a private one-way
-pipe, so the watchdog can kill exactly the hung cell, an ``os._exit``
-loses exactly one attempt, siblings never observe each other's deaths,
-and no cell sees the module state another cell left behind.
+Each attempt runs in a process of its own, forked from the process
+that runs the grid, so it starts with every module the parent has
+loaded, in the state an in-process ``jobs=1`` cell would see.  The task
+is pickled before the fork and the child runs the unpickled copy;
+exactly one message comes back over a private one-way pipe, so the
+watchdog can kill exactly the hung cell, an ``os._exit`` loses exactly
+one attempt, siblings never observe each other's deaths, and no cell
+sees the module state another cell left behind.
 
 Event loop
 ----------
@@ -55,13 +55,13 @@ merged timeline bit-identically.
 
 from __future__ import annotations
 
-import sys
 import time
 import traceback
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from multiprocessing.connection import Connection
 from multiprocessing.connection import wait as connection_wait
+from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -135,13 +135,14 @@ def _run_cell(
         return ("error", traceback.format_exc(), classify_exception(exc), side)
 
 
-def _supervised_child(conn: Connection, task: tuple) -> None:
-    """Child entry point: run the one attempt *task* describes.
+def _supervised_child(conn: Connection, payload: memoryview) -> None:
+    """Child entry point: run the one attempt *payload* describes.
 
-    *task* is ``(worker, config, seed_seq, cache_dir, cached, spec)``;
-    exactly one message goes back over *conn*, and the process exits
-    with it.
+    *payload* is the pickled ``(worker, config, seed_seq, cache_dir,
+    cached, spec)``; exactly one message goes back over *conn*, and the
+    process exits with it.
     """
+    task = ForkingPickler.loads(payload)
     message = _run_cell(*task)
     try:
         conn.send(message)
@@ -284,14 +285,7 @@ def run_supervised_grid(
     pending: list[_Cell] = [c for c in cells if not c.done]
     waiting: list[tuple[float, int, _Cell]] = []  # (wake time, index, cell)
     running: dict[Connection, _Running] = {}
-    ctx = get_context("forkserver")
-    # Read when the server first starts; it then serves every later
-    # grid in this process.  numpy's own loaded submodules are listed
-    # too: it imports numpy.random and numpy.linalg lazily, and each
-    # attempt would otherwise re-import them.
-    ctx.set_forkserver_preload(
-        [m for m in sys.modules if m.partition(".")[0] in ("numpy", "repro")]
-    )
+    ctx = get_context("fork")
     max_workers = max(1, min(jobs, len(pending) or 1))
 
     def finalize(cell: _Cell, status: str, error: str | None = None) -> None:
@@ -305,20 +299,22 @@ def run_supervised_grid(
     def launch(cell: _Cell) -> None:
         cell.attempt += 1
         cell.report.attempts = cell.attempt
-        task = (
-            worker,
-            cell.config,
-            cell.seed_seq,
-            cache_dir,
-            cached,
-            obs_spec(run_id, grid_name, cell.index),
+        # A task that does not pickle raises here, before any process
+        # exists.
+        payload = ForkingPickler.dumps(
+            (
+                worker,
+                cell.config,
+                cell.seed_seq,
+                cache_dir,
+                cached,
+                obs_spec(run_id, grid_name, cell.index),
+            )
         )
         reader, writer = ctx.Pipe(duplex=False)
         process = ctx.Process(
-            target=_supervised_child, args=(writer, task), daemon=True
+            target=_supervised_child, args=(writer, payload), daemon=True
         )
-        # A task that does not pickle raises in start(), before any
-        # process exists.
         try:
             process.start()
         except BaseException:

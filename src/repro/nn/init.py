@@ -16,7 +16,6 @@ from repro.utils import as_rng
 __all__ = [
     "kaiming_uniform",
     "uniform_fan_in",
-    "zeros",
     "normal",
     "rotations",
 ]
@@ -26,13 +25,13 @@ def kaiming_uniform(
     shape: tuple[int, ...],
     fan_in: int,
     rng: int | np.random.Generator | None,
-    gain: float = np.sqrt(2.0),
 ) -> np.ndarray:
-    """He/Kaiming uniform: ``U(-bound, bound)``, ``bound = gain*sqrt(3/fan_in)``."""
+    """Kaiming uniform at unit gain: ``U(-bound, bound)``,
+    ``bound = sqrt(3/fan_in)``."""
     if fan_in <= 0:
         raise ValueError(f"fan_in must be positive, got {fan_in}")
     rng = as_rng(rng)
-    bound = gain * np.sqrt(3.0 / fan_in)
+    bound = np.sqrt(3.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape)
 
 
@@ -45,11 +44,6 @@ def uniform_fan_in(
     rng = as_rng(rng)
     bound = 1.0 / np.sqrt(fan_in) if fan_in > 0 else 0.0
     return rng.uniform(-bound, bound, size=shape)
-
-
-def zeros(shape: tuple[int, ...], dtype: np.dtype = np.float64) -> np.ndarray:
-    """All-zero initialiser."""
-    return np.zeros(shape, dtype=dtype)
 
 
 def normal(

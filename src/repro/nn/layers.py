@@ -45,7 +45,6 @@ class Linear(Module):
             (out_features, in_features),
             fan_in=in_features,
             rng=derive_rng(rng, "weight"),
-            gain=1.0,  # PyTorch Linear uses kaiming_uniform with a=sqrt(5)
         )
         self.bias = (
             Parameter.drawn(

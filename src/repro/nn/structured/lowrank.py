@@ -38,14 +38,12 @@ class LowRankLinear(Module):
             (out_features, rank),
             fan_in=rank,
             rng=derive_rng(rng, "u"),
-            gain=1.0,
         )
         self.v = Parameter.drawn(
             init.kaiming_uniform,
             (in_features, rank),
             fan_in=in_features,
             rng=derive_rng(rng, "v"),
-            gain=1.0,
         )
         self.bias = (
             Parameter.drawn(

@@ -57,7 +57,6 @@ class PixelflyLinear(Module):
             (self.pattern.n_blocks, block_size, block_size),
             fan_in=fan_in,
             rng=derive_rng(rng, "blocks"),
-            gain=1.0,
         )
         if rank > 0:
             scale = 1.0 / np.sqrt(features * max(rank, 1))

@@ -4,7 +4,7 @@ Every case is a pure function of ``(seed, index)`` via
 ``np.random.SeedSequence([seed, index])`` — no global state, no clock,
 no platform-dependent draws — so a reproducer stored in the corpus
 regenerates bit-identically on any machine (the seed-stability suite
-asserts this across ``spawn``-ed and ``forkserver``-forked processes).
+asserts this in a ``spawn``-ed child and in a ``forkserver`` child).
 
 A :class:`Case` bundles everything one fuzz iteration needs: a random
 module graph (mixed dense/butterfly/pixelfly/low-rank/circulant/fastfood

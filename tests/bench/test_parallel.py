@@ -1,9 +1,9 @@
 """Unit tests for the deterministic parallel experiment runner.
 
 Workers used with ``jobs > 1`` must be module top-level functions: each
-attempt's task is pickled to a process forked from the ``forkserver``,
-and pickle passes functions by reference.  Hence the little zoo of
-``_*_worker`` functions below.
+attempt's task is pickled before its process forks from the grid's
+process, and pickle passes functions by reference.  Hence the little
+zoo of ``_*_worker`` functions below.
 """
 
 import multiprocessing

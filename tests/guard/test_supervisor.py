@@ -12,6 +12,8 @@ not flake on a loaded CI box.
 """
 
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -90,6 +92,13 @@ _APPENDED = []
 def _append_worker(config, seed_seq):
     _APPENDED.append(config)
     return len(_APPENDED)
+
+
+_CELL_STATE = "import time"
+
+
+def _module_state_worker(config, seed_seq):
+    return _CELL_STATE
 
 
 def _pid_flaky_worker(config, seed_seq):
@@ -172,6 +181,60 @@ def test_cells_do_not_see_each_others_module_state():
     )
     assert report.ok
     assert results == [1] * 6
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cells_read_the_parents_module_state(jobs, monkeypatch):
+    # Attempts fork from the grid's own process, so a value patched
+    # before the grid reaches a jobs=2 cell just as it reaches an
+    # in-process jobs=1 cell.
+    monkeypatch.setattr(sys.modules[__name__], "_CELL_STATE", "patched")
+    results = run_grid(
+        _module_state_worker, [(n,) for n in range(3)], jobs=jobs
+    )
+    assert results == ["patched"] * 3
+
+
+_SCRIPT = """\
+import sys
+from pathlib import Path
+
+from repro.bench.parallel import run_grid
+
+with Path(sys.argv[1]).open("a") as marker:
+    marker.write("top level\\n")
+
+
+def square(config, seed_seq):
+    return config * config
+
+
+if __name__ == "__main__":
+    assert run_grid(square, [1, 2, 3, 4], jobs=2) == [1, 4, 9, 16]
+"""
+
+
+def test_script_started_by_path_runs_its_top_level_once(tmp_path):
+    # A worker defined in a script run by path pickles as __main__.square;
+    # the attempts fork from the script's process, so none of them
+    # re-runs the script's top level to find it.
+    script = tmp_path / "grid_script.py"
+    script.write_text(_SCRIPT)
+    marker = tmp_path / "marker.txt"
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ),
+    )
+    subprocess.run(
+        [sys.executable, str(script), str(marker)],
+        env=env,
+        check=True,
+        timeout=120,
+    )
+    assert marker.read_text().splitlines() == ["top level"]
 
 
 def test_retry_runs_in_a_new_process(tmp_path):

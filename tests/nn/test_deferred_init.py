@@ -122,7 +122,7 @@ def test_linear_draws_what_init_gives_directly():
     layer = nn.Linear(48, 80, seed=SEED)
     rng = as_rng(SEED)
     weight = init.kaiming_uniform(
-        (80, 48), fan_in=48, rng=derive_rng(rng, "weight"), gain=1.0
+        (80, 48), fan_in=48, rng=derive_rng(rng, "weight")
     )
     bias = init.uniform_fan_in((80,), fan_in=48, rng=derive_rng(rng, "bias"))
     got_bias, got_weight = layer.bias.data, layer.weight.data

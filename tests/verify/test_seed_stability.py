@@ -3,8 +3,8 @@
 The committed corpus and CI replay both assume a case regenerates
 byte-identically anywhere — in this process, in a ``spawn``-ed child
 (fresh interpreter, no inherited RNG state), in a child forked from a
-``forkserver`` (how grid attempts start), regardless of import order
-or ambient ``np.random`` seeding.
+``forkserver``, regardless of import order or ambient ``np.random``
+seeding.
 """
 
 import multiprocessing
