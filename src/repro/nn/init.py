@@ -1,9 +1,24 @@
 """Weight initialisers.
 
-Matches the fan-based recipes PyTorch's ``nn.Linear`` uses, so the baseline
-SHL model trains under the paper's Table 3 hyper-parameters without extra
-tuning.  Each takes the array's shape first and its generator
-explicitly, the form :meth:`repro.nn.Parameter.drawn` calls.
+Each takes the array's shape first and its generator explicitly, the
+form :meth:`repro.nn.Parameter.drawn` calls.  What each draws, and how
+it compares with PyTorch:
+
+* :func:`kaiming_uniform` draws ``U(-sqrt(3/fan_in), sqrt(3/fan_in))``,
+  Kaiming uniform at unit gain (variance ``1/fan_in``), for the dense,
+  low-rank and pixelfly block weights.  This is *not* PyTorch's
+  ``nn.Linear`` weight default: ``kaiming_uniform_(a=sqrt(5))`` has
+  gain ``sqrt(1/3)`` and draws ``U(-1/sqrt(fan_in), 1/sqrt(fan_in))``, a
+  range sqrt(3) narrower.
+* :func:`uniform_fan_in` draws ``U(-1/sqrt(fan_in), 1/sqrt(fan_in))``,
+  PyTorch's ``nn.Linear`` bias default, for every layer's bias.
+* :func:`normal` draws a zero-mean Gaussian of the given standard
+  deviation, for the circulant vector and pixelfly's low-rank factors.
+* :func:`rotations` draws butterfly twiddles of random 2x2 rotations
+  (Dao's recipe), which PyTorch has no counterpart for.
+
+Drawing PyTorch's weight default instead would move every initial and
+trained bit, and with them the trained numbers of Tables 4 and 5.
 """
 
 from __future__ import annotations

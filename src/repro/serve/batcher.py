@@ -22,7 +22,7 @@ clock — it never reads wall time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.serve.workload import Request
 
@@ -78,9 +78,9 @@ class MicroBatcher:
     """FIFO request queue with the two-trigger flush rule."""
 
     policy: BatchPolicy
-    _queue: list[tuple[Request, float]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        self._queue: list[tuple[Request, float]] = []
         self._rows = 0
 
     # -- queue state -----------------------------------------------------------
@@ -117,30 +117,20 @@ class MicroBatcher:
     def flush_reason(self, now_s: float) -> str | None:
         """Which trigger (if any) says a batch should be formed now.
 
-        The *full* trigger fires when the head batch cannot grow any
-        further — its rows hit ``max_batch_rows`` exactly, **or** the
-        next queued request would overflow it.  Waiting on a maximal
-        partial batch would buy nothing and cost delay.
+        The *full* trigger fires when the queued rows reach the compiled
+        batch: then the head batch cannot grow any further.  No request
+        is larger than the batch, so with at most a batch of rows queued
+        the whole queue is the head batch, maximal only when exactly
+        full; with more, the next request overflows it.  Waiting on a
+        maximal partial batch would buy nothing and cost delay.
         """
         if not self._queue:
             return None
-        rows, taken = self._head_prefix()
-        if rows >= self.policy.max_batch_rows or taken < len(self._queue):
+        if self._rows >= self.policy.max_batch_rows:
             return FLUSH_FULL
         if now_s >= self._queue[0][1] + self.policy.max_delay_s:
             return FLUSH_DELAY
         return None
-
-    def _head_prefix(self) -> tuple[int, int]:
-        """(rows, requests) of the maximal whole-request head batch."""
-        rows = 0
-        taken = 0
-        for request, _ in self._queue:
-            if rows + request.rows > self.policy.max_batch_rows:
-                break
-            rows += request.rows
-            taken += 1
-        return rows, taken
 
     def flush(self, now_s: float, reason: str) -> Batch:
         """Form a batch from the head of the queue.

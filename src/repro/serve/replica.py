@@ -103,9 +103,6 @@ class ReplicaPool:
     def n_replicas(self) -> int:
         return len(self.replicas)
 
-    def healthy_replicas(self) -> list[Replica]:
-        return [r for r in self.replicas if r.healthy]
-
 
 def build_pool(
     method: str,

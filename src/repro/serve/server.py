@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -234,11 +234,15 @@ class Server:
 
     pool: ReplicaPool
     config: ServeConfig
-    _events: list = field(default_factory=list, repr=False)
-    _seq: int = 0
 
     def __post_init__(self) -> None:
         self.batcher = MicroBatcher(self.config.batch_policy)
+        self._events: list = []
+        self._seq = 0
+        # ``(free_at_s, index)`` of every healthy replica, in step with
+        # ``Replica.free_at_s``: the top is the replica dispatch takes
+        # next (the earliest free, ties to the lower index).
+        self._free: list[tuple[float, int]] = []
         self._outcomes: dict[int, _Outcome] = {}
         self._in_flight: dict[int, tuple[int, Batch, float]] = {}
         self._batch_log: list[dict] = []
@@ -268,6 +272,10 @@ class Server:
             if 0 <= replica_index < self.pool.n_replicas:
                 self._push(time_s, _DEATH, "death", replica_index)
         last_arrival_s = requests[-1].arrival_s if requests else 0.0
+        self._free = [
+            (r.free_at_s, r.index) for r in self.pool.replicas if r.healthy
+        ]
+        heapq.heapify(self._free)
 
         while self._events:
             now_s, _, _, kind, payload = heapq.heappop(self._events)
@@ -301,19 +309,17 @@ class Server:
 
     def _estimate_completion_s(self, now_s: float, rows: int) -> float:
         """Crude but deterministic finish-time estimate for admission."""
-        healthy = self.pool.healthy_replicas()
         batches_ahead = math.ceil(
             (self.batcher.queued_rows + rows)
             / self.config.batch_policy.max_batch_rows
         )
-        start_s = max(now_s, min(r.free_at_s for r in healthy))
-        per_wave = max(1, len(healthy))
-        waves = math.ceil(batches_ahead / per_wave)
+        start_s = max(now_s, self._free[0][0])
+        waves = math.ceil(batches_ahead / len(self._free))
         return start_s + waves * self.pool.service_s
 
     def _on_arrival(self, now_s: float, request: Request) -> None:
         outcome = self._outcomes[request.index]
-        if not self.pool.healthy_replicas():
+        if not self._free:
             outcome.status = SHED_DEAD
             return
         if self.batcher.queued_requests >= self.config.queue_max_requests:
@@ -328,7 +334,7 @@ class Server:
         # Retried requests were already admitted once; they bypass the
         # SLO estimate (a late answer still beats none) but not a dead
         # pool.
-        if not self.pool.healthy_replicas():
+        if not self._free:
             self._outcomes[request.index].status = FAILED
             return
         self.batcher.offer(request, now_s)
@@ -336,21 +342,15 @@ class Server:
     # -- dispatch --------------------------------------------------------------
 
     def _dispatch(self, now_s: float) -> None:
-        while True:
+        while self._free and self._free[0][0] <= now_s:
             reason = self.batcher.flush_reason(now_s)
             if reason is None:
                 return
-            free = [
-                r
-                for r in self.pool.healthy_replicas()
-                if r.free_at_s <= now_s
-            ]
-            if not free:
-                return
-            replica = min(free, key=lambda r: (r.free_at_s, r.index))
+            replica = self.pool.replicas[self._free[0][1]]
             batch = self.batcher.flush(now_s, reason)
             service_s = self.pool.service_s
             replica.free_at_s = now_s + service_s
+            heapq.heapreplace(self._free, (replica.free_at_s, replica.index))
             replica.batches += 1
             replica.busy_s += service_s
             batch_id = self._next_batch_id
@@ -406,6 +406,8 @@ class Server:
         replica.healthy = False
         replica.died_at_s = now_s
         self._deaths += 1
+        self._free = [e for e in self._free if e[1] != replica_index]
+        heapq.heapify(self._free)
         entry = self._in_flight.pop(replica_index, None)
         if entry is None:
             return

@@ -61,13 +61,6 @@ class TestReplicaState:
         replica.died_at_s = 2.0
         assert replica.utilisation(4.0) == pytest.approx(0.5)
 
-    def test_healthy_filter(self):
-        pool = build_pool("butterfly", DIM, BATCH, 4 * 2**20)
-        pool.replicas[0].healthy = False
-        healthy = pool.healthy_replicas()
-        assert all(r.healthy for r in healthy)
-        assert len(healthy) == pool.n_replicas - 1
-
 
 class TestModels:
     @pytest.mark.parametrize("method", SERVE_METHODS)
