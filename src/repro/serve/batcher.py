@@ -142,13 +142,12 @@ class MicroBatcher:
             raise ValueError("flush on an empty queue")
         taken: list[Request] = []
         rows = 0
-        while self._queue:
-            request, _ = self._queue[0]
+        for request, _ in self._queue:
             if rows + request.rows > self.policy.max_batch_rows:
                 break
             taken.append(request)
             rows += request.rows
-            self._queue.pop(0)
+        del self._queue[: len(taken)]
         self._rows -= rows
         return Batch(
             requests=tuple(taken),

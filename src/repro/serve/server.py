@@ -280,6 +280,7 @@ class Server:
         while self._events:
             now_s, _, _, kind, payload = heapq.heappop(self._events)
             self._horizon_s = max(self._horizon_s, now_s)
+            was_empty = not self.batcher.queued_requests
             if kind == "arrival":
                 self._on_arrival(now_s, payload)
             elif kind == "retry":
@@ -290,8 +291,12 @@ class Server:
                 self._on_death(now_s, payload)
             # "flush" events carry no handler: they exist to wake the
             # dispatch pass below at the delay-trigger time.
-            self._dispatch(now_s)
-            self._schedule_flush_wakeup(now_s)
+            flushed = self._dispatch(now_s)
+            # The delay deadline moves only with the queue's head: after
+            # an offer to an empty queue or a flush.  While the head
+            # stays, its wakeup is scheduled already, or already past.
+            if flushed or (was_empty and self.batcher.queued_requests):
+                self._schedule_flush_wakeup(now_s)
 
         return ServeResult(
             pool=self.pool,
@@ -341,11 +346,14 @@ class Server:
 
     # -- dispatch --------------------------------------------------------------
 
-    def _dispatch(self, now_s: float) -> None:
+    def _dispatch(self, now_s: float) -> bool:
+        """Start every batch a free replica can take now; True if any."""
+        flushed = False
         while self._free and self._free[0][0] <= now_s:
             reason = self.batcher.flush_reason(now_s)
             if reason is None:
-                return
+                break
+            flushed = True
             replica = self.pool.replicas[self._free[0][1]]
             batch = self.batcher.flush(now_s, reason)
             service_s = self.pool.service_s
@@ -374,6 +382,7 @@ class Server:
                 "complete",
                 (replica.index, batch_id),
             )
+        return flushed
 
     def _schedule_flush_wakeup(self, now_s: float) -> None:
         wake_s = self.batcher.next_delay_flush_s()

@@ -9,7 +9,13 @@ Determinism contract: every random draw for request *i* comes from
 ``numpy.random.SeedSequence([seed, i, 0])`` — its own child stream,
 never a shared cursor.  Request *i* is therefore identical whether the
 workload generates 10 requests or 10 000, and identical across serial
-and parallel runs of the same grid.  The simulator times requests by
+and parallel runs of the same grid.  The streams of a workload are
+seeded together, in one vectorised pass
+(:func:`repro.utils.rng.indexed_rngs`), and each is still exactly that
+SeedSequence's generator: ``tests/serve/test_workload.py`` compares
+whole request lists with the per-request loop, and a property in
+``tests/bench/test_bench_utils.py`` compares the seed words with
+numpy's.  The simulator times requests by
 their row count alone, so a :class:`Request` carries no payload: it
 stays a few plain numbers and pickles cheaply across worker processes.
 """
@@ -17,9 +23,10 @@ stays a few plain numbers and pickles cheaply across worker processes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
-import numpy as np
+from repro.utils.rng import indexed_rngs
 
 __all__ = [
     "ARRIVALS",
@@ -79,6 +86,9 @@ class WorkloadSpec:
     slo_s: float = 0.05
 
     def __post_init__(self) -> None:
+        # SeedSequence takes only ints >= 0; checked here, not deep in a run.
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         # Chained bounds reject NaN (every comparison is False) and inf.
         if self.arrival not in ARRIVALS:
             raise ValueError(
@@ -119,10 +129,8 @@ def generate_requests(spec: WorkloadSpec) -> list[Request]:
     """
     requests: list[Request] = []
     now_s = 0.0
-    for index in range(spec.n_requests):
-        rng = np.random.default_rng(
-            np.random.SeedSequence([spec.seed, index, _ARRIVAL_STREAM])
-        )
+    rngs = indexed_rngs(spec.seed, spec.n_requests, _ARRIVAL_STREAM)
+    for index, rng in enumerate(rngs):
         gap_s = rng.exponential(1.0 / _local_rate(spec, now_s))
         now_s += gap_s
         rows = int(rng.integers(spec.rows_min, spec.rows_max + 1))

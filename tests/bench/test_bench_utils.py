@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench.flops import dense_equivalent, gflops
 from repro.bench.reporting import Table, format_table
@@ -13,6 +15,7 @@ from repro.utils import (
     format_seconds,
     log2_int,
 )
+from repro.utils.rng import _seed_words, indexed_rngs
 
 
 class TestFlops:
@@ -97,3 +100,46 @@ class TestRng:
         a = derive_rng(np.random.default_rng(7), "k", 3)
         b = derive_rng(np.random.default_rng(7), "k", 3)
         assert a.integers(10**9) == b.integers(10**9)
+
+
+class TestIndexedRngs:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**100 - 1),
+        indices=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=8),
+        stream=st.integers(0, 2**40),
+    )
+    def test_seed_words_equal_seed_sequence(self, seed, indices, stream):
+        words = _seed_words(seed, np.array(indices, dtype=np.uint32), stream)
+        for row, index in zip(words, indices):
+            seq = np.random.SeedSequence([seed, index, stream])
+            np.testing.assert_array_equal(row, seq.generate_state(4, np.uint64))
+
+    @pytest.mark.parametrize("seed", [0, 2**40 + 7])
+    def test_generators_draw_the_seed_sequence_bytes(self, seed):
+        for index, rng in enumerate(indexed_rngs(seed, 40, 3)):
+            twin = np.random.default_rng(
+                np.random.SeedSequence([seed, index, 3])
+            )
+            assert rng.bit_generator.state == twin.bit_generator.state
+            assert rng.random(4).tobytes() == twin.random(4).tobytes()
+
+    @pytest.mark.parametrize(
+        "n_words, dtype",
+        [(4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64)],
+    )
+    def test_seed_serves_only_pcg64(self, n_words, dtype):
+        seq = next(indexed_rngs(0, 1, 0)).bit_generator.seed_seq
+        assert seq.generate_state(4, np.uint64).shape == (4,)
+        with pytest.raises(ValueError, match="4 uint64 words"):
+            seq.generate_state(n_words, dtype)
+
+    def test_rejects_indices_wider_than_32_bits(self):
+        # Raised before any array of 2**32 indices is allocated.
+        with pytest.raises(ValueError, match="n must be"):
+            indexed_rngs(0, 2**32 + 1, 0)
+
+    def test_rejects_negative_seed(self):
+        # -1 >> 32 == -1: splitting it into words would never end.
+        with pytest.raises(ValueError, match="seed"):
+            indexed_rngs(-1, 1, 0)

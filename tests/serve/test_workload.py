@@ -1,11 +1,29 @@
 """The workload generator's determinism and distribution contracts."""
 
+import numpy as np
 import pytest
 
 from repro.serve import workload
 from repro.serve.batcher import BatchPolicy
 from repro.serve.replica import build_pool
-from repro.serve.workload import Request, WorkloadSpec, generate_requests
+from repro.serve.workload import (
+    ARRIVALS,
+    Request,
+    WorkloadSpec,
+    generate_requests,
+)
+
+
+def per_request_loop(spec: WorkloadSpec) -> list[Request]:
+    """Reference: one SeedSequence and generator built per request."""
+    requests = []
+    now_s = 0.0
+    for index in range(spec.n_requests):
+        rng = np.random.default_rng(np.random.SeedSequence([spec.seed, index, 0]))
+        now_s += rng.exponential(1.0 / workload._local_rate(spec, now_s))
+        rows = int(rng.integers(spec.rows_min, spec.rows_max + 1))
+        requests.append(Request(index, now_s, rows, now_s + spec.slo_s))
+    return requests
 
 
 class TestDeterminism:
@@ -23,6 +41,13 @@ class TestDeterminism:
         a = generate_requests(WorkloadSpec(seed=0, n_requests=30))
         b = generate_requests(WorkloadSpec(seed=1, n_requests=30))
         assert a != b
+
+    @pytest.mark.parametrize("arrival", ARRIVALS)
+    @pytest.mark.parametrize("seed", [0, 3, 2**32, 2**70 + 3])
+    def test_equals_per_request_seeding(self, seed, arrival):
+        """Seeding every stream in one pass changes no request's bits."""
+        spec = WorkloadSpec(seed=seed, n_requests=2500, arrival=arrival)
+        assert generate_requests(spec) == per_request_loop(spec)
 
 
 class TestShape:
@@ -70,6 +95,11 @@ NON_FINITE_BUILDERS = {
 
 
 class TestValidation:
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "3"])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            WorkloadSpec(seed=seed)
+
     def test_rejects_unknown_arrival(self):
         with pytest.raises(ValueError, match="arrival"):
             WorkloadSpec(arrival="adversarial")
