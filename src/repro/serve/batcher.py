@@ -93,14 +93,11 @@ class MicroBatcher:
     def queued_rows(self) -> int:
         return self._rows
 
-    def oldest_enqueued_s(self) -> float | None:
-        """Enqueue time of the head request, or ``None`` when empty."""
-        return self._queue[0][1] if self._queue else None
-
     def next_delay_flush_s(self) -> float | None:
         """Absolute time at which the delay trigger fires, or ``None``."""
-        oldest = self.oldest_enqueued_s()
-        return None if oldest is None else oldest + self.policy.max_delay_s
+        if not self._queue:
+            return None
+        return self._queue[0][1] + self.policy.max_delay_s
 
     # -- enqueue / flush -------------------------------------------------------
 

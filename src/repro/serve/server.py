@@ -3,8 +3,8 @@
 A :class:`Server` joins a :class:`~repro.serve.replica.ReplicaPool`, a
 :class:`~repro.serve.batcher.MicroBatcher` and a request stream into one
 discrete-event simulation.  There is **no wall clock anywhere in the
-loop** — time is a heap of ``(time_s, priority, seq)``-ordered events,
-service times come from the executor's cost model, and every random
+loop** — events run in ``(time_s, priority, seq)`` order, service
+times come from the executor's cost model, and every random
 draw (arrivals, deaths, retry backoff) is seeded.  Two runs of
 the same configuration are therefore bit-identical, on any machine, at
 any ``--jobs`` — the property the manifest-determinism tests and the CI
@@ -237,65 +237,76 @@ class Server:
 
     def __post_init__(self) -> None:
         self.batcher = MicroBatcher(self.config.batch_policy)
+        # Every event but arrivals, as ``(time_s, priority, seq, payload)``.
         self._events: list = []
         self._seq = 0
         # ``(free_at_s, index)`` of every healthy replica, in step with
         # ``Replica.free_at_s``: the top is the replica dispatch takes
         # next (the earliest free, ties to the lower index).
         self._free: list[tuple[float, int]] = []
-        self._outcomes: dict[int, _Outcome] = {}
-        self._in_flight: dict[int, tuple[int, Batch, float]] = {}
+        # replica index -> (batch log record, batch) of its batch in flight.
+        self._in_flight: dict[int, tuple[dict, Batch]] = {}
         self._batch_log: list[dict] = []
-        self._batch_records: dict[int, dict] = {}
         self._scheduled_flushes: set[float] = set()
-        self._next_batch_id = 0
         self._retries = 0
         self._deaths = 0
-        self._horizon_s = 0.0
 
-    # -- event plumbing --------------------------------------------------------
-
-    def _push(self, time_s: float, priority: int, kind: str, payload) -> None:
-        heapq.heappush(
-            self._events, (time_s, priority, self._seq, kind, payload)
-        )
+    def _push(self, time_s: float, priority: int, payload) -> None:
+        heapq.heappush(self._events, (time_s, priority, self._seq, payload))
         self._seq += 1
 
     # -- the run ---------------------------------------------------------------
 
     def run(self, requests: list[Request]) -> ServeResult:
-        """Drive the event loop to completion and summarise."""
-        for request in requests:
-            self._outcomes[request.index] = _Outcome(request=request)
-            self._push(request.arrival_s, _ARRIVAL, "arrival", request)
+        """Drive the event loop to completion and summarise.
+
+        Arrivals come from a stable sort of *requests* by time, merged
+        with the heap: the next arrival goes first when ``(arrival_s,
+        _ARRIVAL)`` sorts before the heap top.  No heap event has the
+        arrival priority and equal times keep list order, so this is the
+        ``(time, priority, seq)`` order of arrivals pushed in list order.
+        """
+        self._outcomes = {r.index: _Outcome(request=r) for r in requests}
+        arrivals = sorted(requests, key=lambda r: r.arrival_s)
         for replica_index, time_s in self.config.deaths:
             if 0 <= replica_index < self.pool.n_replicas:
-                self._push(time_s, _DEATH, "death", replica_index)
-        last_arrival_s = requests[-1].arrival_s if requests else 0.0
+                self._push(time_s, _DEATH, replica_index)
         self._free = [
             (r.free_at_s, r.index) for r in self.pool.replicas if r.healthy
         ]
         heapq.heapify(self._free)
+        events, free, batcher = self._events, self._free, self.batcher
 
-        while self._events:
-            now_s, _, _, kind, payload = heapq.heappop(self._events)
-            self._horizon_s = max(self._horizon_s, now_s)
-            was_empty = not self.batcher.queued_requests
-            if kind == "arrival":
-                self._on_arrival(now_s, payload)
-            elif kind == "retry":
-                self._on_retry(now_s, payload)
-            elif kind == "complete":
-                self._on_complete(now_s, payload)
-            elif kind == "death":
-                self._on_death(now_s, payload)
-            # "flush" events carry no handler: they exist to wake the
-            # dispatch pass below at the delay-trigger time.
-            flushed = self._dispatch(now_s)
+        pending = iter(arrivals)
+        request = next(pending, None)
+        horizon_s = 0.0
+        empty = not batcher.queued_requests
+        while request is not None or events:
+            if request is not None and (
+                not events or (request.arrival_s, _ARRIVAL) < events[0]
+            ):
+                now_s = request.arrival_s
+                self._on_arrival(now_s, request)
+                request = next(pending, None)
+            else:
+                now_s, priority, _, payload = heapq.heappop(events)
+                if priority == _COMPLETE:
+                    self._on_complete(now_s, payload)
+                elif priority == _DEATH:
+                    self._on_death(now_s, payload)
+                elif priority == _RETRY:
+                    self._on_retry(now_s, payload)
+                # A flush timer only wakes the dispatch pass below.
+            if now_s > horizon_s:
+                horizon_s = now_s
+            # _dispatch starts nothing unless the top replica is free.
+            flushed = bool(free) and free[0][0] <= now_s and self._dispatch(now_s)
             # The delay deadline moves only with the queue's head: after
             # an offer to an empty queue or a flush.  While the head
             # stays, its wakeup is scheduled already, or already past.
-            if flushed or (was_empty and self.batcher.queued_requests):
+            # Only these two change whether the queue is empty.
+            if flushed or (empty and batcher.queued_requests):
+                empty = not batcher.queued_requests
                 self._schedule_flush_wakeup(now_s)
 
         return ServeResult(
@@ -306,8 +317,8 @@ class Server:
             batches=self._batch_log,
             retries=self._retries,
             deaths=self._deaths,
-            horizon_s=self._horizon_s,
-            last_arrival_s=last_arrival_s,
+            horizon_s=horizon_s,
+            last_arrival_s=arrivals[-1].arrival_s if arrivals else 0.0,
         )
 
     # -- admission -------------------------------------------------------------
@@ -361,9 +372,6 @@ class Server:
             heapq.heapreplace(self._free, (replica.free_at_s, replica.index))
             replica.batches += 1
             replica.busy_s += service_s
-            batch_id = self._next_batch_id
-            self._next_batch_id += 1
-            self._in_flight[replica.index] = (batch_id, batch, now_s)
             record = {
                 "replica": replica.index,
                 "start_s": now_s,
@@ -375,13 +383,8 @@ class Server:
                 "status": "ok",
             }
             self._batch_log.append(record)
-            self._batch_records[batch_id] = record
-            self._push(
-                now_s + service_s,
-                _COMPLETE,
-                "complete",
-                (replica.index, batch_id),
-            )
+            entry = self._in_flight[replica.index] = (record, batch)
+            self._push(now_s + service_s, _COMPLETE, (replica.index, entry))
         return flushed
 
     def _schedule_flush_wakeup(self, now_s: float) -> None:
@@ -392,17 +395,16 @@ class Server:
             and wake_s not in self._scheduled_flushes
         ):
             self._scheduled_flushes.add(wake_s)
-            self._push(wake_s, _FLUSH, "flush", None)
+            self._push(wake_s, _FLUSH, None)
 
     # -- completion / failure --------------------------------------------------
 
-    def _on_complete(self, now_s: float, payload: tuple[int, int]) -> None:
-        replica_index, batch_id = payload
-        entry = self._in_flight.get(replica_index)
-        if entry is None or entry[0] != batch_id:
+    def _on_complete(self, now_s: float, payload: tuple) -> None:
+        replica_index, entry = payload
+        if self._in_flight.get(replica_index) is not entry:
             return  # the batch was lost to a death before completing
-        _, batch, _ = self._in_flight.pop(replica_index)
-        for request in batch.requests:
+        del self._in_flight[replica_index]
+        for request in entry[1].requests:
             outcome = self._outcomes[request.index]
             outcome.status = COMPLETED
             outcome.completed_s = now_s
@@ -415,15 +417,15 @@ class Server:
         replica.healthy = False
         replica.died_at_s = now_s
         self._deaths += 1
-        self._free = [e for e in self._free if e[1] != replica_index]
+        self._free.remove((replica.free_at_s, replica_index))
         heapq.heapify(self._free)
         entry = self._in_flight.pop(replica_index, None)
         if entry is None:
             return
-        batch_id, batch, start_s = entry
+        record, batch = entry
         # Give back the unserved tail of the lost batch's service time.
-        replica.busy_s -= max(0.0, start_s + self.pool.service_s - now_s)
-        self._batch_records[batch_id]["status"] = "lost"
+        replica.busy_s -= max(0.0, batch.formed_s + self.pool.service_s - now_s)
+        record["status"] = "lost"
         guard = SERVE_GUARD
         for request in batch.requests:
             outcome = self._outcomes[request.index]
@@ -440,7 +442,7 @@ class Server:
                 retry_s = now_s + guard.backoff_s(
                     request.index, outcome.attempts
                 )
-                self._push(retry_s, _RETRY, "retry", request)
+                self._push(retry_s, _RETRY, request)
             else:
                 outcome.status = FAILED
 

@@ -5,6 +5,8 @@ the loop) so every scenario is exact: service times are round numbers
 and the expected event order can be checked by hand.
 """
 
+import random
+
 import pytest
 
 from repro.guard.policy import TRANSIENT, GuardPolicy, classify_exception
@@ -19,7 +21,7 @@ from repro.serve.server import (
     nearest_rank,
     simulate,
 )
-from repro.serve.workload import Request, WorkloadSpec
+from repro.serve.workload import Request, WorkloadSpec, generate_requests
 
 
 def make_pool(n_replicas=2, service_s=1.0, batch_rows=4):
@@ -222,6 +224,24 @@ class TestDeterminism:
         a = simulate(make_pool(), workload, config).as_dict()
         b = simulate(make_pool(), workload, config).as_dict()
         assert a == b
+
+    def test_shuffled_requests_serve_like_sorted_ones(self):
+        requests = generate_requests(
+            WorkloadSpec(seed=3, n_requests=300, rate_rps=4e5, slo_s=5e-4)
+        )
+        # Distinct times: the list's order cannot decide a tie.
+        assert len({r.arrival_s for r in requests}) == len(requests)
+        shuffled = list(requests)
+        random.Random(3).shuffle(shuffled)
+        config = make_config(
+            batch_rows=8, max_delay_s=5e-5, deaths=((1, 3e-4),)
+        )
+
+        def serve(order):
+            pool = make_pool(n_replicas=4, service_s=1e-4, batch_rows=8)
+            return Server(pool, config).run(order).as_dict()
+
+        assert serve(shuffled) == serve(requests)
 
     def test_death_schedule_pure_and_bounded(self):
         a = death_schedule(3, 8, 2, 10.0)
