@@ -10,16 +10,17 @@ byte for byte, at any ``--jobs``.
 Layers (each its own module):
 
 * :mod:`repro.serve.workload` — seeded open-loop request generation
-* :mod:`repro.serve.batcher` — dynamic micro-batching with padding
+* :mod:`repro.serve.batcher` — the micro-batching policy
 * :mod:`repro.serve.replica` — memory-budget-derived replica pools
-* :mod:`repro.serve.server` — the SLO-aware discrete-event scheduler
+* :mod:`repro.serve.server` — the SLO-aware discrete-event scheduler,
+  which owns the request queue
 * :mod:`repro.serve.report` — ``repro.serve/1`` manifest + obs wiring
 
 Entry points: ``python -m repro serve [--smoke]`` and
 ``benchmarks/test_serve_throughput.py``; docs in docs/SERVING.md.
 """
 
-from repro.serve.batcher import Batch, BatchPolicy, MicroBatcher
+from repro.serve.batcher import BatchPolicy
 from repro.serve.replica import (
     SERVE_METHODS,
     Replica,
@@ -48,9 +49,7 @@ from repro.serve.workload import Request, WorkloadSpec, generate_requests
 __all__ = [
     "SERVE_METHODS",
     "SERVE_SCHEMA",
-    "Batch",
     "BatchPolicy",
-    "MicroBatcher",
     "Replica",
     "ReplicaDeadError",
     "ReplicaPool",

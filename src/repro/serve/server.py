@@ -1,14 +1,14 @@
 """The serving event loop: simulated clock, SLOs, admission, faults.
 
 A :class:`Server` joins a :class:`~repro.serve.replica.ReplicaPool`, a
-:class:`~repro.serve.batcher.MicroBatcher` and a request stream into one
-discrete-event simulation.  There is **no wall clock anywhere in the
-loop** — events run in ``(time_s, priority, seq)`` order, service
-times come from the executor's cost model, and every random
-draw (arrivals, deaths, retry backoff) is seeded.  Two runs of
-the same configuration are therefore bit-identical, on any machine, at
-any ``--jobs`` — the property the manifest-determinism tests and the CI
-``serve-smoke`` gate assert.
+:class:`~repro.serve.batcher.BatchPolicy` and a request stream into one
+discrete-event simulation, and keeps the request queue itself.  There
+is **no wall clock anywhere in the loop** — events run in ``(time_s,
+priority, seq)`` order, service times come from the executor's cost
+model, and every random draw (arrivals, deaths, retry backoff) is
+seeded.  Two runs of the same configuration are therefore
+bit-identical, on any machine, at any ``--jobs`` — the property the
+manifest-determinism tests and the CI ``serve-smoke`` gate assert.
 
 Behaviours modelled:
 
@@ -31,8 +31,10 @@ Behaviours modelled:
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -42,7 +44,7 @@ from repro.guard.policy import (
     TransientError,
     classify_exception,
 )
-from repro.serve.batcher import Batch, BatchPolicy, MicroBatcher
+from repro.serve.batcher import FLUSH_DELAY, FLUSH_FULL, BatchPolicy
 from repro.serve.replica import ReplicaPool
 from repro.serve.workload import Request, WorkloadSpec, generate_requests
 
@@ -133,7 +135,7 @@ def nearest_rank(sorted_values: list[float], q: float) -> float:
     return sorted_values[rank - 1]
 
 
-@dataclass
+@dataclass(slots=True)
 class _Outcome:
     request: Request
     status: str = ""
@@ -236,24 +238,25 @@ class Server:
     config: ServeConfig
 
     def __post_init__(self) -> None:
-        self.batcher = MicroBatcher(self.config.batch_policy)
         # Every event but arrivals, as ``(time_s, priority, seq, payload)``.
         self._events: list = []
-        self._seq = 0
+        self._seq = itertools.count()
         # ``(free_at_s, index)`` of every healthy replica, in step with
         # ``Replica.free_at_s``: the top is the replica dispatch takes
         # next (the earliest free, ties to the lower index).
         self._free: list[tuple[float, int]] = []
-        # replica index -> (batch log record, batch) of its batch in flight.
-        self._in_flight: dict[int, tuple[dict, Batch]] = {}
+        # replica index -> ``(index, batch log record, batch)`` of its
+        # batch in flight; a batch is the ``(request, enqueued_s)``
+        # entries it took from the queue.
+        self._in_flight: dict[int, tuple] = {}
         self._batch_log: list[dict] = []
-        self._scheduled_flushes: set[float] = set()
         self._retries = 0
         self._deaths = 0
 
     def _push(self, time_s: float, priority: int, payload) -> None:
-        heapq.heappush(self._events, (time_s, priority, self._seq, payload))
-        self._seq += 1
+        heapq.heappush(
+            self._events, (time_s, priority, next(self._seq), payload)
+        )
 
     # -- the run ---------------------------------------------------------------
 
@@ -265,150 +268,167 @@ class Server:
         _ARRIVAL)`` sorts before the heap top.  No heap event has the
         arrival priority and equal times keep list order, so this is the
         ``(time, priority, seq)`` order of arrivals pushed in list order.
-        """
-        self._outcomes = {r.index: _Outcome(request=r) for r in requests}
-        arrivals = sorted(requests, key=lambda r: r.arrival_s)
-        for replica_index, time_s in self.config.deaths:
-            if 0 <= replica_index < self.pool.n_replicas:
-                self._push(time_s, _DEATH, replica_index)
-        self._free = [
-            (r.free_at_s, r.index) for r in self.pool.replicas if r.healthy
-        ]
-        heapq.heapify(self._free)
-        events, free, batcher = self._events, self._free, self.batcher
 
+        The loop owns the request queue: a FIFO of ``(request,
+        enqueued_s)``, its row count, and the time the head's delay
+        trigger fires.  After each event it tests the trigger, then
+        whether the earliest-free replica is free by now, and only then
+        runs a dispatch pass.
+        """
+        pool, policy = self.pool, self.config.batch_policy
+        max_rows, max_delay_s = policy.max_batch_rows, policy.max_delay_s
+        queue_max = self.config.queue_max_requests
+        service_s = pool.service_s
+        replicas = pool.replicas
+        outcomes = self._outcomes = {r.index: _Outcome(r) for r in requests}
+        arrivals = sorted(requests, key=attrgetter("arrival_s"))
+        for replica_index, time_s in self.config.deaths:
+            if 0 <= replica_index < pool.n_replicas:
+                self._push(time_s, _DEATH, replica_index)
+        free = self._free = [
+            (r.free_at_s, r.index) for r in replicas if r.healthy
+        ]
+        heapq.heapify(free)
+        events, in_flight, log = self._events, self._in_flight, self._batch_log
+        seq = self._seq
+
+        queue: list[tuple[Request, float]] = []
+        queued_rows = 0
+        flush_at_s = 0.0  # the head's delay trigger; stale while empty
+        # The head's enqueue time never falls, so neither do the wake
+        # times: a wake already scheduled can only be the latest one.
+        woken_s = -math.inf
         pending = iter(arrivals)
         request = next(pending, None)
         horizon_s = 0.0
-        empty = not batcher.queued_requests
         while request is not None or events:
+            offered = None
             if request is not None and (
                 not events or (request.arrival_s, _ARRIVAL) < events[0]
             ):
                 now_s = request.arrival_s
-                self._on_arrival(now_s, request)
+                if not free:
+                    outcomes[request.index].status = SHED_DEAD
+                elif len(queue) >= queue_max:
+                    outcomes[request.index].status = SHED_QUEUE
+                else:
+                    # Crude but deterministic finish-time estimate: the
+                    # batches ahead, in waves over the healthy replicas,
+                    # from when the earliest-free one is free.
+                    start_s = free[0][0] if free[0][0] > now_s else now_s
+                    waves = math.ceil(
+                        math.ceil((queued_rows + request.rows) / max_rows)
+                        / len(free)
+                    )
+                    if start_s + waves * service_s > request.deadline_s:
+                        outcomes[request.index].status = SHED_SLO
+                    else:
+                        offered = request
                 request = next(pending, None)
             else:
                 now_s, priority, _, payload = heapq.heappop(events)
                 if priority == _COMPLETE:
-                    self._on_complete(now_s, payload)
+                    index, record, batch = payload
+                    # A batch lost to a death completes nothing; the slot
+                    # may already hold the replica's next batch.
+                    if record["status"] == "ok":
+                        if in_flight.get(index) is payload:
+                            del in_flight[index]
+                        for done, _ in batch:
+                            outcome = outcomes[done.index]
+                            outcome.status = COMPLETED
+                            outcome.completed_s = now_s
+                            outcome.replica = index
                 elif priority == _DEATH:
                     self._on_death(now_s, payload)
                 elif priority == _RETRY:
-                    self._on_retry(now_s, payload)
+                    # Retried requests were already admitted once; they
+                    # bypass the queue bound and the SLO estimate (a late
+                    # answer still beats none) but not a dead pool.
+                    if free:
+                        offered = payload
+                    else:
+                        outcomes[payload.index].status = FAILED
                 # A flush timer only wakes the dispatch pass below.
             if now_s > horizon_s:
                 horizon_s = now_s
-            # _dispatch starts nothing unless the top replica is free.
-            flushed = bool(free) and free[0][0] <= now_s and self._dispatch(now_s)
+            head_moved = False
+            if offered is not None:
+                if offered.rows > max_rows:
+                    raise ValueError(
+                        f"request {offered.index} carries {offered.rows} "
+                        f"rows; the compiled batch holds {max_rows}"
+                    )
+                if not queue:
+                    flush_at_s = now_s + max_delay_s
+                    head_moved = True
+                queue.append((offered, now_s))
+                queued_rows += offered.rows
+            # The trigger first, then a free replica: only then a batch.
+            while (
+                queue
+                and (queued_rows >= max_rows or now_s >= flush_at_s)
+                and free
+                and free[0][0] <= now_s
+            ):
+                reason = FLUSH_FULL if queued_rows >= max_rows else FLUSH_DELAY
+                # Whole requests in FIFO order while they fit.
+                rows = taken = 0
+                for queued, _ in queue:
+                    if rows + queued.rows > max_rows:
+                        break
+                    rows += queued.rows
+                    taken += 1
+                batch = queue[:taken]
+                del queue[:taken]
+                queued_rows -= rows
+                if queue:
+                    flush_at_s = queue[0][1] + max_delay_s
+                head_moved = True
+                replica = replicas[free[0][1]]
+                index = replica.index
+                replica.free_at_s = now_s + service_s
+                heapq.heapreplace(free, (replica.free_at_s, index))
+                replica.batches += 1
+                replica.busy_s += service_s
+                record = {
+                    "replica": index,
+                    "start_s": now_s,
+                    "service_s": service_s,
+                    "rows": rows,
+                    "pad_rows": max_rows - rows,
+                    "n_requests": taken,
+                    "reason": reason,
+                    "status": "ok",
+                }
+                log.append(record)
+                entry = in_flight[index] = (index, record, batch)
+                heapq.heappush(
+                    events, (now_s + service_s, _COMPLETE, next(seq), entry)
+                )
             # The delay deadline moves only with the queue's head: after
-            # an offer to an empty queue or a flush.  While the head
+            # an offer to an empty queue or a batch.  While the head
             # stays, its wakeup is scheduled already, or already past.
-            # Only these two change whether the queue is empty.
-            if flushed or (empty and batcher.queued_requests):
-                empty = not batcher.queued_requests
-                self._schedule_flush_wakeup(now_s)
+            if (
+                head_moved
+                and queue
+                and flush_at_s > now_s
+                and flush_at_s > woken_s
+            ):
+                woken_s = flush_at_s
+                heapq.heappush(events, (flush_at_s, _FLUSH, next(seq), None))
 
         return ServeResult(
-            pool=self.pool,
-            outcomes=[
-                self._outcomes[i] for i in sorted(self._outcomes)
-            ],
-            batches=self._batch_log,
+            pool=pool,
+            outcomes=[outcomes[i] for i in sorted(outcomes)],
+            batches=log,
             retries=self._retries,
             deaths=self._deaths,
             horizon_s=horizon_s,
             last_arrival_s=arrivals[-1].arrival_s if arrivals else 0.0,
         )
 
-    # -- admission -------------------------------------------------------------
-
-    def _estimate_completion_s(self, now_s: float, rows: int) -> float:
-        """Crude but deterministic finish-time estimate for admission."""
-        batches_ahead = math.ceil(
-            (self.batcher.queued_rows + rows)
-            / self.config.batch_policy.max_batch_rows
-        )
-        start_s = max(now_s, self._free[0][0])
-        waves = math.ceil(batches_ahead / len(self._free))
-        return start_s + waves * self.pool.service_s
-
-    def _on_arrival(self, now_s: float, request: Request) -> None:
-        outcome = self._outcomes[request.index]
-        if not self._free:
-            outcome.status = SHED_DEAD
-            return
-        if self.batcher.queued_requests >= self.config.queue_max_requests:
-            outcome.status = SHED_QUEUE
-            return
-        if self._estimate_completion_s(now_s, request.rows) > request.deadline_s:
-            outcome.status = SHED_SLO
-            return
-        self.batcher.offer(request, now_s)
-
-    def _on_retry(self, now_s: float, request: Request) -> None:
-        # Retried requests were already admitted once; they bypass the
-        # SLO estimate (a late answer still beats none) but not a dead
-        # pool.
-        if not self._free:
-            self._outcomes[request.index].status = FAILED
-            return
-        self.batcher.offer(request, now_s)
-
-    # -- dispatch --------------------------------------------------------------
-
-    def _dispatch(self, now_s: float) -> bool:
-        """Start every batch a free replica can take now; True if any."""
-        flushed = False
-        while self._free and self._free[0][0] <= now_s:
-            reason = self.batcher.flush_reason(now_s)
-            if reason is None:
-                break
-            flushed = True
-            replica = self.pool.replicas[self._free[0][1]]
-            batch = self.batcher.flush(now_s, reason)
-            service_s = self.pool.service_s
-            replica.free_at_s = now_s + service_s
-            heapq.heapreplace(self._free, (replica.free_at_s, replica.index))
-            replica.batches += 1
-            replica.busy_s += service_s
-            record = {
-                "replica": replica.index,
-                "start_s": now_s,
-                "service_s": service_s,
-                "rows": batch.rows,
-                "pad_rows": batch.pad_rows,
-                "n_requests": len(batch.requests),
-                "reason": batch.reason,
-                "status": "ok",
-            }
-            self._batch_log.append(record)
-            entry = self._in_flight[replica.index] = (record, batch)
-            self._push(now_s + service_s, _COMPLETE, (replica.index, entry))
-        return flushed
-
-    def _schedule_flush_wakeup(self, now_s: float) -> None:
-        wake_s = self.batcher.next_delay_flush_s()
-        if (
-            wake_s is not None
-            and wake_s > now_s
-            and wake_s not in self._scheduled_flushes
-        ):
-            self._scheduled_flushes.add(wake_s)
-            self._push(wake_s, _FLUSH, None)
-
-    # -- completion / failure --------------------------------------------------
-
-    def _on_complete(self, now_s: float, payload: tuple) -> None:
-        replica_index, entry = payload
-        if self._in_flight.get(replica_index) is not entry:
-            return  # the batch was lost to a death before completing
-        del self._in_flight[replica_index]
-        for request in entry[1].requests:
-            outcome = self._outcomes[request.index]
-            outcome.status = COMPLETED
-            outcome.completed_s = now_s
-            outcome.replica = replica_index
+    # -- failure ---------------------------------------------------------------
 
     def _on_death(self, now_s: float, replica_index: int) -> None:
         replica = self.pool.replicas[replica_index]
@@ -422,12 +442,14 @@ class Server:
         entry = self._in_flight.pop(replica_index, None)
         if entry is None:
             return
-        record, batch = entry
+        _, record, batch = entry
         # Give back the unserved tail of the lost batch's service time.
-        replica.busy_s -= max(0.0, batch.formed_s + self.pool.service_s - now_s)
+        replica.busy_s -= max(
+            0.0, record["start_s"] + self.pool.service_s - now_s
+        )
         record["status"] = "lost"
         guard = SERVE_GUARD
-        for request in batch.requests:
+        for request, _ in batch:
             outcome = self._outcomes[request.index]
             outcome.attempts += 1
             error = ReplicaDeadError(

@@ -1,12 +1,20 @@
-"""Micro-batcher policy: packing, triggers, padding accounting."""
+"""Micro-batching policy: packing, triggers, padding accounting.
+
+The server keeps the request queue and applies the two-trigger rule
+inline, so these tests drive :meth:`Server.run` with hand-built pools
+and read each formed batch from the batch log: when it started, why,
+and how many requests and rows it took.
+"""
 
 import pytest
 
-from repro.serve.batcher import BatchPolicy, MicroBatcher
+from repro.serve.batcher import BatchPolicy
+from repro.serve.server import ServeConfig, Server
 from repro.serve.workload import Request
+from tests.serve.test_server import make_pool
 
 
-def _request(index, rows, arrival_s=0.0, slo_s=1.0):
+def _request(index, rows, arrival_s=0.0, slo_s=100.0):
     return Request(
         index=index,
         arrival_s=arrival_s,
@@ -15,80 +23,85 @@ def _request(index, rows, arrival_s=0.0, slo_s=1.0):
     )
 
 
-def _batcher(max_rows=8, max_delay_s=0.01):
-    return MicroBatcher(BatchPolicy(max_rows, max_delay_s))
+def _serve(requests, max_rows=8, max_delay_s=0.01, n_replicas=1):
+    pool = make_pool(n_replicas=n_replicas, batch_rows=max_rows)
+    config = ServeConfig(batch_policy=BatchPolicy(max_rows, max_delay_s))
+    return Server(pool, config).run(requests)
+
+
+def _formed(result):
+    """``(start_s, reason, n_requests, rows, pad_rows)`` of each batch."""
+    return [
+        (b["start_s"], b["reason"], b["n_requests"], b["rows"], b["pad_rows"])
+        for b in result.batches
+    ]
 
 
 class TestTriggers:
     def test_empty_queue_never_flushes(self):
-        assert _batcher().flush_reason(1e9) is None
+        # Every request is shed, so the queue stays empty at every event.
+        result = _serve([_request(0, 2, slo_s=0.5)], max_delay_s=0.0)
+        assert result.outcomes[0].status == "shed_slo"
+        assert result.batches == []
 
     def test_exact_fill_triggers_full(self):
-        b = _batcher(max_rows=8)
-        b.offer(_request(0, 4), 0.0)
-        assert b.flush_reason(0.0) is None
-        b.offer(_request(1, 4), 0.0)
-        assert b.flush_reason(0.0) == "full"
+        result = _serve([_request(0, 4), _request(1, 4, arrival_s=0.001)])
+        assert _formed(result) == [(0.001, "full", 2, 8, 0)]
+
+    def test_lone_partial_batch_waits(self):
+        result = _serve([_request(0, 4)])
+        assert _formed(result) == [(0.01, "delay", 1, 4, 4)]
 
     def test_maximal_partial_batch_triggers_full(self):
         """7 of 8 rows with a 4-row request next: waiting buys nothing."""
-        b = _batcher(max_rows=8)
-        b.offer(_request(0, 4), 0.0)
-        b.offer(_request(1, 3), 0.0)
-        b.offer(_request(2, 4), 0.0)  # cannot extend the head batch
-        assert b.flush_reason(0.0) == "full"
+        requests = [_request(0, 4), _request(1, 3), _request(2, 4)]
+        result = _serve(requests, n_replicas=2)
+        # The third request cannot extend the head batch, so the head
+        # goes at once; the third waits for the delay trigger, though a
+        # replica is free.
+        assert _formed(result) == [
+            (0.0, "full", 2, 7, 1),
+            (0.01, "delay", 1, 4, 4),
+        ]
 
     def test_delay_trigger_uses_oldest_enqueue_time(self):
-        b = _batcher(max_rows=8, max_delay_s=0.01)
-        b.offer(_request(0, 2), 1.0)
-        assert b.flush_reason(1.005) is None
-        assert b.flush_reason(1.01) == "delay"
-        assert b.next_delay_flush_s() == pytest.approx(1.01)
+        requests = [
+            _request(0, 2, arrival_s=1.0),
+            _request(1, 2, arrival_s=1.005),
+        ]
+        result = _serve(requests, max_delay_s=0.01)
+        assert _formed(result) == [(1.0 + 0.01, "delay", 2, 4, 4)]
 
     def test_oversized_request_rejected(self):
-        b = _batcher(max_rows=4)
-        with pytest.raises(ValueError, match="rows"):
-            b.offer(_request(0, 5), 0.0)
+        with pytest.raises(ValueError, match="request 0 carries 5 rows"):
+            _serve([_request(0, 5)], max_rows=4)
 
 
 class TestFlush:
     def test_flush_packs_whole_requests_fifo(self):
-        b = _batcher(max_rows=8)
-        for index, rows in enumerate((3, 3, 3)):
-            b.offer(_request(index, rows), 0.0)
-        batch = b.flush(0.0, "full")
-        assert [r.index for r in batch.requests] == [0, 1]
-        assert batch.rows == 6
-        assert batch.pad_rows == 2
-        assert batch.occupancy == pytest.approx(6 / 8)
-        # The request that did not fit stays queued.
-        assert b.queued_requests == 1
-        assert b.queued_rows == 3
+        result = _serve([_request(i, 3) for i in range(3)])
+        # The request that did not fit stays queued; its delay trigger
+        # fires at 0.01, and it goes when the replica frees at 1.0.
+        assert _formed(result) == [
+            (0.0, "full", 2, 6, 2),
+            (1.0, "delay", 1, 3, 5),
+        ]
+        assert [o.replica for o in result.outcomes] == [0, 0, 0]
+        assert [o.completed_s for o in result.outcomes] == [1.0, 1.0, 2.0]
+        assert result.as_dict()["occupancy"] == pytest.approx(9 / 16)
 
     def test_flush_empties_exact_fit(self):
-        b = _batcher(max_rows=6)
-        b.offer(_request(0, 2), 0.0)
-        b.offer(_request(1, 4), 0.0)
-        batch = b.flush(0.5, "delay")
-        assert batch.rows == 6
-        assert batch.pad_rows == 0
-        assert batch.formed_s == 0.5
-        assert batch.reason == "delay"
-        assert b.queued_requests == 0
-        assert b.queued_rows == 0
-
-    def test_flush_empty_raises(self):
-        with pytest.raises(ValueError, match="empty"):
-            _batcher().flush(0.0, "drain")
+        result = _serve(
+            [_request(0, 2), _request(1, 4, arrival_s=0.5)],
+            max_rows=6,
+            max_delay_s=1.0,
+        )
+        assert _formed(result) == [(0.5, "full", 2, 6, 0)]
 
     def test_row_accounting_across_flushes(self):
-        b = _batcher(max_rows=4)
-        for index in range(6):
-            b.offer(_request(index, 2), 0.0)
-        total = 0
-        while b.queued_requests:
-            total += b.flush(0.0, "full").rows
-        assert total == 12
+        result = _serve([_request(i, 2) for i in range(6)], max_rows=4)
+        assert [b["rows"] for b in result.batches] == [4, 4, 4]
+        assert all(o.status == "completed" for o in result.outcomes)
 
 
 class TestPolicyValidation:

@@ -10,23 +10,17 @@ pixelfly and butterfly at dim 512, and pin the SHA-256 of each full
 result, batch log included.  Each scenario also asserts the outcomes it
 is there to reach, so a change in the workload cannot make it cover
 less.
-
-The property test keeps the head-prefix rule, which walks the queue, as
-the reference for the row-count full trigger: a queue whose head batch
-cannot grow is exactly a queue holding at least a full batch of rows.
 """
 
 import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.serve.batcher import BatchPolicy, MicroBatcher
+from repro.serve.batcher import BatchPolicy
 from repro.serve.replica import Replica, ReplicaPool
 from repro.serve.server import ServeConfig, Server, death_schedule
-from repro.serve.workload import Request, WorkloadSpec, generate_requests
+from repro.serve.workload import WorkloadSpec, generate_requests
 
 #: Per-batch service times of the dim-512 smoke pools, rounded.
 DENSE_S = 1.6e-5
@@ -132,52 +126,3 @@ def test_scenario_reaches_its_outcomes_with_pinned_bits(name):
     assert not missing, f"{name} never reached {missing}"
     assert digest(result) == sha
 
-
-def reference_head(queue, max_rows, max_delay_s, now_s):
-    """(reason, requests taken): the head-prefix rule, walked in full."""
-    if not queue:
-        return None, 0
-    rows = taken = 0
-    for request, _ in queue:
-        if rows + request.rows > max_rows:
-            break
-        rows += request.rows
-        taken += 1
-    if rows >= max_rows or taken < len(queue):
-        return "full", taken
-    if now_s >= queue[0][1] + max_delay_s:
-        return "delay", taken
-    return None, taken
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    max_rows=st.integers(1, 12),
-    data=st.data(),
-)
-def test_full_trigger_is_the_head_prefix_rule(max_rows, data):
-    times = st.floats(0.0, 1.0, allow_nan=False)
-    entries = data.draw(
-        st.lists(st.tuples(st.integers(1, max_rows), times), max_size=30)
-    )
-    max_delay_s = data.draw(st.floats(0.0, 0.5, allow_nan=False))
-    batcher = MicroBatcher(BatchPolicy(max_rows, max_delay_s))
-    queue = []
-
-    def check(now_s):
-        reason, taken = reference_head(queue, max_rows, max_delay_s, now_s)
-        assert batcher.flush_reason(now_s) == reason
-        return taken
-
-    for index, (rows, enqueued_s) in enumerate(entries):
-        request = Request(index, enqueued_s, rows, enqueued_s + 1.0)
-        batcher.offer(request, enqueued_s)
-        queue.append((request, enqueued_s))
-        check(data.draw(times))
-    while queue:
-        taken = check(data.draw(times))
-        batch = batcher.flush(0.0, "drain")
-        assert batch.requests == tuple(r for r, _ in queue[:taken])
-        del queue[:taken]
-    assert batcher.flush_reason(0.0) is None
-    assert batcher.queued_rows == 0

@@ -90,6 +90,22 @@ class TestHappyPath:
             o.completed_s == pytest.approx(1.0) for o in result.outcomes
         )
 
+    def test_redispatch_at_a_completion_tie_completes_both_batches(self):
+        # Both replicas finish at 1.0.  Replica 0's completion runs the
+        # dispatch pass first, which gives replica 1 its next batch
+        # before replica 1's own completion event: that batch must
+        # still complete.
+        config = ServeConfig(batch_policy=BatchPolicy(1, 0.0))
+        result = Server(make_pool(n_replicas=2), config).run(
+            [request(i, 0.0, rows=1) for i in range(6)]
+        )
+        assert [o.status for o in result.outcomes] == ["completed"] * 6
+        assert [o.completed_s for o in result.outcomes] == [
+            1.0, 1.0, 2.0, 2.0, 3.0, 3.0
+        ]
+        assert [o.replica for o in result.outcomes] == [0, 1, 0, 1, 0, 1]
+        assert result.as_dict()["completed"] == 6
+
     def test_late_completion_is_not_on_time(self):
         # The admission estimate ignores batching delay, so a 1-row
         # request with a 1.2s deadline is admitted (1.0s of service)

@@ -4,12 +4,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import nn
 from repro.verify import ORACLES, OracleFailure, check_case, generate_case
 from repro.verify.gen import LayerSpec, RunConfig, Case
 from repro.verify.hooks import PLANTS, plant
 from repro.verify.oracles import (
+    _agree,
     check_plan_sound,
     codelet_doubles,
     dense_twin,
@@ -186,6 +189,95 @@ class TestSharedMachinery:
         assert any(
             not np.array_equal(a[name], b[name]) for name in a
         )
+
+
+
+def _allclose_verdict(got, want, atol):
+    """The reference: does ``np.testing.assert_allclose`` pass?"""
+    try:
+        np.testing.assert_allclose(got, want, rtol=1e-6, atol=atol)
+    except AssertionError:
+        return False
+    return True
+
+
+def _agree_verdict(got, want, atol):
+    try:
+        _agree("forward_dense", got, want, "output", atol=atol)
+    except OracleFailure:
+        return False
+    return True
+
+
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, 1.0 + 1e-6, 1e-8, -1e300]
+
+
+class TestAgree:
+    """``_agree`` gives ``np.testing.assert_allclose``'s verdict."""
+
+    @pytest.mark.parametrize(
+        "got, want",
+        [
+            (np.array([np.nan, 1.0]), np.array([np.nan, 1.0])),
+            (np.array([np.nan, 1.0]), np.array([1.0, 1.0])),
+            (np.array([np.inf, -np.inf]), np.array([np.inf, -np.inf])),
+            (np.array([np.inf]), np.array([-np.inf])),
+            (np.array([np.inf]), np.array([1e308])),
+            (np.array([-0.0, 0.0]), np.array([0.0, -0.0])),
+            (np.array([1.0, 1.0]), 1.0),
+            (1.0, np.array([1.0, 1.5])),
+            (np.array(2.0), np.array([[2.0, 2.0]])),
+            (np.zeros(2), np.zeros(3)),
+            (np.zeros((2, 1)), np.zeros(2)),
+            (np.zeros((0, 3)), np.zeros((0, 3))),
+            (np.zeros((0, 3)), np.zeros((3, 0))),
+            (np.array([1.0 + 2e-6]), np.array([1.0])),
+            (np.array([1e-7]), np.array([0.0])),
+            (np.array([2e-7]), np.array([0.0])),
+        ],
+    )
+    @pytest.mark.parametrize("atol", [1e-7, 1e-8])
+    def test_verdict_matches_assert_allclose(self, got, want, atol):
+        assert _agree_verdict(got, want, atol) == _allclose_verdict(
+            got, want, atol
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.sampled_from([(), (3,), (2, 2)]),
+        data=st.data(),
+    )
+    def test_verdict_matches_on_special_values(self, shape, data):
+        size = int(np.prod(shape))
+        values = st.one_of(
+            st.sampled_from(SPECIAL), st.floats(-2.0, 2.0, allow_nan=False)
+        )
+        want = np.array(
+            data.draw(st.lists(values, min_size=size, max_size=size))
+        ).reshape(shape)
+        # Mostly near-misses of *want*, sometimes arbitrary values.
+        nudge = st.sampled_from([0.0, 1e-7, -2e-7, 1e-6, 0.5])
+        got = np.array(
+            [
+                data.draw(st.one_of(nudge.map(lambda d, w=w: w + d), values))
+                for w in want.ravel()
+            ]
+        ).reshape(shape)
+        for atol in (1e-7, 1e-8):
+            assert _agree_verdict(got, want, atol) == _allclose_verdict(
+                got, want, atol
+            )
+
+    def test_failure_names_the_tolerance(self):
+        with pytest.raises(OracleFailure) as exc_info:
+            _agree("forward_dense", np.ones(2), np.zeros(2), "output")
+        assert exc_info.value.detail == (
+            "output disagrees: Not equal to tolerance rtol=1e-06, atol=1e-07"
+        )
+
+    def test_shape_mismatch_names_the_shapes(self):
+        with pytest.raises(OracleFailure, match=r"shapes \(2,\), \(3,\)"):
+            _agree("forward_dense", np.zeros(2), np.zeros(3), "output")
 
 
 class TestOraclesOnGeneratedCases:
