@@ -127,8 +127,8 @@ class PixelflyPattern:
     Every block-row and every block-column holds the same number of
     blocks (:attr:`blocks_per_row`), because each stride band is an XOR
     permutation of the grid.  The block-sparse kernels rely on that layout
-    to accumulate with a segmented sum instead of a scatter, so
-    construction checks it.
+    to accumulate without a scatter — the forward by block slot, the
+    backward with a segmented sum — so construction checks it.
     """
 
     n: int
@@ -250,22 +250,32 @@ def block_sparse_multiply(
     """Compute rows ``y_i = W_sparse @ x_i`` for the packed block values.
 
     ``blocks`` has shape ``(n_blocks, bs, bs)`` in the pattern's storage
-    order; ``x`` is ``(batch, n)`` (or 1-D).  The product gathers the input
-    block-columns, applies every dense block as a batched matmul, and sums
-    each output block-row's ``blocks_per_row`` partial products — the same
-    dataflow the device simulators cost out.  The blocks are stored
-    row-major, so that sum is a segmented reduction (PopSparse's layout),
-    not a scatter.
+    order; ``x`` is ``(batch, n)`` (or 1-D).  The blocks are stored
+    row-major with ``blocks_per_row`` blocks in every block-row, so slot
+    ``j`` of every block-row is ``blocks[j::blocks_per_row]``.  The product
+    streams over those slots: for slot ``j`` it gathers the input
+    block-column each block-row's ``j``-th block reads, a ``(batch, nb, bs)``
+    array, applies the slot's ``nb`` blocks as one batched matmul of
+    ``(batch, bs) @ (bs, bs)`` GEMMs, and adds the result into an output of
+    zeros.  Slot 0 is added first, so every output block-row sums its
+    blocks from zero in storage order — the order a scatter-add adds them
+    in — and no intermediate is larger than the output (PopSparse's
+    static block-sparse plan).
     """
     x, squeeze = _as_batch(blocks, pattern, x)
     bs = pattern.block_size
-    xb = x.reshape(x.shape[0], pattern.n // bs, bs)
-    gathered = xb[:, pattern.block_cols, :]  # (batch, n_blocks, bs)
-    # One (batch, bs) @ (bs, bs) GEMM per block: x_k @ block_k.T.
-    partial = np.matmul(
-        gathered.transpose(1, 0, 2), blocks.transpose(0, 2, 1)
-    ).transpose(1, 0, 2)
-    out = _segment_sum(partial, pattern, partial.dtype)
+    nb = pattern.n // bs
+    k = pattern.blocks_per_row
+    xb = x.reshape(x.shape[0], nb, bs)
+    cols = pattern.block_cols.reshape(nb, k)
+    out = np.zeros(xb.shape, dtype=np.result_type(x, blocks))
+    for j in range(k):
+        gathered = xb[:, cols[:, j], :]  # (batch, nb, bs)
+        # One (batch, bs) @ (bs, bs) GEMM per block: x_k @ block_k.T.
+        out += np.matmul(
+            gathered.transpose(1, 0, 2), blocks[j::k].transpose(0, 2, 1)
+        ).transpose(1, 0, 2)
+    out = out.reshape(x.shape[0], pattern.n)
     return out[0] if squeeze else out
 
 

@@ -220,7 +220,11 @@ class Abs(Function):
 class ReLU(Function):
     def forward(self, a):
         self.mask = a > 0
-        return np.where(self.mask, a, 0)
+        # ``np.where(a > 0, a, 0)``'s bits without the select: fmax gives
+        # the 0 for a NaN, and with ``a`` first also for a -0.0, where
+        # ``maximum`` and ``fmax(0, a)`` keep the NaN or the -0.0
+        # (tests/nn/test_scatter_free_bits.py pins it).
+        return np.fmax(a, 0)
 
     def backward(self, grad):
         return (grad * self.mask,)
@@ -389,18 +393,37 @@ class Transpose(Function):
         return (np.transpose(grad, np.argsort(self.axes)), None)
 
 
+def _is_basic(key) -> bool:
+    """True iff *key* is basic indexing (ints, slices, ``...``, None),
+    which never selects an element twice."""
+    return all(
+        k is None
+        or k is Ellipsis
+        or isinstance(k, slice)
+        or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
+        for k in (key if isinstance(key, tuple) else (key,))
+    )
+
+
 class GetItem(Function):
-    """Indexing/slicing; backward scatter-adds into a zero array."""
+    """Indexing/slicing.
+
+    The backward writes the gradient into a zero array: by assignment for
+    a basic key, and by a scatter-add for an array key, which may repeat
+    an index.  Both store ``0.0 + g``'s bits, so a -0.0 becomes +0.0.
+    """
 
     def forward(self, a, key):
         self.shape = a.shape
-        self.dtype = a.dtype
         self.key = key
         return a[key]
 
     def backward(self, grad):
         out = np.zeros(self.shape, dtype=grad.dtype)
-        np.add.at(out, self.key, grad)
+        if _is_basic(self.key):
+            out[self.key] = grad + 0.0
+        else:
+            np.add.at(out, self.key, grad)
         return (out, None)
 
 

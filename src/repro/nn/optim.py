@@ -9,6 +9,8 @@ training loop, per the HPC guides' in-place-op advice).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.nn.tensor import Parameter
@@ -86,6 +88,25 @@ def _nesterov_direction(
     return grad + momentum * velocity
 
 
+#: Most elements one ufunc of :meth:`SGD.step` touches at a time: 256 KiB
+#: of float64.  A block is whole rows (a slice of the first axis), so it is
+#: a view of any layout; a row wider than this is a block of its own.
+_BLOCK = 32_768
+
+
+def _block_rows(shape: tuple[int, ...]) -> int:
+    """Rows in each block of a parameter of *shape* (the last may be short)."""
+    return max(1, _BLOCK // max(1, math.prod(shape[1:])))
+
+
+def _row_blocks(shape: tuple[int, ...]) -> list:
+    """Index keys of the row blocks that tile a parameter of *shape*."""
+    rows = _block_rows(shape)
+    if not shape or shape[0] <= rows:
+        return [...]
+    return [slice(start, start + rows) for start in range(0, shape[0], rows)]
+
+
 class SGD(Optimizer):
     """Stochastic gradient descent with classical momentum.
 
@@ -111,37 +132,50 @@ class SGD(Optimizer):
         self.momentum = momentum
         self.nesterov = nesterov
         self._velocity: list[np.ndarray | None] = [None] * len(self.params)
-        # Every parameter's ``lr * g`` is written here, not into a fresh
-        # array per parameter per step.  It is at least float64, which
-        # holds a float32 product exactly.
+        # Every parameter's ``lr * g`` is written here, one row block at a
+        # time, not into a fresh array per parameter per step.  It is at
+        # least float64, which holds a float32 product exactly.
         self._scratch = np.empty(
-            max(p.data.size for p in self.params),
+            max(
+                min(p.data.size, _block_rows(p.shape) * math.prod(p.shape[1:]))
+                for p in self.params
+            ),
             dtype=np.result_type(
                 lr, np.float64, *{p.data.dtype for p in self.params}
             ),
         )
 
     def step(self) -> None:
-        """Apply one update using the gradients currently on the params."""
+        """Apply one update using the gradients currently on the params.
+
+        Each ufunc runs over one row block of a parameter at a time, so a
+        block's velocity, step and parameter stay in cache between the
+        ufuncs instead of every ufunc streaming the whole array.  The
+        ufuncs are elementwise, so the blocks change no bit.
+        """
+        mu = self.momentum
         for i, p in enumerate(self.params):
             if p.grad is None:
                 continue
-            g = p.grad
-            if self.momentum:
-                if self._velocity[i] is None:
-                    self._velocity[i] = g.copy()
-                else:
-                    self._velocity[i] *= self.momentum
-                    self._velocity[i] += g
-                if self.nesterov:
-                    g = _nesterov_direction(
-                        g, self.momentum, self._velocity[i]
-                    )
-                else:
-                    g = self._velocity[i]
-            step = self._scratch[: g.size].reshape(g.shape)
-            np.multiply(self.lr, g, out=step)
-            p.data -= step
+            # A 0-d parameter's summed gradient is a numpy scalar; as a
+            # 0-d array its blocks are views.
+            g = np.asarray(p.grad)
+            v = self._velocity[i]
+            first = v is None
+            if mu and first:
+                v = self._velocity[i] = g.copy()
+            data = p.data
+            for rows in _row_blocks(data.shape):
+                d = g[rows]
+                if mu:
+                    vb = v[rows]
+                    if not first:
+                        vb *= mu
+                        vb += d
+                    d = _nesterov_direction(d, mu, vb) if self.nesterov else vb
+                step = self._scratch[: d.size].reshape(d.shape)
+                np.multiply(self.lr, d, out=step)
+                data[rows] -= step
 
     def _slots(self) -> dict[str, list]:
         return {"velocity": self._velocity}

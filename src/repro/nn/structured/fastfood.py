@@ -14,7 +14,7 @@ from repro.core.fastfood import FastfoodTransform
 from repro.nn import functional as F
 from repro.nn import init
 from repro.nn.module import Module
-from repro.nn.structured._functions import FWHTFn
+from repro.nn.structured._functions import FWHTFn, PermuteFn
 from repro.nn.tensor import Parameter, Tensor
 from repro.utils import as_rng, check_power_of_two, derive_rng
 
@@ -66,7 +66,7 @@ class FastfoodLinear(Module):
             x = F.reshape(x, (1, -1))
         y = x * self.b
         y = FWHTFn.apply(y)
-        y = F.getitem(y, (slice(None), self.perm))
+        y = PermuteFn.apply(y, self.perm)
         y = y * self.g
         y = FWHTFn.apply(y)
         y = y * self.s

@@ -133,11 +133,23 @@ class Trainer:
         return total_loss / count, correct / count
 
     def _nonfinite_gradient(self) -> str | None:
-        """Name of the first parameter with a non-finite gradient, if any."""
-        for name, param in self.model.named_parameters():
-            grad = param.grad
-            if grad is not None and not np.all(np.isfinite(grad)):
-                return name
+        """Name of the first parameter with a non-finite gradient, if any.
+
+        A sum with an inf or NaN term is not finite, so a finite sum clears
+        a gradient without a pass that allocates a bool per element; the
+        elements are scanned only when the sum is not finite, which an
+        overflow of finite terms can also make it.  The sum's overflow or
+        ``inf - inf`` raises no warning: the scan gives the verdict.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            for name, param in self.model.named_parameters():
+                grad = param.grad
+                if (
+                    grad is not None
+                    and not np.isfinite(grad.sum())
+                    and not np.isfinite(grad).all()
+                ):
+                    return name
         return None
 
     def _handle_numerics_fault(

@@ -1,10 +1,12 @@
-"""The block-sparse kernels' segmented sums and the layout they rely on.
+"""The block-sparse kernels' accumulation order and the layout it relies on.
 
 Pixelfly stores its blocks row-major with the same number of blocks in
-every block-row and block-column, so the kernels accumulate with a
-segmented sum instead of a scatter.  These tests pin that the sums give
-the scatter's bits, and that a pattern without that layout, or operands of
-the wrong shape, fail loudly.
+every block-row and block-column, so the kernels accumulate without a
+scatter: the forward streams over block slots, the backward sums in
+segments.  These tests pin that both give the scatter's bits, that the
+streamed forward gives the bits of the gather-all forward it replaced, and
+that a pattern without that layout, or operands of the wrong shape, fail
+loudly.
 """
 
 from dataclasses import replace
@@ -45,6 +47,22 @@ def scatter_multiply(blocks, pattern, x):
     return out.reshape(batch, pattern.n)
 
 
+def gather_all_multiply(blocks, pattern, x):
+    """The forward the slot loop replaced: gather every block's input
+    block-column, one batched GEMM over all blocks, then a segmented sum."""
+    batch, bs = x.shape[0], pattern.block_size
+    xb = x.reshape(batch, pattern.n // bs, bs)
+    gathered = xb[:, pattern.block_cols, :]  # (batch, n_blocks, bs)
+    partial = np.matmul(
+        gathered.transpose(1, 0, 2), blocks.transpose(0, 2, 1)
+    ).transpose(1, 0, 2)
+    runs = partial.reshape(batch, pattern.n // bs, pattern.blocks_per_row, bs)
+    out = np.zeros(xb.shape, dtype=partial.dtype)
+    for j in range(pattern.blocks_per_row):
+        out += runs[:, :, j]
+    return out.reshape(batch, pattern.n)
+
+
 def scatter_backward(blocks, pattern, x, grad_out):
     batch, bs = x.shape[0], pattern.block_size
     xb = x.reshape(batch, pattern.n // bs, bs)
@@ -81,6 +99,46 @@ def test_segmented_sums_match_the_scatter_bit_for_bit(
     assert grad_blocks.flags.c_contiguous
     assert grad_x.dtype == x_dtype
     assert grad_x.tobytes() == want_x.tobytes()
+
+
+@pytest.mark.parametrize("n, bs, butterfly_size", SHAPES)
+@pytest.mark.parametrize("batch", [1, 3, 5, 50, 200])
+@pytest.mark.parametrize("x_dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_slot_loop_matches_the_gather_all_forward_bit_for_bit(
+    n, bs, butterfly_size, batch, x_dtype, order
+):
+    """Each slot's GEMMs keep the ``(batch, bs) @ (bs, bs)`` shape and the
+    sum keeps its order, so the bits hold for any layout of ``x`` — also
+    an F-ordered float32 batch, which the scatter reference does not match
+    at every shape."""
+    pattern = pixelfly_pattern(n, bs, butterfly_size)
+    rng = np.random.default_rng(n + bs + batch)
+    blocks = rng.standard_normal((pattern.n_blocks, bs, bs))
+    x = np.asarray(
+        rng.standard_normal((batch, n)).astype(x_dtype), order=order
+    )
+    got = block_sparse_multiply(blocks, pattern, x)
+    want = gather_all_multiply(blocks, pattern, x)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, bs, butterfly_size", SHAPES)
+def test_slot_loop_matches_the_gather_all_forward_on_float32_blocks(
+    n, bs, butterfly_size
+):
+    pattern = pixelfly_pattern(n, bs, butterfly_size)
+    rng = np.random.default_rng(n * bs)
+    blocks = rng.standard_normal((pattern.n_blocks, bs, bs)).astype(np.float32)
+    x = rng.standard_normal((7, n)).astype(np.float32)
+    got = block_sparse_multiply(blocks, pattern, x)
+    assert got.dtype == np.float32
+    assert got.tobytes() == gather_all_multiply(blocks, pattern, x).tobytes()
+    one = block_sparse_multiply(blocks, pattern, x[2])
+    assert one.shape == (n,)
+    want_one = gather_all_multiply(blocks, pattern, x[2:3])
+    assert one.tobytes() == want_one.tobytes()
 
 
 def test_skipping_grad_x_leaves_grad_blocks_unchanged(rng):

@@ -6,6 +6,8 @@ pass stays finite but the gradient of the first layer goes non-finite,
 which the sentinel must catch before the optimiser applies it.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,40 @@ class TestSentinel:
                 trainer.fit(_loader(_poisoned_dataset()), epochs=1)
         by_name = {e["name"]: e for e in registry.snapshot()}
         assert by_name["trainer.numerics_errors"]["value"] == 1
+
+
+class TestNonfiniteGradientCheck:
+    """The check sums a gradient first and scans its elements only when
+    the sum is not finite; its verdict is the element scan's."""
+
+    @pytest.mark.parametrize(
+        "bad, want",
+        [
+            ((), None),
+            ((np.nan,), "layer0.weight"),
+            ((np.inf,), "layer0.weight"),
+            ((-np.inf,), "layer0.weight"),
+            ((np.inf, -np.inf), "layer0.weight"),  # the sum is NaN
+        ],
+    )
+    def test_verdict_is_the_element_scan(self, bad, want):
+        trainer = _trainer()
+        for p in trainer.model.parameters():
+            p.grad = np.ones(p.shape)
+        trainer.model.layer0.weight.grad.flat[: len(bad)] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert trainer._nonfinite_gradient() == want
+
+    def test_finite_terms_whose_sum_overflows_pass(self):
+        trainer = _trainer()
+        for p in trainer.model.parameters():
+            p.grad = np.full(p.shape, np.finfo(np.float64).max)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(trainer.model.layer0.weight.grad.sum())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert trainer._nonfinite_gradient() is None
 
 
 class TestRollback:
