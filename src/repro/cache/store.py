@@ -105,10 +105,6 @@ class CacheStats:
         """Total hits regardless of tier (the gateable aggregate)."""
         return self.memory_hits + self.disk_hits
 
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
     def as_dict(self) -> dict:
         return {
             "memory_hits": self.memory_hits,

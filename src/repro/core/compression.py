@@ -37,11 +37,6 @@ class CompressionReport:
         """Compression ratio (fraction removed)."""
         return compression_ratio(self.baseline_params, self.method_params)
 
-    @property
-    def bytes_saved_fp32(self) -> int:
-        """Bytes of FP32 weight memory removed."""
-        return 4 * (self.baseline_params - self.method_params)
-
     def __str__(self) -> str:
         return (
             f"{self.method}: {self.method_params} params "

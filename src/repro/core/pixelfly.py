@@ -183,11 +183,6 @@ class PixelflyPattern:
         """Nonzeros contributed by the block-sparse term."""
         return self.n_blocks * self.block_size**2
 
-    @property
-    def density(self) -> float:
-        """Block-sparse nnz as a fraction of the dense ``n * n``."""
-        return self.nnz / (self.n * self.n)
-
     def sparse_params(self) -> int:
         """Learnable parameters in the block-sparse term."""
         return self.nnz

@@ -71,11 +71,6 @@ class GPUSpec:
     train_step_overhead_s: float = 300e-6
 
     @property
-    def peak_flops(self) -> float:
-        """Alias for the FP32 peak."""
-        return self.peak_flops_fp32
-
-    @property
     def effective_bandwidth(self) -> float:
         """Sustained streaming bandwidth."""
         return self.dram_bandwidth * self.stream_efficiency

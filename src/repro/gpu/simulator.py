@@ -122,14 +122,6 @@ class GPUDevice:
             return csr_spmm_cost(self.spec, m, k, n_cols, a.nnz)
         return coo_spmm_cost(self.spec, m, k, n_cols, a.nnz)
 
-    def spmm(
-        self, a: CSRMatrix | COOMatrix, b: np.ndarray
-    ) -> tuple[np.ndarray, KernelCost]:
-        """Execute a SpMM numerically and return (result, cost)."""
-        cost = self.spmm_cost(a, b.shape[1])
-        self._trace_kernel(cost)
-        return a.matmul(b), cost
-
     # -- elementwise / streaming -------------------------------------------------
 
     def stream_cost(

@@ -162,10 +162,3 @@ class GuardPolicy:
             np.random.SeedSequence([int(self.seed), int(index), int(attempt)])
         )
         return base * (1.0 + self.jitter * float(rng.random()))
-
-    def backoff_schedule(self, index: int) -> tuple[float, ...]:
-        """The full retry-delay schedule for cell *index* (replay aid)."""
-        return tuple(
-            self.backoff_s(index, attempt)
-            for attempt in range(1, self.retries + 1)
-        )

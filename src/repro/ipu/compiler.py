@@ -316,10 +316,6 @@ class CompiledGraph:
     #: codelet cost models can be swapped between compiles (ablations).
     cs_timings: list | None = field(default=None, repr=False, compare=False)
 
-    @property
-    def n_surviving_tiles(self) -> int:
-        return self.spec.n_tiles - len(self.excluded_tiles)
-
     def memory_plan(self) -> MemoryPlan | None:
         """The memory plan of a planned compile, recomputed if needed.
 
@@ -335,12 +331,6 @@ class CompiledGraph:
             return None
         self.plan = _plan_memory(self.graph)
         return self.plan
-
-    def physical_tile(self, logical_tile: int) -> int:
-        """Physical tile a logical (graph) tile was placed on."""
-        if self.tile_map is None:
-            return logical_tile
-        return int(self.tile_map[logical_tile])
 
     def profile(self) -> GraphProfile:
         """Summarise into the Fig 5 quantities."""

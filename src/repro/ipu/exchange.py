@@ -86,12 +86,6 @@ class ExchangeModel:
             latency_s=self.transfer_time(n_bytes, src_tile, dst_tile),
         )
 
-    def sweep(
-        self, sizes: list[int], src_tile: int, dst_tile: int
-    ) -> list[TransferMeasurement]:
-        """Latency/bandwidth sweep over message sizes for one tile pair."""
-        return [self.measure(s, src_tile, dst_tile) for s in sizes]
-
     def ecc_scrub_time(self) -> float:
         """Receiver-side cost of detecting an ECC-failed packet.
 

@@ -13,13 +13,12 @@ a tile column, one :class:`Edge` per port whose element count and slice
 bounds may be columns, and cost-param columns.  The compiler, liveness
 pass and executor read the flat :meth:`Graph.vertex_table` /
 :meth:`Graph.edge_table` views and evaluate codelet costs per batch;
-:meth:`Graph.vertex` rebuilds a single :class:`Vertex` record for numeric
-execution.
+:meth:`Graph.vertices_in` rebuilds one compute set's :class:`Vertex`
+records for numeric execution.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Any, Iterator
@@ -68,12 +67,6 @@ class Variable:
     @property
     def total_bytes(self) -> int:
         return self.n_elements * self.element_bytes
-
-    def bytes_on_tile(self, tile: int) -> float:
-        """Bytes of this variable homed on *tile* (even spread)."""
-        if self.home_tile <= tile < self.home_tile + self.tile_span:
-            return self.total_bytes / self.tile_span
-        return 0.0
 
     def tiles(self) -> range:
         """The tile range hosting this variable."""
@@ -320,7 +313,6 @@ class Graph:
         self.program: list[ProgramStep] = []
         #: The vertex columns, one row group per ``add_vertices`` call.
         self.batches: list[VertexBatch] = []
-        self._batch_starts: list[int] = []
         self._n_vertices = 0
         self._n_edges = 0
         self._tables: tuple[VertexTable, EdgeTable] | None = None
@@ -443,31 +435,10 @@ class Graph:
                 params=params,
             )
         )
-        self._batch_starts.append(start)
         self._n_vertices += n
         self._n_edges += n * (len(ports[0]) + len(ports[1]))
         self._tables = None
         return range(start, start + n)
-
-    def add_vertex(self, compute_set: int, vertex: Vertex) -> int:
-        """Add one *vertex* record: a one-row :meth:`add_vertices` call."""
-        params = {}
-        for name, value in vertex.params.items():
-            if isinstance(value, (np.ndarray, list)):
-                # A per-vertex array value, not a column: wrap it as the
-                # single entry of an object column.
-                column = np.empty(1, dtype=object)
-                column[0] = value
-                value = column
-            params[name] = value
-        return self.add_vertices(
-            compute_set,
-            vertex.codelet,
-            [vertex.tile],
-            vertex.inputs,
-            vertex.outputs,
-            params,
-        )[0]
 
     def add_compute_set(self, name: str) -> int:
         """Create a compute set and append it to the program."""
@@ -555,15 +526,6 @@ class Graph:
         if self._tables is None:
             self._tables = self._build_tables()
         return self._tables[1]
-
-    def vertex(self, vid: int) -> Vertex:
-        """A :class:`Vertex` record for vertex *vid* (numeric execution)."""
-        if not 0 <= vid < self._n_vertices:
-            raise IndexError(
-                f"vertex {vid} out of range [0, {self._n_vertices})"
-            )
-        b = self.batches[bisect.bisect_right(self._batch_starts, vid) - 1]
-        return _records(b, slice(vid - b.start, vid - b.start + 1))[0]
 
     def vertices_in(self, cs: int) -> Iterator[Vertex]:
         """Records of compute set *cs*'s vertices, in vertex-id order."""

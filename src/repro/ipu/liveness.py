@@ -53,13 +53,6 @@ class LiveInterval:
     home_tile: int = 0
     tile_span: int = 1
 
-    @property
-    def length(self) -> int:
-        return self.end - self.start + 1
-
-    def live_at(self, step: int) -> bool:
-        return self.start <= step <= self.end
-
 
 @dataclass
 class LivenessReport:

@@ -88,19 +88,9 @@ class IPUSpec:
         return self.n_tiles * self.tile_memory_bytes
 
     @property
-    def amp_flops_per_second(self) -> float:
-        """Peak dense-matmul FLOP/s: tiles x clock x 2 x MACs/cycle."""
-        return self.n_tiles * self.clock_hz * 2.0 * self.amp_macs_per_cycle
-
-    @property
     def vector_flops_per_second(self) -> float:
         """Peak generic-vertex FLOP/s."""
         return self.n_tiles * self.clock_hz * self.vector_flops_per_cycle
-
-    @property
-    def scalar_flops_per_second(self) -> float:
-        """Peak scalar-codelet FLOP/s."""
-        return self.n_tiles * self.clock_hz * self.scalar_flops_per_cycle
 
     @property
     def exchange_bandwidth_per_tile(self) -> float:

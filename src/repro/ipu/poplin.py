@@ -104,11 +104,6 @@ class MatMulPlan:
         mt, nt, kt = self.chunk
         return self.element_bytes * (mt * kt + kt * nt + mt * nt)
 
-    def exchange_bytes_per_vertex(self) -> int:
-        """Operand bytes one partial-product vertex receives."""
-        mt, nt, kt = self.chunk
-        return self.element_bytes * (mt * kt + kt * nt)
-
 
 def _candidates(
     m: int, n: int, k: int, max_cells: int

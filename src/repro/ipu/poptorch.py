@@ -701,34 +701,3 @@ class IPUModule:
                 self.batch * self.in_features * 4
             ) / self.spec.effective_host_bandwidth
         return fwd.engine_overhead_s + 3.0 * device_work + update_s + stream_s
-
-    def training_memory_bytes(self) -> dict[str, float]:
-        """Memory footprint of a *training* step, by category.
-
-        Training needs, beyond the compiled forward graph: one gradient
-        buffer per parameter, the SGD momentum state (another parameter
-        copy), and the activation stash — forward activations are kept
-        live for the backward pass (no ping-pong reuse during training).
-
-        Returns a dict with ``weights``, ``gradients``, ``optimizer_state``,
-        ``activations``, ``graph_overhead`` and ``total`` (bytes).  This is
-        the quantity the paper's title is about: butterfly cuts ``weights +
-        gradients + optimizer_state`` by its compression ratio.
-        """
-        compiled = self.compile()
-        breakdown = compiled.memory.breakdown
-        activations = breakdown.variables - self.param_bytes
-        report = {
-            "weights": float(self.param_bytes),
-            "gradients": float(self.param_bytes),
-            "optimizer_state": float(self.param_bytes),
-            "activations": float(max(activations, 0.0)),
-            "graph_overhead": float(breakdown.overhead),
-        }
-        report["total"] = sum(report.values())
-        return report
-
-    def fits_for_training(self) -> bool:
-        """True iff the training-step footprint fits In-Processor-Memory."""
-        usable = self.spec.n_tiles * self.spec.usable_tile_memory
-        return self.training_memory_bytes()["total"] <= usable

@@ -40,7 +40,6 @@ __all__ = [
     "Codelet",
     "CODELETS",
     "register_codelet",
-    "vertex_cycles",
     "batch_cycles",
 ]
 
@@ -80,11 +79,6 @@ def _lookup(name: str) -> Codelet:
     if codelet is None:
         raise KeyError(f"unknown codelet {name!r}")
     return codelet
-
-
-def vertex_cycles(vertex: Vertex, spec: IPUSpec) -> float:
-    """Cycle cost of one vertex record on *spec*."""
-    return float(_lookup(vertex.codelet).cycles(vertex, spec))
 
 
 def batch_cycles(batch: VertexBatch, spec: IPUSpec) -> np.ndarray:

@@ -90,23 +90,12 @@ class CSRMatrix:
             shape=a.shape,
         )
 
-    @classmethod
-    def from_coo(cls, coo: "COOMatrix") -> "CSRMatrix":
-        """Convert a COO matrix to CSR (duplicates are summed)."""
-        return coo.sum_duplicates().to_csr()
-
     # -- properties -------------------------------------------------------
 
     @property
     def nnz(self) -> int:
         """Number of stored (nonzero) entries."""
         return int(len(self.data))
-
-    @property
-    def density(self) -> float:
-        """nnz / (m*n)."""
-        m, n = self.shape
-        return self.nnz / (m * n) if m * n else 0.0
 
     def row_nnz(self) -> np.ndarray:
         """Per-row nonzero counts, shape ``(m,)``."""
@@ -246,23 +235,6 @@ class COOMatrix:
         if index_bytes is None:
             index_bytes = int(self.row.itemsize)
         return self.nnz * (value_bytes + 2 * index_bytes)
-
-    def sum_duplicates(self) -> "COOMatrix":
-        """Coalesce duplicate (row, col) entries by summation."""
-        if self.nnz == 0:
-            return self
-        m, n = self.shape
-        keys = self.row * n + self.col
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        uniq, starts = np.unique(keys, return_index=True)
-        summed = np.add.reduceat(self.data[order], starts)
-        return COOMatrix(
-            row=(uniq // n).astype(np.int64),
-            col=(uniq % n).astype(np.int64),
-            data=summed,
-            shape=self.shape,
-        )
 
     def to_dense(self) -> np.ndarray:
         """Expand to dense; duplicate entries accumulate."""

@@ -53,10 +53,6 @@ class Module:
         for child in self._modules.values():
             yield from child.modules()
 
-    def children(self) -> Iterator["Module"]:
-        """Immediate submodules."""
-        yield from self._modules.values()
-
     # -- state --------------------------------------------------------------
 
     def train(self, mode: bool = True) -> "Module":

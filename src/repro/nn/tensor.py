@@ -98,19 +98,11 @@ class Tensor:
 
     # -- conversions --------------------------------------------------------
 
-    def numpy(self) -> np.ndarray:
-        """The underlying array (shared, not copied)."""
-        return self.data
-
     def item(self) -> float:
         """Python scalar for 1-element tensors."""
         return float(self.data.reshape(-1)[0]) if self.size == 1 else _raise(
             ValueError(f"item() requires a 1-element tensor, got {self.shape}")
         )
-
-    def detach(self) -> "Tensor":
-        """A new leaf tensor sharing data, cut from the graph."""
-        return Tensor(self.data, requires_grad=False)
 
     # -- gradient machinery --------------------------------------------------
 

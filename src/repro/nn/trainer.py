@@ -79,11 +79,6 @@ class TrainingHistory:
     #: Global step of the checkpoint this run resumed from, if any.
     resumed_from_step: int | None = None
 
-    @property
-    def final_val_accuracy(self) -> float:
-        """Validation accuracy after the last epoch (0.0 if no val set)."""
-        return self.val_accuracy[-1] if self.val_accuracy else 0.0
-
 
 #: The :class:`TrainingHistory` fields a checkpoint carries under its
 #: ``history`` key; the step count travels as the top-level ``steps``.

@@ -175,9 +175,6 @@ class RunLog:
         self.events.append(record)
         return record
 
-    def debug(self, event: str, message: str = "", **fields) -> LogEvent | None:
-        return self.log(event, message, level="debug", **fields)
-
     def info(self, event: str, message: str = "", **fields) -> LogEvent | None:
         return self.log(event, message, level="info", **fields)
 

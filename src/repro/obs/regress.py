@@ -232,19 +232,21 @@ def _resolve(
 
 
 def _rel_change(baseline: float, candidate: float) -> float:
+    """Relative change; NaN when either side is NaN."""
     if baseline == candidate:
         return 0.0
     if baseline == 0:
-        return math.copysign(math.inf, candidate - baseline)
+        return candidate * math.inf  # +-inf, NaN for a NaN candidate
     return (candidate - baseline) / abs(baseline)
 
 
 def _violates(rel_change: float, tol: float, direction: str) -> bool:
+    # Each test is "not within bounds", so a NaN change always violates.
     if direction == "increase":
-        return rel_change > tol
+        return not rel_change <= tol
     if direction == "decrease":
-        return rel_change < -tol
-    return abs(rel_change) > tol
+        return not rel_change >= -tol
+    return not abs(rel_change) <= tol
 
 
 def regress(
@@ -257,7 +259,8 @@ def regress(
 
     *rules* (user rules) are consulted before :data:`DEFAULT_RULES`;
     unmatched metrics get *default_tol* with an auto direction.  A NaN
-    or negative *default_tol* raises :class:`ValueError`.
+    or negative *default_tol* raises :class:`ValueError`.  A gated metric
+    that is NaN in either manifest regresses.
     """
     if not default_tol >= 0:  # also rejects NaN
         raise ValueError(f"default tolerance must be >= 0, got {default_tol}")

@@ -237,27 +237,19 @@ class Tracer:
 
     # -- counters --------------------------------------------------------------
 
-    def counter(
-        self,
-        name: str,
-        values: dict | float,
-        track: str = HOST_TRACK,
-        time_s: float | None = None,
-    ) -> None:
-        """Sample one or more numeric series.
+    def counter(self, name: str, values: dict | float) -> None:
+        """Sample one or more numeric series on the host track, now.
 
-        A bare float is recorded as series ``{"value": x}``.  The sample
-        time defaults to "now": wall clock on the host track, the track
-        cursor on virtual tracks.
+        A bare float is recorded as series ``{"value": x}``.
         """
         if not self.enabled:
             return
         if not isinstance(values, dict):
             values = {"value": float(values)}
-        if time_s is None:
-            time_s = self.now() if track == HOST_TRACK else self.cursor(track)
         self.counters.append(
-            CounterRecord(name=name, track=track, time_s=time_s, values=values)
+            CounterRecord(
+                name=name, track=HOST_TRACK, time_s=self.now(), values=values
+            )
         )
 
     # -- cross-process buffers -------------------------------------------------

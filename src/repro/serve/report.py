@@ -18,7 +18,7 @@ timeline`` renders one track per replica.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.serve.batcher import BatchPolicy
 from repro.serve.replica import build_pool
@@ -63,22 +63,7 @@ class ServeScenario:
 
     def as_config(self) -> dict:
         """The plain-dict grid config (worker processes receive it pickled)."""
-        return {
-            "method": self.method,
-            "dim": self.dim,
-            "depth": self.depth,
-            "batch_rows": self.batch_rows,
-            "budget_bytes": self.budget_bytes,
-            "max_replicas": self.max_replicas,
-            "n_requests": self.n_requests,
-            "rate_rps": self.rate_rps,
-            "arrival": self.arrival,
-            "slo_ms": self.slo_ms,
-            "max_delay_ms": self.max_delay_ms,
-            "queue_max_requests": self.queue_max_requests,
-            "n_deaths": self.n_deaths,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def serve_worker(config: dict, seed_seq=None) -> dict:

@@ -69,7 +69,6 @@ class TestDisabledCache:
         assert NULL_CACHE.stats.hits == 0
         assert NULL_CACHE.stats.misses == 0
         assert NULL_CACHE.stats.stores == 0
-        assert NULL_CACHE.stats.lookups == 0
 
     def test_singleton_state_never_leaks(self):
         NULL_CACHE.store("leak", _record())

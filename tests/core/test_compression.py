@@ -40,7 +40,6 @@ class TestReport:
     def test_fields(self):
         report = CompressionReport("butterfly", 1000, 100)
         assert report.ratio == pytest.approx(0.9)
-        assert report.bytes_saved_fp32 == 3600
 
     def test_str_contains_percentage(self):
         text = str(CompressionReport("m", 1000, 15))

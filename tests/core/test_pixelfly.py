@@ -129,10 +129,6 @@ class TestPattern:
         with pytest.raises(ValueError, match=re.escape(str(want.value))):
             pixelfly_param_count(*args)
 
-    def test_density(self):
-        pat = pixelfly_pattern(64, block_size=8, rank=0)
-        assert pat.density == pytest.approx(pat.nnz / 64**2)
-
     def test_negative_rank_rejected(self):
         with pytest.raises(ValueError, match="rank"):
             pixelfly_pattern(64, 8, rank=-1)

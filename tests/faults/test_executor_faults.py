@@ -21,7 +21,7 @@ from repro.faults.plan import (
 from repro.ipu import executor
 from repro.ipu.compiler import compile_graph
 from repro.ipu.executor import Executor
-from repro.ipu.graph import Edge, Graph, Vertex
+from repro.ipu.graph import Edge, Graph
 from repro.ipu.machine import GC200
 
 
@@ -37,15 +37,11 @@ def build_pipeline(size=64, stages=3, tiles=4, host_io=True):
         cs = graph.add_compute_set(f"s{i}")
         for p in range(tiles):
             lo, hi = int(bounds[p]), int(bounds[p + 1])
-            graph.add_vertex(
-                cs,
-                Vertex(
-                    codelet="ElementwiseUnary",
-                    tile=p,
-                    inputs=[Edge(f"v{i}", hi - lo, key=slice(lo, hi))],
-                    outputs=[Edge(f"v{i + 1}", hi - lo, key=slice(lo, hi))],
-                    params={"op": "relu"},
-                ),
+            graph.add_vertices(
+                cs, "ElementwiseUnary", [p],
+                inputs=[Edge(f"v{i}", hi - lo, key=slice(lo, hi))],
+                outputs=[Edge(f"v{i + 1}", hi - lo, key=slice(lo, hi))],
+                params={"op": "relu"},
             )
     if host_io:
         graph.add_host_read(f"v{stages}")

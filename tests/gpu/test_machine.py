@@ -22,9 +22,6 @@ class TestA30Spec:
     def test_effective_bandwidth_below_peak(self):
         assert A30.effective_bandwidth < A30.dram_bandwidth
 
-    def test_peak_alias(self):
-        assert A30.peak_flops == A30.peak_flops_fp32
-
     def test_efficiencies_in_unit_interval(self):
         for eff in [
             A30.cublas_fp32_efficiency,

@@ -61,9 +61,8 @@ def test_backoff_is_deterministic_and_exponential():
     policy = GuardPolicy(
         retries=4, backoff_base_s=0.1, backoff_max_s=10.0, jitter=0.5, seed=3
     )
-    schedule = policy.backoff_schedule(index=2)
-    assert schedule == policy.backoff_schedule(index=2)
-    assert len(schedule) == 4
+    schedule = [policy.backoff_s(2, attempt) for attempt in range(1, 5)]
+    assert schedule == [policy.backoff_s(2, attempt) for attempt in range(1, 5)]
     # Exponential base under the jittered value: delay k in
     # [base*2^k, base*2^k * 1.5].
     for attempt, delay in enumerate(schedule, start=1):

@@ -103,6 +103,10 @@ class TestCLI:
         (["fuzz", "--oracle", "nope"], "--oracle"),
         (["fuzz", "--plant", "nope"], "--plant"),
         (["chaos", "--only", "nope"], "--only"),
+        (["fig3", "--jobs", "0"], "--jobs"),
+        (["trace", "fig3", "--jobs", "0"], "--jobs"),
+        (["serve", "--jobs", "0"], "--jobs"),
+        (["fuzz", "--cases", "0"], "--cases"),
     ],
     ids=[
         "fuzz-seed",
@@ -122,6 +126,10 @@ class TestCLI:
         "fuzz-oracle",
         "fuzz-plant",
         "chaos-only",
+        "artefact-jobs",
+        "trace-jobs",
+        "serve-jobs",
+        "fuzz-cases",
     ],
 )
 def test_bad_seed_or_empty_methods_is_a_usage_error(argv, flag, capsys):

@@ -39,10 +39,6 @@ class TestPlanner:
         assert plan.cells == 32768
         assert plan.supersteps == 3 * 8  # ceil(4096/1472) * pk
 
-    def test_exchange_bytes(self):
-        plan = MatMulPlan(64, 64, 64, pm=2, pn=2, pk=1, n_tiles=1472)
-        assert plan.exchange_bytes_per_vertex() == 4 * (32 * 64 + 64 * 32)
-
 
 class TestMatMulNumerics:
     @pytest.mark.parametrize(
@@ -147,20 +143,16 @@ class TestTiming:
         assert rates[0] < rates[1] < rates[2]
 
     def test_estimate_only_codelets_refuse_numeric_run(self):
-        from repro.ipu.graph import Edge, Graph, Vertex
+        from repro.ipu.graph import Edge, Graph
 
         g = Graph(GC200.n_tiles)
         g.add_variable("x", (4,))
         cs = g.add_compute_set("cs")
-        g.add_vertex(
-            cs,
-            Vertex(
-                codelet="ButterflyStage",
-                tile=0,
-                inputs=[Edge("x", 4)],
-                outputs=[Edge("x", 4)],
-                params={"n_pairs": 2},
-            ),
+        g.add_vertices(
+            cs, "ButterflyStage", [0],
+            inputs=[Edge("x", 4)],
+            outputs=[Edge("x", 4)],
+            params={"n_pairs": 2},
         )
         compiled = compile_graph(g, GC200)
         Executor(compiled).estimate()  # fine

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.ipu.compiler import compile_graph
 from repro.ipu.executor import Executor
-from repro.ipu.graph import Edge, Graph, Vertex
+from repro.ipu.graph import Edge, Graph
 from repro.ipu.machine import GC200
 
 OPS = ["relu", "neg", "square"]
@@ -36,15 +36,11 @@ def build_random_pipeline(seed: int, n_stages: int, size: int):
             lo, hi = int(bounds[p]), int(bounds[p + 1])
             if lo == hi:
                 continue
-            graph.add_vertex(
-                cs,
-                Vertex(
-                    codelet="ElementwiseUnary",
-                    tile=p,
-                    inputs=[Edge(f"v{i}", hi - lo, key=slice(lo, hi))],
-                    outputs=[Edge(f"v{i + 1}", hi - lo, key=slice(lo, hi))],
-                    params={"op": op},
-                ),
+            graph.add_vertices(
+                cs, "ElementwiseUnary", [p],
+                inputs=[Edge(f"v{i}", hi - lo, key=slice(lo, hi))],
+                outputs=[Edge(f"v{i + 1}", hi - lo, key=slice(lo, hi))],
+                params={"op": op},
             )
     return graph, ops
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ipu.compiler import IPUOutOfMemoryError, compile_graph
-from repro.ipu.graph import Edge, Graph, ProgramStep, Variable, Vertex
+from repro.ipu.graph import Edge, Graph, ProgramStep, Variable
 from repro.ipu.machine import GC200
 
 
@@ -13,15 +13,11 @@ def tiny_graph(n_tiles=GC200.n_tiles):
     g.add_variable("x", (8, 8))
     g.add_variable("y", (8, 8))
     cs = g.add_compute_set("relu")
-    g.add_vertex(
-        cs,
-        Vertex(
-            codelet="ElementwiseUnary",
-            tile=0,
-            inputs=[Edge("x", 64, key=(slice(None), slice(None)))],
-            outputs=[Edge("y", 64, key=(slice(None), slice(None)))],
-            params={"op": "relu"},
-        ),
+    g.add_vertices(
+        cs, "ElementwiseUnary", [0],
+        inputs=[Edge("x", 64, key=(slice(None), slice(None)))],
+        outputs=[Edge("y", 64, key=(slice(None), slice(None)))],
+        params={"op": "relu"},
     )
     return g
 
@@ -43,20 +39,18 @@ class TestGraphConstruction:
         g = tiny_graph()
         cs = g.add_compute_set("bad")
         with pytest.raises(ValueError, match="unknown variable"):
-            g.add_vertex(
-                cs, Vertex(codelet="Copy", tile=0, inputs=[Edge("nope", 1)])
-            )
+            g.add_vertices(cs, "Copy", [0], inputs=[Edge("nope", 1)])
 
     def test_tile_out_of_range_rejected(self):
         g = tiny_graph()
         cs = g.add_compute_set("bad")
         with pytest.raises(ValueError, match="tile"):
-            g.add_vertex(cs, Vertex(codelet="Copy", tile=10**6))
+            g.add_vertices(cs, "Copy", [10**6])
 
     def test_bad_compute_set_index(self):
         g = tiny_graph()
         with pytest.raises(ValueError, match="compute set"):
-            g.add_vertex(99, Vertex(codelet="Copy", tile=0))
+            g.add_vertices(99, "Copy", [0])
 
     def test_host_io_unknown_variable(self):
         g = tiny_graph()
@@ -72,10 +66,8 @@ class TestGraphConstruction:
         with pytest.raises(ValueError, match="exceeds"):
             g.add_variable("v", (4,), home_tile=10, tile_span=10)
 
-    def test_variable_bytes_on_tile(self):
+    def test_variable_tiles(self):
         v = Variable("v", (100,), element_bytes=4, home_tile=2, tile_span=4)
-        assert v.bytes_on_tile(3) == pytest.approx(100.0)
-        assert v.bytes_on_tile(0) == 0.0
         assert list(v.tiles()) == [2, 3, 4, 5]
 
     def test_edge_negative_elements(self):
@@ -118,7 +110,7 @@ class TestAddVertices:
         )
         assert list(ids) == [0, 1]
         assert (g.n_vertices, g.n_edges) == (2, 4)
-        v = g.vertex(1)
+        _, v = g.vertices_in(cs)
         assert (v.codelet, v.tile, v.params) == (
             "ElementwiseUnary", 1, {"op": "relu", "lane": 5},
         )
@@ -192,15 +184,11 @@ class TestCompiler:
         g = tiny_graph()
         cs = g.add_compute_set("extra")
         for tile in range(100):
-            g.add_vertex(
-                cs,
-                Vertex(
-                    codelet="ElementwiseUnary",
-                    tile=tile,
-                    inputs=[Edge("x", 64)],
-                    outputs=[Edge("y", 64)],
-                    params={"op": "relu"},
-                ),
+            g.add_vertices(
+                cs, "ElementwiseUnary", [tile],
+                inputs=[Edge("x", 64)],
+                outputs=[Edge("y", 64)],
+                params={"op": "relu"},
             )
         big = compile_graph(g, GC200).memory.total_bytes
         assert big > small
@@ -210,14 +198,10 @@ class TestCompiler:
         g.add_variable("a", (1000,))
         g.add_variable("b", (1000,))
         cs = g.add_compute_set("cs")
-        g.add_vertex(
-            cs,
-            Vertex(
-                codelet="Copy",
-                tile=0,
-                inputs=[Edge("a", 1000, local=False)],
-                outputs=[Edge("b", 1000, local=True)],
-            ),
+        g.add_vertices(
+            cs, "Copy", [0],
+            inputs=[Edge("a", 1000, local=False)],
+            outputs=[Edge("b", 1000, local=True)],
         )
         compiled = compile_graph(g, GC200)
         assert compiled.memory.breakdown.exchange_buffers == 4000
@@ -227,14 +211,10 @@ class TestCompiler:
         g.add_variable("a", (1000,))
         g.add_variable("b", (1000,))
         cs = g.add_compute_set("cs")
-        g.add_vertex(
-            cs,
-            Vertex(
-                codelet="Copy",
-                tile=0,
-                inputs=[Edge("a", 1000, local=True)],
-                outputs=[Edge("b", 1000, local=True)],
-            ),
+        g.add_vertices(
+            cs, "Copy", [0],
+            inputs=[Edge("a", 1000, local=True)],
+            outputs=[Edge("b", 1000, local=True)],
         )
         compiled = compile_graph(g, GC200)
         assert compiled.memory.breakdown.exchange_buffers == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.ipu.graph import Edge, Graph, Vertex
+from repro.ipu.graph import Edge, Graph
 from repro.ipu.liveness import compute_liveness
 from repro.ipu.machine import GC200
 from repro.ipu.poptorch import IPUModule
@@ -19,14 +19,10 @@ def chain_graph(n_stages=4, elements=1000):
         name = f"t{i}"
         g.add_variable(name, (elements,))
         cs = g.add_compute_set(f"stage{i}")
-        g.add_vertex(
-            cs,
-            Vertex(
-                codelet="Copy",
-                tile=0,
-                inputs=[Edge(prev, elements)],
-                outputs=[Edge(name, elements)],
-            ),
+        g.add_vertices(
+            cs, "Copy", [0],
+            inputs=[Edge(prev, elements)],
+            outputs=[Edge(name, elements)],
         )
         prev = name
     return g
@@ -69,14 +65,10 @@ class TestIntervals:
         g.add_variable("y", (100,))
         g.add_host_write("x")
         cs = g.add_compute_set("work")
-        g.add_vertex(
-            cs,
-            Vertex(
-                codelet="Copy",
-                tile=0,
-                inputs=[Edge("x", 100)],
-                outputs=[Edge("y", 100)],
-            ),
+        g.add_vertices(
+            cs, "Copy", [0],
+            inputs=[Edge("x", 100)],
+            outputs=[Edge("y", 100)],
         )
         g.add_host_read("y")
         report = compute_liveness(g)
@@ -85,14 +77,6 @@ class TestIntervals:
         assert by_var["y"].end == 2  # kept alive until host read
         assert report.always_live_bytes == 0
 
-    def test_interval_helpers(self):
-        from repro.ipu.liveness import LiveInterval
-
-        iv = LiveInterval("v", 2, 5, 16)
-        assert iv.length == 4
-        assert iv.live_at(3)
-        assert not iv.live_at(6)
-
 
 def use_before_def_graph(elements=100):
     """y is read at step 0 but first written at step 1."""
@@ -100,24 +84,16 @@ def use_before_def_graph(elements=100):
     g.add_variable("y", (elements,))
     g.add_variable("a", (elements,))
     cs0 = g.add_compute_set("read_y")
-    g.add_vertex(
-        cs0,
-        Vertex(
-            codelet="Copy",
-            tile=0,
-            inputs=[Edge("y", elements)],
-            outputs=[Edge("a", elements)],
-        ),
+    g.add_vertices(
+        cs0, "Copy", [0],
+        inputs=[Edge("y", elements)],
+        outputs=[Edge("a", elements)],
     )
     cs1 = g.add_compute_set("write_y")
-    g.add_vertex(
-        cs1,
-        Vertex(
-            codelet="Copy",
-            tile=0,
-            inputs=[Edge("a", elements)],
-            outputs=[Edge("y", elements)],
-        ),
+    g.add_vertices(
+        cs1, "Copy", [0],
+        inputs=[Edge("a", elements)],
+        outputs=[Edge("y", elements)],
     )
     return g
 

@@ -14,15 +14,13 @@ class TestSpec:
 
     def test_gc200_amp_peak_matches_datasheet(self):
         # 62.5 TFLOP/s FP32 from Table 1 must emerge from tiles x clock x AMP.
-        assert GC200.amp_flops_per_second == pytest.approx(
-            GC200.peak_flops_fp32, rel=0.02
-        )
+        amp = GC200.n_tiles * GC200.clock_hz * 2 * GC200.amp_macs_per_cycle
+        assert amp == pytest.approx(GC200.peak_flops_fp32, rel=0.02)
 
     def test_gc2_amp_peak_matches_jia_etal(self):
         # Jia et al. measured 31.1 TFLOP/s for GC2.
-        assert GC2.amp_flops_per_second == pytest.approx(
-            GC2.peak_flops_fp32, rel=0.02
-        )
+        amp = GC2.n_tiles * GC2.clock_hz * 2 * GC2.amp_macs_per_cycle
+        assert amp == pytest.approx(GC2.peak_flops_fp32, rel=0.02)
 
     def test_tile_counts(self):
         assert GC200.n_tiles == 1472
@@ -30,9 +28,9 @@ class TestSpec:
 
     def test_generic_rates_below_amp(self):
         assert (
-            GC200.scalar_flops_per_second
-            < GC200.vector_flops_per_second
-            < GC200.amp_flops_per_second
+            GC200.scalar_flops_per_cycle
+            < GC200.vector_flops_per_cycle
+            < 2 * GC200.amp_macs_per_cycle
         )
 
     def test_usable_memory_leaves_reserve(self):
@@ -93,6 +91,5 @@ class TestExchange:
 
     def test_sweep_produces_monotone_latency(self):
         sizes = [4 << i for i in range(10)]
-        sweep = self.model.sweep(sizes, 0, 644)
-        latencies = [m.latency_s for m in sweep]
+        latencies = [self.model.measure(s, 0, 644).latency_s for s in sizes]
         assert all(a <= b for a, b in zip(latencies, latencies[1:]))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.ipu.graph import Edge, Graph, Vertex
+from repro.ipu.graph import Edge, Graph
 from repro.ipu.liveness import compute_liveness
 from repro.ipu.machine import GC200
 from repro.ipu.memplan import plan_memory
@@ -78,34 +78,22 @@ class TestEligibility:
         steps = [("x", "t0"), ("t0", "t1")]
         for i, (src, dst) in enumerate(steps):
             cs = g.add_compute_set(f"s{i}")
-            g.add_vertex(
-                cs,
-                Vertex(
-                    codelet="Copy",
-                    tile=0,
-                    inputs=[Edge(src, 100)],
-                    outputs=[Edge(dst, 100)],
-                ),
+            g.add_vertices(
+                cs, "Copy", [0],
+                inputs=[Edge(src, 100)],
+                outputs=[Edge(dst, 100)],
             )
         cs = g.add_compute_set("partial")
-        g.add_vertex(
-            cs,
-            Vertex(
-                codelet="Copy",
-                tile=0,
-                inputs=[Edge("x", 50)],
-                outputs=[Edge("o", 50)],  # half of o's 100 elements
-            ),
+        g.add_vertices(
+            cs, "Copy", [0],
+            inputs=[Edge("x", 50)],
+            outputs=[Edge("o", 50)],  # half of o's 100 elements
         )
         cs = g.add_compute_set("consume")
-        g.add_vertex(
-            cs,
-            Vertex(
-                codelet="Copy",
-                tile=0,
-                inputs=[Edge("o", 100)],
-                outputs=[Edge("z", 100)],
-            ),
+        g.add_vertices(
+            cs, "Copy", [0],
+            inputs=[Edge("o", 100)],
+            outputs=[Edge("z", 100)],
         )
         plan = plan_memory(g)
         # t0 is dead by the time o is defined, but o is ineligible.
@@ -125,14 +113,10 @@ class TestEligibility:
         prev = "x"
         for i, name in enumerate(["t0", "t1", "t2"]):
             cs = g.add_compute_set(f"s{i}")
-            g.add_vertex(
-                cs,
-                Vertex(
-                    codelet="Copy",
-                    tile=0,
-                    inputs=[Edge(prev, 64)],
-                    outputs=[Edge(name, 64)],
-                ),
+            g.add_vertices(
+                cs, "Copy", [0],
+                inputs=[Edge(prev, 64)],
+                outputs=[Edge(name, 64)],
             )
             prev = name
         plan = plan_memory(g)
@@ -153,14 +137,10 @@ class TestSlotCapacity:
         chain = [("x", "small"), ("small", "mid"), ("mid", "big")]
         for i, (src, dst) in enumerate(chain):
             cs = g.add_compute_set(f"s{i}")
-            g.add_vertex(
-                cs,
-                Vertex(
-                    codelet="Copy",
-                    tile=0,
-                    inputs=[Edge(src, 10)],
-                    outputs=[Edge(dst, g.variables[dst].n_elements)],
-                ),
+            g.add_vertices(
+                cs, "Copy", [0],
+                inputs=[Edge(src, 10)],
+                outputs=[Edge(dst, g.variables[dst].n_elements)],
             )
         plan = plan_memory(g)
         assert plan.assignment["big"] == plan.assignment["small"]

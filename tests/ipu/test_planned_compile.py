@@ -96,7 +96,7 @@ class TestFitGating:
         )
         # Same shape as tests.ipu.test_liveness.chain_graph, built at the
         # shrunken device's 4-tile count.
-        from repro.ipu.graph import Edge, Graph, Vertex
+        from repro.ipu.graph import Edge, Graph
 
         g = Graph(4)
         g.add_variable("x", (1000,))
@@ -105,14 +105,10 @@ class TestFitGating:
             name = f"t{i}"
             g.add_variable(name, (1000,))
             cs = g.add_compute_set(f"stage{i}")
-            g.add_vertex(
-                cs,
-                Vertex(
-                    codelet="Copy",
-                    tile=0,
-                    inputs=[Edge(prev, 1000)],
-                    outputs=[Edge(name, 1000)],
-                ),
+            g.add_vertices(
+                cs, "Copy", [0],
+                inputs=[Edge(prev, 1000)],
+                outputs=[Edge(name, 1000)],
             )
             prev = name
         self.graph = g

@@ -184,51 +184,3 @@ class TestMemory:
         module = IPUModule(nn.Linear(64, 64, seed=0), 64, 8)
         assert module.compile() is module.compile()
 
-
-class TestTrainingMemory:
-    """The title claim, quantified: training-state memory by category."""
-
-    def _module(self, layer, n=2048):
-        model = nn.Sequential(layer, nn.ReLU(), nn.Linear(n, 10, seed=1))
-        return IPUModule(model, in_features=n, batch=50)
-
-    def test_categories_sum_to_total(self):
-        report = self._module(nn.Linear(2048, 2048, seed=0)).training_memory_bytes()
-        parts = sum(v for k, v in report.items() if k != "total")
-        assert parts == pytest.approx(report["total"])
-
-    def test_training_triples_parameter_state(self):
-        module = self._module(nn.Linear(2048, 2048, seed=0))
-        report = module.training_memory_bytes()
-        assert report["gradients"] == report["weights"]
-        assert report["optimizer_state"] == report["weights"]
-
-    def test_butterfly_slashes_training_footprint(self):
-        base = self._module(
-            nn.Linear(2048, 2048, seed=0)
-        ).training_memory_bytes()["total"]
-        bf = self._module(
-            nn.ButterflyLinear(2048, 2048, seed=0)
-        ).training_memory_bytes()["total"]
-        assert bf < base / 10
-
-    def test_fits_for_training(self):
-        small = self._module(nn.ButterflyLinear(2048, 2048, seed=0))
-        assert small.fits_for_training()
-
-    def test_oversized_dense_training_does_not_fit(self):
-        # An 8192-wide dense SHL needs > 2 GB of weights+grads+momentum:
-        # beyond the GC200's ~900 MB, while butterfly still fits.
-        n = 8192
-        dense = IPUModule(
-            nn.Sequential(nn.Linear(n, n, bias=False, seed=0)),
-            in_features=n,
-            batch=50,
-        )
-        butterfly = IPUModule(
-            nn.Sequential(nn.ButterflyLinear(n, n, bias=False, seed=0)),
-            in_features=n,
-            batch=50,
-        )
-        assert not dense.fits_for_training()
-        assert butterfly.fits_for_training()

@@ -41,18 +41,6 @@ class TestConstruction:
 
 
 class TestDuplicates:
-    def test_sum_duplicates(self):
-        coo = COOMatrix(
-            row=np.array([0, 0, 1]),
-            col=np.array([1, 1, 0]),
-            data=np.array([2.0, 3.0, 4.0]),
-            shape=(2, 2),
-        )
-        summed = coo.sum_duplicates()
-        assert summed.nnz == 2
-        expected = np.array([[0.0, 5.0], [4.0, 0.0]])
-        np.testing.assert_array_equal(summed.to_dense(), expected)
-
     def test_to_dense_accumulates_duplicates(self):
         coo = COOMatrix(
             row=np.array([0, 0]),
@@ -61,15 +49,6 @@ class TestDuplicates:
             shape=(1, 1),
         )
         assert coo.to_dense()[0, 0] == 2.0
-
-    def test_sum_duplicates_empty(self):
-        coo = COOMatrix(
-            row=np.array([], dtype=np.int64),
-            col=np.array([], dtype=np.int64),
-            data=np.array([]),
-            shape=(3, 3),
-        )
-        assert coo.sum_duplicates().nnz == 0
 
 
 class TestMatmul:
@@ -111,17 +90,6 @@ class TestConversions:
         np.testing.assert_array_equal(
             COOMatrix.from_dense(a).transpose().to_dense(), a.T
         )
-
-    def test_csr_from_coo_with_duplicates(self):
-        coo = COOMatrix(
-            row=np.array([1, 1, 0]),
-            col=np.array([0, 0, 1]),
-            data=np.array([1.0, 2.0, 3.0]),
-            shape=(2, 2),
-        )
-        csr = CSRMatrix.from_coo(coo)
-        expected = np.array([[0.0, 3.0], [3.0, 0.0]])
-        np.testing.assert_array_equal(csr.to_dense(), expected)
 
     def test_storage_bytes(self, rng):
         coo = COOMatrix.from_dense(dense_fixture(rng))

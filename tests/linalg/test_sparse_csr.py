@@ -125,11 +125,6 @@ class TestOperations:
             csr.row_nnz(), (a != 0).sum(axis=1)
         )
 
-    def test_density(self, rng):
-        a = dense_fixture(rng)
-        csr = CSRMatrix.from_dense(a)
-        assert csr.density == pytest.approx(np.count_nonzero(a) / a.size)
-
     def test_storage_bytes(self, rng):
         csr = CSRMatrix.from_dense(dense_fixture(rng))
         # Default: the stored dtypes (float64 data + int64 indices).

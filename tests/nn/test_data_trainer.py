@@ -201,8 +201,3 @@ class TestTrainer:
         np.testing.assert_array_equal(norm.running_mean, running[0])
         np.testing.assert_array_equal(norm.running_var, running[1])
         assert loss1 == loss2
-
-    def test_final_val_accuracy_empty(self):
-        from repro.nn.trainer import TrainingHistory
-
-        assert TrainingHistory().final_val_accuracy == 0.0

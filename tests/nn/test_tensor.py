@@ -24,11 +24,6 @@ class TestBasics:
         with pytest.raises(ValueError):
             Tensor([1.0, 2.0]).item()
 
-    def test_detach_cuts_graph(self):
-        a = Tensor([1.0], requires_grad=True)
-        b = (a * 2).detach()
-        assert b.is_leaf and not b.requires_grad
-
     def test_len_and_repr(self):
         t = Tensor([1.0, 2.0, 3.0], requires_grad=True)
         assert len(t) == 3

@@ -15,7 +15,7 @@ def sample_tracer() -> obs.Tracer:
         pass
     tracer.add_span("step0", 1e-3, "ipu", category="compute", f=np.float64(2))
     tracer.add_span("compute", 6e-4, "ipu", start_s=0.0, depth=1)
-    tracer.counter("mem", {"bytes": 123}, track="ipu")
+    tracer.counter("mem", {"bytes": 123})
     return tracer
 
 

@@ -23,7 +23,7 @@ class TestRecording:
 
     def test_level_shortcuts(self):
         log = RunLog()
-        log.debug("a")
+        log.log("a", level="debug")
         log.info("b")
         log.warning("c")
         log.error("d")
@@ -114,7 +114,7 @@ class TestIntrospection:
     def test_by_level_sorted_by_severity(self):
         log = RunLog()
         log.error("a")
-        log.debug("b")
+        log.log("b", level="debug")
         log.warning("c")
         log.warning("d")
         assert list(log.by_level()) == ["debug", "warning", "error"]

@@ -62,7 +62,7 @@ SAMPLE_CALLS = {
         "span": _span,
         "cursor": lambda t: t.cursor("dev"),
         "add_span": lambda t: t.add_span("a", 1.0, "dev", category="x"),
-        "counter": lambda t: t.counter("c", {"v": 1.0}, track="dev"),
+        "counter": lambda t: t.counter("c", {"v": 1.0}),
         "current_span": lambda t: t.current_span(),
         "snapshot": lambda t: t.snapshot(),
         "merge_snapshot": lambda t: t.merge_snapshot(
@@ -81,7 +81,6 @@ SAMPLE_CALLS = {
     obs.RunLog: {
         "now": lambda log: log.now(),
         "log": lambda log: log.log("e", "m", level="error", k=1),
-        "debug": lambda log: log.debug("e"),
         "info": lambda log: log.info("e"),
         "warning": lambda log: log.warning("e"),
         "error": lambda log: log.error("e", oops=True),
@@ -121,7 +120,7 @@ class TestDisabledTracer:
         with tracer.span("s", category="c", k=1) as record:
             record.attributes["x"] = 1  # yielded record is writable
         tracer.add_span("a", 1.0, "dev", category="x")
-        tracer.counter("c", {"v": 1.0}, track="dev")
+        tracer.counter("c", {"v": 1.0})
         assert tracer.spans == []
         assert tracer.counters == []
         assert tracer.now() == 0.0
@@ -179,7 +178,6 @@ class TestDisabledLogger:
     def test_all_calls_are_noops(self):
         log = obs.NULL_LOG
         assert log.log("e", "m", level="error", k=1) is None
-        assert log.debug("e") is None
         assert log.info("e") is None
         assert log.warning("e") is None
         assert log.error("e") is None

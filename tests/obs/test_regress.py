@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 
 import pytest
 
@@ -149,6 +150,26 @@ class TestRegress:
         result = regress(candidate, base)
         assert not result.ok
 
+    @pytest.mark.parametrize("side", ["candidate", "baseline"])
+    @pytest.mark.parametrize("name", [
+        "executor.compute_s", "executor.exchange_bytes", "trainer.accuracy",
+    ])
+    def test_nan_metric_regresses(self, side, name):
+        # Every comparison with NaN is False: a NaN must not read "ok",
+        # whichever way the metric's gate points.
+        nan = perturbed(name, math.nan)
+        candidate, baseline = (nan, BASE) if side == "candidate" else (BASE, nan)
+        result = regress(candidate, baseline)
+        assert not result.ok
+        (failure,) = result.failures
+        assert failure.key.startswith(name)
+
+    @pytest.mark.parametrize("name", ["executor.retry_s", "trainer.accuracy"])
+    def test_nan_over_zero_baseline_regresses(self, name):
+        base = make_manifest([counter(name, 0.0)])
+        candidate = make_manifest([counter(name, math.nan)])
+        assert not regress(candidate, base).ok
+
     def test_render_mentions_failures(self):
         result = regress(perturbed("executor.compute_s", 1.10), BASE)
         text = result.render()
@@ -194,6 +215,18 @@ class TestRegressCLI:
             tmp_path, "slow.json", perturbed("executor.compute_s", 1.10)
         )
         assert main(["regress", slow, base]) == 1
+        assert "REGRESSED" in capsys.readouterr().out
+
+    def test_exit_one_on_nan_metric(self, tmp_path, capsys):
+        # read_manifest accepts NaN from any file (json.loads does).
+        from repro.__main__ import main
+
+        base = self.write(tmp_path, "base.json", BASE)
+        nan = self.write(
+            tmp_path, "nan.json", perturbed("executor.compute_s", math.nan)
+        )
+        assert main(["regress", nan, base]) == 1
+        assert main(["regress", base, nan]) == 1
         assert "REGRESSED" in capsys.readouterr().out
 
     def test_exit_two_on_missing_manifest(self, tmp_path, capsys):

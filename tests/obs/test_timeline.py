@@ -18,7 +18,7 @@ def traced_workload() -> Tracer:
         with tracer.span("inner", category="host", step=1):
             pass
     tracer.add_span("kernel", 2e-6, track="ipu", category="compute")
-    tracer.counter("mem", {"bytes": 42.0}, track="ipu")
+    tracer.counter("mem", {"bytes": 42.0})
     return tracer
 
 

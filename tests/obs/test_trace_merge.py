@@ -71,7 +71,7 @@ class TestTracerSnapshotMerge:
             with tracer.span("lower", category="compile"):
                 pass
         tracer.add_span("step", 1e-6, track="ipu", category="compute")
-        tracer.counter("mem", {"bytes": 7.0}, track="ipu")
+        tracer.counter("mem", {"bytes": 7.0})
         return tracer.snapshot()
 
     def test_snapshot_is_picklable_json(self):

@@ -79,12 +79,6 @@ class TestCounters:
         tracer.counter("loss", 0.5)
         assert tracer.counters[0].values == {"value": 0.5}
 
-    def test_virtual_counter_time_from_cursor(self):
-        tracer = obs.Tracer()
-        tracer.add_span("a", 2.0, "dev")
-        tracer.counter("mem", {"bytes": 10}, track="dev")
-        assert tracer.counters[0].time_s == pytest.approx(2.0)
-
     def test_tracks_listing(self):
         tracer = obs.Tracer()
         tracer.add_span("a", 1.0, "dev")

@@ -14,9 +14,12 @@ The scan is deliberately coarse, so that it never misses a caller:
 * a call is matched to every definition of the same name (``f(...)`` and
   ``x.f(...)`` both call every ``f``; ``C(...)`` calls ``C.__init__``;
   ``super().__init__(...)`` calls the bases' ``__init__``;
-  ``partial(f, ...)`` calls ``f``);
+  ``partial(f, ...)`` calls ``f``, and ``Parameter.drawn(f, shape,
+  **kw)`` calls ``f(shape, **kw)``);
 * a call sets a parameter by keyword or by position, and a call with
-  ``*args`` or ``**kwargs`` sets every parameter;
+  ``*args`` sets every positional parameter.  A ``**kwargs`` argument
+  sets none: were it to count, one forwarding call would hide every
+  unset default of every same-named function;
 * autograd ``forward``/``backward`` are skipped: ``Function.apply``
   reaches them with ``*args``, never by name.
 
@@ -51,6 +54,7 @@ KEEP = {
     "ipu.graph:Graph.add_variable(home_tile)": IR_LAYOUT,
     "ipu.graph:Graph.add_variable(tile_span)": IR_LAYOUT,
     "ipu.poplin:build_matmul_graph(plan)": GOLDEN,
+    "nn.structured.pixelfly:PixelflyLinear.__init__(residual)": GOLDEN,
     "obs.log:RunLog.info(message)": PROTOCOL,
     "serve.report:serve_worker(seed_seq)": PROTOCOL,
 }
@@ -67,7 +71,7 @@ class Call(NamedTuple):
     name: str
     n_positional: int
     keywords: frozenset[str]
-    star: bool  # *args or **kwargs: sets every parameter
+    star: bool  # *args: sets every positional parameter
 
 
 def _names(nodes) -> list[str]:
@@ -125,7 +129,7 @@ def calls(tree: ast.Module) -> list[Call]:
             cls = node
         if isinstance(node, ast.Call):
             func, args = node.func, list(node.args)
-            if _names([func]) == ["partial"] and args:
+            if _names([func]) in (["partial"], ["drawn"]) and args:
                 func, args = args[0], args[1:]
             if (isinstance(func, ast.Attribute) and func.attr == "__init__"
                     and _names([func.value]) == ["super"] and cls is not None):
@@ -134,8 +138,7 @@ def calls(tree: ast.Module) -> list[Call]:
                 targets = [cls.name]
             else:
                 targets = _names([func])
-            star = any(isinstance(a, ast.Starred) for a in args) or any(
-                k.arg is None for k in node.keywords)
+            star = any(isinstance(a, ast.Starred) for a in args)
             keywords = frozenset(k.arg for k in node.keywords if k.arg)
             out.extend(Call(t, len(args), keywords, star) for t in targets)
         for child in ast.iter_child_nodes(node):
@@ -158,7 +161,7 @@ def unset_defaults(callees: list[Callee], sites: list[Call]) -> list[str]:
         set_ = set()
         for call in by_name[callee.name]:
             if call.star:
-                set_.update(callee.defaults)
+                set_.update(callee.positional)
             set_.update(callee.positional[:call.n_positional])
             set_.update(call.keywords)
         unset.extend(f"{callee.key}({p})" for p in callee.defaults
@@ -205,13 +208,17 @@ def test_keep_entries_are_live():
     for key, reason in KEEP.items():
         if reason == GOLDEN:
             func, param = key.split(":")[1].rstrip(")").split("(")
-            assert (func.split(".")[-1], param) in golden_sets, key
+            *scope, name = func.split(".")
+            if name == "__init__":  # C(...) calls C.__init__
+                name = scope[-1]
+            assert (name, param) in golden_sets, key
 
 
 def test_scan_flags_an_unset_default():
     # The scan itself must not silently rot: in a synthetic module, the
-    # default set by keyword, by position and through **kwargs is
-    # clean, and the one nobody sets is flagged.
+    # defaults set by keyword, by position, through *args and through
+    # Parameter.drawn are clean; the ones nobody sets, and the one only
+    # **kwargs reaches, are flagged.
     tree = ast.parse(
         "class C:\n"
         "    def __init__(self, a, b=1):\n"
@@ -224,9 +231,17 @@ def test_scan_flags_an_unset_default():
         "    pass\n"
         "def h(unused=8):\n"
         "    pass\n"
+        "def init(shape, gain=9, scale=10):\n"
+        "    pass\n"
+        "def k(a, b=11, *, c=12):\n"
+        "    pass\n"
         "C(0, b=2).m(1, 2)\n"
         "f(0, r=1)\n"
         "g(**{'kw': 0})\n"
+        "Parameter.drawn(init, (2,), gain=1)\n"
+        "k(*args)\n"
     )
     unset = unset_defaults(definitions(tree, "t"), calls(tree))
-    assert unset == ["t:C.m(z)", "t:f(q)", "t:f(s)"]
+    assert unset == [
+        "t:C.m(z)", "t:f(q)", "t:f(s)", "t:g(kw)", "t:init(scale)", "t:k(c)",
+    ]
