@@ -32,10 +32,10 @@ from repro.nn.layers import (
     LayerNorm,
     Linear,
     ReLU,
-    Sequential,
     Sigmoid,
     Tanh,
     check_input_width,
+    leaf_layers,
 )
 from repro.nn.module import Module
 from repro.nn.structured import (
@@ -215,6 +215,24 @@ _WEIGHT_LOWERINGS = (
 )
 
 
+def _lower_layer_gpu(low: _GPULowering, layer: Module, features: int) -> int:
+    """Append one leaf *layer*'s kernels for an input of width *features*;
+    returns its output width."""
+    for layer_type, lower_weight in _WEIGHT_LOWERINGS:
+        if isinstance(layer, layer_type):
+            check_input_width(layer, features)
+            return lower_weight(low, layer)
+    if isinstance(layer, (ReLU, Tanh, Sigmoid)):
+        low.add_stream("activation", 4 * low.batch * features)
+        return features
+    if isinstance(layer, (BatchNorm1d, LayerNorm)):
+        low.param_bytes += 4 * 2 * features  # gamma + beta
+        low.add_stream("norm/stats", 4 * low.batch * features)
+        low.add_stream("norm/apply", 4 * low.batch * features)
+        return features
+    raise TypeError(f"GPU lowering does not support {type(layer).__name__}")
+
+
 def lower_model_gpu(
     model: Module,
     device: GPUDevice,
@@ -227,29 +245,8 @@ def lower_model_gpu(
         raise ValueError("batch and in_features must be positive")
     low = _GPULowering(device=device, batch=batch, tensor_cores=tensor_cores)
     features = in_features
-
-    def lower(module: Module, features: int) -> int:
-        if isinstance(module, Sequential):
-            for child in module:
-                features = lower(child, features)
-            return features
-        for layer_type, lower_layer in _WEIGHT_LOWERINGS:
-            if isinstance(module, layer_type):
-                check_input_width(module, features)
-                return lower_layer(low, module)
-        if isinstance(module, (ReLU, Tanh, Sigmoid)):
-            low.add_stream("activation", 4 * batch * features)
-            return features
-        if isinstance(module, (BatchNorm1d, LayerNorm)):
-            low.param_bytes += 4 * 2 * features  # gamma + beta
-            low.add_stream("norm/stats", 4 * batch * features)
-            low.add_stream("norm/apply", 4 * batch * features)
-            return features
-        raise TypeError(
-            f"GPU lowering does not support {type(module).__name__}"
-        )
-
-    lower(model, features)
+    for layer in leaf_layers(model):
+        features = _lower_layer_gpu(low, layer, features)
     return low
 
 

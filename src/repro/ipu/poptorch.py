@@ -47,6 +47,7 @@ from repro.nn.layers import (
     Sigmoid,
     Tanh,
     check_input_width,
+    leaf_layers,
 )
 from repro.nn.module import Module
 from repro.nn.structured import (
@@ -525,6 +526,44 @@ _WEIGHT_LOWERINGS = (
 )
 
 
+def _lower_layer(
+    low: _Lowering, layer: Module, x: str, features: int
+) -> tuple[str, int]:
+    """Emit one leaf *layer* reading activation *x* of width *features*;
+    returns its output activation and width."""
+    for layer_type, lower_weight in _WEIGHT_LOWERINGS:
+        if isinstance(layer, layer_type):
+            check_input_width(layer, features)
+            return lower_weight(low, layer, x)
+    if isinstance(layer, ReLU):
+        return _lower_activation(low, "relu", x, features, "relu"), features
+    if isinstance(layer, (Tanh, Sigmoid)):
+        # Costed like any other elementwise op.
+        return _lower_activation(low, "square", x, features, "act"), features
+    if isinstance(layer, (BatchNorm1d, LayerNorm)):
+        # Two supersteps: reduce for statistics, then normalise+affine.
+        stats = low.new_activation(features, hint="norm_stats")
+        low.emit_elementwise(
+            "ReduceAdd",
+            "norm/stats",
+            [x],
+            stats,
+            elements=low.batch * features,
+            remote_inputs=isinstance(layer, BatchNorm1d),
+        )
+        out = low.new_activation(features, hint="norm_out")
+        low.emit_elementwise(
+            "ElementwiseBinary",
+            "norm/apply",
+            [x, stats],
+            out,
+            elements=low.batch * features,
+            params={"op": "mul"},
+        )
+        return out, features
+    raise TypeError(f"IPU lowering does not support {type(layer).__name__}")
+
+
 def lower_model(
     model: Module, spec: IPUSpec, batch: int, in_features: int,
     host_io: bool = False,
@@ -538,50 +577,8 @@ def lower_model(
     if host_io:
         graph.add_host_write(x)
     features = in_features
-
-    def lower(module: Module, x: str, features: int) -> tuple[str, int]:
-        if isinstance(module, Sequential):
-            for child in module:
-                x, features = lower(child, x, features)
-            return x, features
-        for layer_type, lower_layer in _WEIGHT_LOWERINGS:
-            if isinstance(module, layer_type):
-                check_input_width(module, features)
-                return lower_layer(low, module, x)
-        if isinstance(module, ReLU):
-            return _lower_activation(low, "relu", x, features, "relu"), features
-        if isinstance(module, (Tanh, Sigmoid)):
-            # Costed like any other elementwise op.
-            return (
-                _lower_activation(low, "square", x, features, "act"),
-                features,
-            )
-        if isinstance(module, (BatchNorm1d, LayerNorm)):
-            # Two supersteps: reduce for statistics, then normalise+affine.
-            stats = low.new_activation(features, hint="norm_stats")
-            low.emit_elementwise(
-                "ReduceAdd",
-                "norm/stats",
-                [x],
-                stats,
-                elements=low.batch * features,
-                remote_inputs=isinstance(module, BatchNorm1d),
-            )
-            out = low.new_activation(features, hint="norm_out")
-            low.emit_elementwise(
-                "ElementwiseBinary",
-                "norm/apply",
-                [x, stats],
-                out,
-                elements=low.batch * features,
-                params={"op": "mul"},
-            )
-            return out, features
-        raise TypeError(
-            f"IPU lowering does not support {type(module).__name__}"
-        )
-
-    x, features = lower(model, x, features)
+    for layer in leaf_layers(model):
+        x, features = _lower_layer(low, layer, x, features)
     if host_io:
         graph.add_host_read(x)
     sig = module_signature(model)

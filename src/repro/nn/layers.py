@@ -6,6 +6,8 @@ against; the structured replacements live in :mod:`repro.nn.structured`.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from repro.nn import functional as F
@@ -20,6 +22,7 @@ __all__ = [
     "Tanh",
     "Sigmoid",
     "Sequential",
+    "leaf_layers",
     "check_input_width",
     "BatchNorm1d",
     "LayerNorm",
@@ -115,12 +118,31 @@ class Sequential(Module):
         return len(self._order)
 
 
+def leaf_layers(model: Module) -> Iterator[Module]:
+    """Yield the layers of *model* that are not ``Sequential``, in forward
+    order, with nested ``Sequential`` containers flattened.
+
+    A bare layer yields itself.  The walk keeps an explicit stack instead
+    of recursing, so the device lowerings that loop over it hold no
+    function that refers to itself: a lowered graph is freed when its last
+    user drops it, not when the cyclic collector next runs.
+    """
+    stack = [model]
+    while stack:
+        module = stack.pop()
+        if isinstance(module, Sequential):
+            stack.extend(reversed(module))
+        else:
+            yield module
+
+
 def check_input_width(layer: Module, width: int) -> None:
     """Raise ValueError unless weight *layer* takes *width* input features.
 
-    The device lowerings walk a model with a running width and call this
-    at every weight layer, so a model whose widths do not chain fails
-    when it is lowered rather than inside numpy at its first forward.
+    The device lowerings walk a model's :func:`leaf_layers` with a running
+    width and call this at every weight layer, so a model whose widths do
+    not chain fails when it is lowered rather than inside numpy at its
+    first forward.
     The square Pixelfly, Fastfood and Circulant layers call their one
     width ``features``.
     """

@@ -8,6 +8,7 @@ driver fans out into independent, stable substreams via :func:`derive_rng`.
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections.abc import Iterator
 
@@ -75,6 +76,16 @@ def indexed_rngs(
     """
     if not 0 <= n <= 2**32:
         raise ValueError(f"n must be in [0, 2**32], got {n}")
+    seed_words = _seed_words_type()
+    words = _seed_words(seed, np.arange(n, dtype=np.uint32), stream)
+    return (np.random.Generator(np.random.PCG64(seed_words(w))) for w in words)
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """The seed sequence that hands PCG64 one precomputed seed, built on
+    first use and then kept: a class is a reference cycle, so building one
+    per call would leave it for the cyclic collector."""
     # numpy loads numpy.random on first use (~13 ms and ~6 MiB of
     # extension modules); importing it here, not with this module, keeps
     # both out of processes that never draw, such as `repro list`.
@@ -93,8 +104,7 @@ def indexed_rngs(
                 )
             return self.words
 
-    words = _seed_words(seed, np.arange(n, dtype=np.uint32), stream)
-    return (np.random.Generator(np.random.PCG64(SeedWords(w))) for w in words)
+    return SeedWords
 
 
 def _uint32_words(value: int, name: str) -> list[int]:

@@ -1,5 +1,10 @@
 """Tests for bench utilities (FLOP accounting, reporting, units, rng)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,3 +148,31 @@ class TestIndexedRngs:
         # -1 >> 32 == -1: splitting it into words would never end.
         with pytest.raises(ValueError, match="seed"):
             indexed_rngs(-1, 1, 0)
+
+    def test_repro_list_never_imports_numpy_random(self):
+        """numpy.random (~13 ms, ~6 MiB) loads on the first draw, so a
+        command that draws nothing does not pay for it."""
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])
+            ),
+        )
+        done = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "repro", "list"],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        imported = {
+            line.rpartition("|")[2].strip()
+            for line in done.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        assert "numpy" in imported and "repro.utils.rng" in imported
+        assert not {
+            name for name in imported if name.startswith("numpy.random")
+        }

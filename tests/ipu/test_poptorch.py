@@ -4,6 +4,7 @@ import pytest
 
 from repro import nn
 from repro.gpu.torchsim import GPUModule
+from repro.ipu.compiler import graph_fingerprint
 from repro.ipu.machine import GC200
 from repro.ipu.poptorch import IPUModule, lower_model
 from repro.utils import log2_int
@@ -20,6 +21,13 @@ UNCHAINED = [
     pytest.param(
         lambda: nn.Sequential(nn.Linear(8, 8), nn.ReLU(), nn.Linear(16, 4)),
         8, "Linear", 16, 8, id="sequential",
+    ),
+    pytest.param(
+        lambda: nn.Sequential(
+            nn.Sequential(nn.Linear(8, 8), nn.ReLU()),
+            nn.Sequential(nn.Sequential(nn.Linear(16, 4))),
+        ),
+        8, "Linear", 16, 8, id="nested",
     ),
     pytest.param(
         lambda: nn.ButterflyLinear(16, 16), 8, "ButterflyLinear", 16, 8,
@@ -42,6 +50,33 @@ UNCHAINED = [
         id="lowrank",
     ),
 ]
+
+
+class Strange(nn.Module):
+    def forward(self, x):
+        return x
+
+
+def _flat_and_nested():
+    """One model as a flat ``Sequential`` and nested three deep, sharing
+    every layer object."""
+    layers = [
+        nn.Linear(64, 64, seed=0),
+        nn.ReLU(),
+        nn.LayerNorm(64),
+        nn.ButterflyLinear(64, 64, seed=0),
+        nn.PixelflyLinear(64, block_size=8, rank=2, seed=0),
+        nn.Tanh(),
+        nn.Linear(64, 10, seed=1),
+    ]
+    flat = nn.Sequential(*layers)
+    nested = nn.Sequential(
+        nn.Sequential(layers[0], layers[1]),
+        nn.Sequential(nn.Sequential(layers[2]), layers[3], nn.Sequential()),
+        layers[4],
+        nn.Sequential(nn.Sequential(layers[5], layers[6])),
+    )
+    return flat, nested
 
 
 class TestLowering:
@@ -92,12 +127,37 @@ class TestLowering:
         assert 3 <= len(fft_sets) <= 4
 
     def test_unsupported_module_rejected(self):
-        class Strange(nn.Module):
-            def forward(self, x):
-                return x
-
         with pytest.raises(TypeError, match="support"):
             lower_model(Strange(), GC200, batch=4, in_features=8)
+
+    @pytest.mark.parametrize("bridge, device", [
+        (IPUModule, "IPU"), (GPUModule, "GPU"),
+    ])
+    def test_nested_unsupported_layer_rejected(self, bridge, device):
+        model = nn.Sequential(
+            nn.Linear(8, 8), nn.Sequential(nn.ReLU(), Strange())
+        )
+        with pytest.raises(
+            TypeError, match=f"^{device} lowering does not support Strange$"
+        ):
+            bridge(model, in_features=8, batch=4)
+
+    def test_nested_sequential_lowers_like_its_flat_twin(self):
+        flat, nested = (
+            IPUModule(model, 64, 16) for model in _flat_and_nested()
+        )
+        assert graph_fingerprint(nested.graph) == graph_fingerprint(
+            flat.graph
+        )
+        assert nested.param_bytes == flat.param_bytes
+        assert nested.forward_report().total_s == flat.forward_report().total_s
+
+    def test_nested_sequential_launches_its_flat_twins_kernels(self):
+        flat, nested = (
+            GPUModule(model, 64, 16) for model in _flat_and_nested()
+        )
+        assert nested.kernels == flat.kernels
+        assert nested.param_bytes == flat.param_bytes
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -14,12 +14,15 @@ import pytest
 
 from repro import nn
 from repro.core import pixelfly as pixelfly_kernels
+from repro.core.butterfly import random_twiddle
 from repro.core.pixelfly import pixelfly_pattern
 from repro.experiments.config import METHODS, shl_model
 from repro.nn import Tensor
 from repro.nn import functional as F
+from repro.nn.structured import _functions
 from repro.nn.structured._functions import (
     BlockSparseMultiplyFn,
+    ButterflyMultiplyFn,
     CirculantMultiplyFn,
 )
 
@@ -104,6 +107,40 @@ class TestSkippedInputGradients:
         assert out._ctx.needs_input_grad == (False, True)
         with nn.no_grad():
             assert not F.matmul(x, w).requires_grad
+
+
+class TestButterflyForwardWithoutGrad:
+    """When no input needs a gradient, the butterfly forward keeps no
+    level inputs, and its output keeps every byte."""
+
+    @pytest.mark.parametrize("increasing_stride", [True, False])
+    @pytest.mark.parametrize("batch", [1, 3, 200])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_grad_keeps_no_level_inputs(
+        self, monkeypatch, dtype, batch, increasing_stride
+    ):
+        rng = np.random.default_rng(batch)
+        twiddle = random_twiddle(1024, seed=rng, dtype=dtype)
+        x = rng.standard_normal((batch, 1024)).astype(dtype)
+        with_grad = ButterflyMultiplyFn.apply(
+            Tensor(twiddle, requires_grad=True), Tensor(x), increasing_stride
+        )
+        assert with_grad._ctx.inputs  # the grad-on forward keeps them
+
+        def keeps_inputs(*args):
+            raise AssertionError("no backward reads the level inputs")
+
+        monkeypatch.setattr(
+            _functions, "butterfly_multiply_with_intermediates", keeps_inputs
+        )
+        with nn.no_grad():
+            out = ButterflyMultiplyFn.apply(
+                Tensor(twiddle, requires_grad=True),
+                Tensor(x),
+                increasing_stride,
+            )
+        assert out.dtype == with_grad.dtype == dtype
+        assert out.data.tobytes() == with_grad.data.tobytes()
 
 
 class TestGradientLayout:

@@ -5,6 +5,7 @@ import pytest
 
 from repro import nn
 from repro.nn import Tensor
+from repro.nn.layers import leaf_layers
 
 
 class TestModule:
@@ -123,3 +124,17 @@ class TestActivationsAndContainers:
         assert len(model) == 2
         assert isinstance(model[1], nn.ReLU)
         assert [type(m).__name__ for m in model] == ["Linear", "ReLU"]
+
+    def test_leaf_layers_flatten_nested_sequentials_in_order(self):
+        a, b, c, d = nn.Linear(2, 2), nn.ReLU(), nn.Tanh(), nn.Linear(2, 1)
+        model = nn.Sequential(
+            nn.Sequential(a, nn.Sequential()),
+            nn.Sequential(nn.Sequential(b), c),
+            d,
+        )
+        assert [id(m) for m in leaf_layers(model)] == list(map(id, [a, b, c, d]))
+
+    def test_leaf_layers_of_a_bare_layer_or_empty_sequential(self):
+        layer = nn.Linear(2, 2)
+        assert list(leaf_layers(layer)) == [layer]
+        assert list(leaf_layers(nn.Sequential())) == []
