@@ -10,11 +10,13 @@ edges and compute sets" behaviour arises structurally rather than by fiat.
 Vertices are stored as columns, not objects.  Builders emit one
 :meth:`Graph.add_vertices` batch per (compute set, codelet, port layout):
 a tile column, one :class:`Edge` per port whose element count and slice
-bounds may be columns, and cost-param columns.  The compiler, liveness
-pass and executor read the flat :meth:`Graph.vertex_table` /
-:meth:`Graph.edge_table` views and evaluate codelet costs per batch;
-:meth:`Graph.vertices_in` rebuilds one compute set's :class:`Vertex`
-records for numeric execution.
+bounds may be columns, and cost-param columns.  The compiler and executor
+read the flat :meth:`Graph.vertex_table`, built straight from the batch
+columns, and evaluate codelet costs per batch.  Only the liveness pass
+(planned compiles) reads :meth:`Graph.edge_table`, so it is built on
+first request.  Port keys are stored as int32 ``(start, stop)`` pairs;
+:meth:`Graph.vertices_in` decodes them when it rebuilds one compute set's
+:class:`Vertex` records for numeric execution.
 """
 
 from __future__ import annotations
@@ -117,10 +119,13 @@ class VertexBatch:
 
     Every vertex of a batch runs ``codelet`` in compute set ``cs`` and has
     the same ports.  Port ``n_elements`` are int64 columns and port keys
-    are ``(n, axes, 2)`` int64 arrays of ``(start, stop)`` pairs (``stop``
-    of -1 marks an int index) or ``None``.  A param is a column when it is
-    an ndarray and one broadcast value otherwise.  Codelet cost functions
-    take the batch and return one cycle count per vertex (or a scalar).
+    are ``(n, axes, 2)`` int32 arrays of ``(start, stop)`` pairs (``stop``
+    of -1 marks an int index) or ``None``; only :meth:`Graph.vertices_in`
+    reads keys.  A param is a column when it is an ndarray and one
+    broadcast value otherwise.  Codelet cost functions take the batch and
+    return one cycle count per vertex (or a scalar).  The vertex table's
+    columns come from the batches directly; the edge table, one row per
+    (vertex, port), is built only for the liveness pass.
     """
 
     cs: int
@@ -149,9 +154,8 @@ class VertexTable:
     codelet: np.ndarray
     cs: np.ndarray
     n_edges: np.ndarray
-    in_elements: np.ndarray
+    #: Elements each vertex receives over the exchange (non-local inputs).
     remote_in_elements: np.ndarray
-    out_elements: np.ndarray
     codelets: tuple[str, ...]
 
 
@@ -207,6 +211,11 @@ def _column(value: Any, n: int, what: str) -> np.ndarray:
     return arr.astype(np.int64)  # a copy: callers may reuse their arrays
 
 
+#: Port keys are stored as ``(start, stop)`` pairs of this type, so a
+#: keyed axis must have fewer than 2**31 elements.
+_KEY_DTYPE = np.int32
+
+
 def _encode_key(key: Any, var: Variable, n: int) -> np.ndarray | None:
     """A port key as ``(n, axes, 2)`` ``(start, stop)`` pairs, or None."""
     if key is None:
@@ -216,9 +225,14 @@ def _encode_key(key: Any, var: Variable, n: int) -> np.ndarray | None:
         raise ValueError(
             f"key has {len(axes)} axes, the variable {len(var.shape)}"
         )
-    out = np.empty((n, len(axes), 2), dtype=np.int64)
+    out = np.empty((n, len(axes), 2), dtype=_KEY_DTYPE)
     for axis, entry in enumerate(axes):
         dim = var.shape[axis]
+        if dim >= 2**31:
+            raise ValueError(
+                f"variable {var.name!r} axis {axis} has {dim} elements; "
+                "a keyed axis must have fewer than 2**31"
+            )
         if isinstance(entry, slice):
             if entry.step not in (None, 1):
                 raise ValueError("key slices must have unit step")
@@ -231,8 +245,9 @@ def _encode_key(key: Any, var: Variable, n: int) -> np.ndarray | None:
                 stop = _column(
                     dim if entry.stop is None else entry.stop, n, "key stop"
                 )
-                if (start < 0).any() or (stop > dim).any() or (stop < 0).any():
-                    raise ValueError(f"key slice bounds outside [0, {dim}]")
+                for bound in (start, stop):
+                    if ((bound < 0) | (bound > dim)).any():
+                        raise ValueError(f"key slice bounds outside [0, {dim}]")
             out[:, axis, 0] = start
             out[:, axis, 1] = stop
         elif isinstance(entry, (int, np.integer, np.ndarray)):
@@ -254,6 +269,20 @@ def _decode_key(pairs: list | None) -> Any:
     return tuple(
         start if stop < 0 else slice(start, stop) for start, stop in pairs
     )
+
+
+def _cat(parts: list) -> np.ndarray:
+    if not parts:
+        return np.zeros(0, dtype=np.int64)
+    return np.concatenate(parts)
+
+
+def _per_row(
+    batches: list[VertexBatch], values: list, dtype=np.int64
+) -> np.ndarray:
+    """One value per batch, repeated over each batch's rows."""
+    sizes = np.array([b.n for b in batches], dtype=np.int64)
+    return np.repeat(np.array(values, dtype=dtype), sizes)
 
 
 def _records(b: VertexBatch, rows: slice) -> list[Vertex]:
@@ -315,7 +344,8 @@ class Graph:
         self.batches: list[VertexBatch] = []
         self._n_vertices = 0
         self._n_edges = 0
-        self._tables: tuple[VertexTable, EdgeTable] | None = None
+        self._vertex_table: VertexTable | None = None
+        self._edge_table: EdgeTable | None = None
         #: Optional canonical construction identity, set by builders that
         #: can describe their output cheaply (e.g. ``("poplin.matmul",
         #: m, n, k, codelet, host_io)``).  The compilation cache keys on
@@ -437,7 +467,7 @@ class Graph:
         )
         self._n_vertices += n
         self._n_edges += n * (len(ports[0]) + len(ports[1]))
-        self._tables = None
+        self._vertex_table = self._edge_table = None
         return range(start, start + n)
 
     def add_compute_set(self, name: str) -> int:
@@ -461,71 +491,61 @@ class Graph:
 
     # -- column views -----------------------------------------------------------
 
-    def _build_tables(self) -> tuple[VertexTable, EdgeTable]:
+    def vertex_table(self) -> VertexTable:
+        """All vertices as columns (cached until the next add_vertices)."""
+        if self._vertex_table is None:
+            self._vertex_table = self._build_vertex_table()
+        return self._vertex_table
+
+    def edge_table(self) -> EdgeTable:
+        """All edges as columns (cached until the next add_vertices).
+
+        Built on the first call; only the liveness pass makes one.
+        """
+        if self._edge_table is None:
+            self._edge_table = self._build_edge_table()
+        return self._edge_table
+
+    def _build_vertex_table(self) -> VertexTable:
         batches = self.batches
         codelets: dict[str, int] = {}
-        var_ids = {name: i for i, name in enumerate(self.variables)}
-        ports = [
-            (b, e, output)
-            for b in batches
-            for output, edges in ((False, b.inputs), (True, b.outputs))
-            for e in edges
-        ]
-
-        def cat(parts: list) -> np.ndarray:
-            if not parts:
-                return np.zeros(0, dtype=np.int64)
-            return np.concatenate(parts)
-
-        def per_row(rows, values, dtype=np.int64) -> np.ndarray:
-            sizes = np.array([r.n for r in rows], dtype=np.int64)
-            return np.repeat(np.array(values, dtype=dtype), sizes)
-
-        port_batches = [b for b, _, _ in ports]
-        edges = EdgeTable(
-            vertex=cat([np.arange(b.start, b.stop) for b in port_batches]),
-            var=per_row(port_batches, [var_ids[e.var] for _, e, _ in ports]),
-            n_elements=cat([e.n_elements for _, e, _ in ports]),
-            local=per_row(port_batches, [e.local for _, e, _ in ports], bool),
-            output=per_row(port_batches, [out for _, _, out in ports], bool),
-        )
-
-        def total(mask: np.ndarray) -> np.ndarray:
-            # Integer sums of at most a few ports: exact in float64.
-            return np.bincount(
-                edges.vertex[mask],
-                weights=edges.n_elements[mask],
-                minlength=self._n_vertices,
-            ).astype(np.int64)
-
-        vertices = VertexTable(
-            tile=cat([b.tiles for b in batches]),
-            codelet=per_row(
+        # Each batch's non-local input columns, summed in place so that
+        # the table forms no per-edge rows.
+        remote_in = np.zeros(self._n_vertices, dtype=np.int64)
+        for b in batches:
+            for e in b.inputs:
+                if not e.local:
+                    remote_in[b.start : b.stop] += e.n_elements
+        return VertexTable(
+            tile=_cat([b.tiles for b in batches]),
+            codelet=_per_row(
                 batches,
                 [codelets.setdefault(b.codelet, len(codelets)) for b in batches],
             ),
-            cs=per_row(batches, [b.cs for b in batches]),
-            n_edges=per_row(
+            cs=_per_row(batches, [b.cs for b in batches]),
+            n_edges=_per_row(
                 batches, [len(b.inputs) + len(b.outputs) for b in batches]
             ),
-            in_elements=total(~edges.output),
-            remote_in_elements=total(~edges.output & ~edges.local),
-            out_elements=total(edges.output),
+            remote_in_elements=remote_in,
             codelets=tuple(codelets),
         )
-        return vertices, edges
 
-    def vertex_table(self) -> VertexTable:
-        """All vertices as columns (cached until the next add_vertices)."""
-        if self._tables is None:
-            self._tables = self._build_tables()
-        return self._tables[0]
-
-    def edge_table(self) -> EdgeTable:
-        """All edges as columns (cached until the next add_vertices)."""
-        if self._tables is None:
-            self._tables = self._build_tables()
-        return self._tables[1]
+    def _build_edge_table(self) -> EdgeTable:
+        var_ids = {name: i for i, name in enumerate(self.variables)}
+        ports = [
+            (b, e, output)
+            for b in self.batches
+            for output, edges in ((False, b.inputs), (True, b.outputs))
+            for e in edges
+        ]
+        port_batches = [b for b, _, _ in ports]
+        return EdgeTable(
+            vertex=_cat([np.arange(b.start, b.stop) for b in port_batches]),
+            var=_per_row(port_batches, [var_ids[e.var] for _, e, _ in ports]),
+            n_elements=_cat([e.n_elements for _, e, _ in ports]),
+            local=_per_row(port_batches, [e.local for _, e, _ in ports], bool),
+            output=_per_row(port_batches, [out for _, _, out in ports], bool),
+        )
 
     def vertices_in(self, cs: int) -> Iterator[Vertex]:
         """Records of compute set *cs*'s vertices, in vertex-id order."""

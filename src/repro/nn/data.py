@@ -33,7 +33,11 @@ class ArrayDataset:
         return len(self.x)
 
     def subset(self, indices: np.ndarray) -> "ArrayDataset":
-        """Dataset restricted to *indices* (copy-free fancy-index views)."""
+        """Dataset restricted to *indices*.
+
+        Integer-array indexing copies: the subset owns new arrays of
+        ``len(indices)`` rows.
+        """
         return ArrayDataset(self.x[indices], self.y[indices])
 
 

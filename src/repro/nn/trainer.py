@@ -335,6 +335,10 @@ class Trainer:
         are first rolled back to the last checkpoint (the exception
         records which one), so the caller can lower the learning rate
         and resume from healthy state.
+
+        Every epoch releases the model's gradients once its steps end,
+        before validation and the checkpoint, so each parameter's
+        ``grad`` is ``None`` when fit returns.
         """
         if checkpoint_every < 0:
             raise ValueError(
@@ -453,6 +457,10 @@ class Trainer:
                 history.train_accuracy.append(
                     float(np.mean(accs)) if accs else 0.0
                 )
+                # Nothing reads a gradient between epochs (each step
+                # zeroes them first, checkpoints store none), so release
+                # them before validation allocates its activations.
+                self.model.zero_grad()
                 if val_loader is not None:
                     t0 = time.perf_counter()
                     with tracer.span(

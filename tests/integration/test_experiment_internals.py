@@ -47,6 +47,12 @@ class TestGenerationsInternals:
         assert large >= small
         assert small > 0
 
+    def test_largest_fitting_matmul_pinned(self):
+        # The generations table's last column; perf/golden.json covers
+        # the GC2 row only.
+        assert generations.largest_fitting_matmul(GC2) == 2048
+        assert generations.largest_fitting_matmul(GC200) == 4096
+
     def test_generation_row_ratio(self):
         rows = generations.run(specs=(GC200,))
         assert rows[0].butterfly_vs_linear == pytest.approx(

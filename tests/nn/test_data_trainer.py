@@ -28,6 +28,7 @@ class TestDataset:
         sub = ds.subset(np.array([1, 3, 5]))
         assert len(sub) == 3
         np.testing.assert_array_equal(sub.x[0], ds.x[1])
+        assert not np.shares_memory(sub.x, ds.x)
 
 
 class TestSplit:
@@ -179,6 +180,28 @@ class TestTrainer:
         )
         assert history.train_time_s > 0
         assert history.val_time_s > 0
+
+    def test_gradients_released_before_validation(self, monkeypatch):
+        ds = toy_dataset(60)
+        tr, va = train_val_split(ds, 0.2, seed=0)
+        trainer = self._trainer()
+        params = trainer.model.parameters()
+        seen = []
+        evaluate = trainer.evaluate
+
+        def spy(loader):
+            seen.append([p.grad for p in params])
+            return evaluate(loader)
+
+        monkeypatch.setattr(trainer, "evaluate", spy)
+        trainer.fit(
+            DataLoader(tr, 16, seed=0),
+            DataLoader(va, 16, shuffle=False),
+            epochs=2,
+        )
+        assert len(seen) == 2
+        assert all(g is None for grads in seen for g in grads)
+        assert all(p.grad is None for p in params)
 
     def test_no_val_loader_means_zero_val_time(self):
         ds = toy_dataset(40)
