@@ -33,6 +33,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -137,6 +139,8 @@ def nearest_rank(sorted_values: list[float], q: float) -> float:
 
 @dataclass(slots=True)
 class _Outcome:
+    """One request's outcome, the item :attr:`ServeResult.outcomes` yields."""
+
     request: Request
     status: str = ""
     completed_s: float | None = None
@@ -149,40 +153,123 @@ class _Outcome:
             return None
         return self.completed_s - self.request.arrival_s
 
-    @property
-    def on_time(self) -> bool:
-        return (
-            self.completed_s is not None
-            and self.completed_s <= self.request.deadline_s
+
+class _Outcomes(Sequence):
+    """Every request's outcome in columns, in request-index order.
+
+    Item *i* is an :class:`_Outcome` built from row *i* when it is read;
+    ``len()`` builds none.  A completion time of NaN and a replica of -1
+    mean none.
+    """
+
+    __slots__ = ("requests", "status", "completed_s", "attempts", "replica")
+
+    def __init__(self, requests: list[Request]) -> None:
+        n = len(requests)
+        self.requests = requests
+        self.status = [""] * n
+        self.completed_s = array("d", [math.nan]) * n
+        self.attempts = array("i", [0]) * n
+        self.replica = array("i", [-1]) * n
+
+    def __len__(self) -> int:
+        return len(self.requests)
+
+    def __getitem__(self, i: int) -> _Outcome:
+        completed_s, replica = self.completed_s[i], self.replica[i]
+        return _Outcome(
+            self.requests[i],
+            self.status[i],
+            None if math.isnan(completed_s) else completed_s,
+            self.attempts[i],
+            None if replica < 0 else replica,
         )
+
+
+class _BatchLog(Sequence):
+    """A run's batch log in columns, in dispatch order.
+
+    Item *i* is batch *i*'s record, built when it is read: a dict of its
+    ``replica``, ``start_s``, ``service_s``, ``rows``, ``pad_rows``,
+    ``n_requests``, ``reason`` and ``status`` (``"ok"``, or ``"lost"``
+    when its replica died with it in flight).  Every batch of a run
+    takes the pool's service time and pads to the policy's batch, so
+    those two are kept once.
+    """
+
+    __slots__ = (
+        "service_s", "max_rows",
+        "replica", "start_s", "rows", "n_requests", "reason", "status",
+    )
+
+    def __init__(self, service_s: float, max_rows: int) -> None:
+        self.service_s = service_s
+        self.max_rows = max_rows
+        self.replica = array("i")
+        self.start_s = array("d")
+        self.rows = array("i")
+        self.n_requests = array("i")
+        self.reason: list[str] = []
+        self.status: list[str] = []
+
+    def __len__(self) -> int:
+        return len(self.status)
+
+    def __getitem__(self, i: int) -> dict:
+        rows = self.rows[i]
+        return {
+            "replica": self.replica[i],
+            "start_s": self.start_s[i],
+            "service_s": self.service_s,
+            "rows": rows,
+            "pad_rows": self.max_rows - rows,
+            "n_requests": self.n_requests[i],
+            "reason": self.reason[i],
+            "status": self.status[i],
+        }
 
 
 @dataclass
 class ServeResult:
-    """Everything one simulated serving run produced, JSON-ready."""
+    """Everything one simulated serving run produced, JSON-ready.
+
+    ``outcomes`` and ``batches`` are read-only sequences over the columns
+    the run filled, one row per request and one per batch; their items
+    are built only when read.
+    """
 
     pool: ReplicaPool
-    outcomes: list[_Outcome]
-    batches: list[dict]
+    outcomes: _Outcomes
+    batches: _BatchLog
     retries: int
     deaths: int
     horizon_s: float
     last_arrival_s: float
 
     def as_dict(self) -> dict:
-        """Plain-dict form: picklable across workers, manifest-ready."""
-        completed = [o for o in self.outcomes if o.status == COMPLETED]
-        latencies = sorted(o.latency_s for o in completed)
-        on_time = sum(1 for o in completed if o.on_time)
-        shed = {
-            status: sum(1 for o in self.outcomes if o.status == status)
-            for status in SHED_STATUSES
-        }
+        """Plain-dict form: picklable across workers, manifest-ready.
+
+        The batch log is expanded here into one dict per batch.
+        """
+        outcomes, log = self.outcomes, self.batches
+        status = outcomes.status
+        latencies = []
+        on_time = 0
+        for state, completed_s, request in zip(
+            status, outcomes.completed_s, outcomes.requests
+        ):
+            if state == COMPLETED:
+                latencies.append(completed_s - request.arrival_s)
+                on_time += completed_s <= request.deadline_s
+        latencies.sort()
+        shed = {s: status.count(s) for s in SHED_STATUSES}
         shed = {k: v for k, v in shed.items() if v}
-        n = len(self.outcomes)
-        ok_batches = [b for b in self.batches if b["status"] == "ok"]
-        real_rows = sum(b["rows"] for b in ok_batches)
-        slot_rows = sum(b["rows"] + b["pad_rows"] for b in ok_batches)
+        n = len(status)
+        ok_rows = [
+            rows for rows, state in zip(log.rows, log.status) if state == "ok"
+        ]
+        real_rows = sum(ok_rows)
+        slot_rows = len(ok_rows) * log.max_rows
         pool = self.pool
         return {
             "method": pool.method,
@@ -193,11 +280,11 @@ class ServeResult:
             "n_replicas": int(pool.n_replicas),
             "service_s": float(pool.service_s),
             "requests": int(n),
-            "completed": len(completed),
+            "completed": len(latencies),
             "on_time": int(on_time),
-            "failed": sum(1 for o in self.outcomes if o.status == FAILED),
+            "failed": status.count(FAILED),
             "shed": shed,
-            "shed_rate": (n - len(completed)) / n if n else 0.0,
+            "shed_rate": (n - len(latencies)) / n if n else 0.0,
             "retries": int(self.retries),
             "deaths": int(self.deaths),
             "latency_s": {
@@ -226,42 +313,26 @@ class ServeResult:
                 }
                 for r in pool.replicas
             ],
-            "batches": list(self.batches),
+            "batches": list(log),
         }
 
 
 @dataclass
 class Server:
-    """Discrete-event serving simulation over one replica pool."""
+    """Discrete-event serving simulation over one replica pool.
+
+    What a run records is its own; only the pool's replica state (free
+    times, health, batch counts, busy time) carries over to a later run.
+    """
 
     pool: ReplicaPool
     config: ServeConfig
 
-    def __post_init__(self) -> None:
-        # Every event but arrivals, as ``(time_s, priority, seq, payload)``.
-        self._events: list = []
-        self._seq = itertools.count()
-        # ``(free_at_s, index)`` of every healthy replica, in step with
-        # ``Replica.free_at_s``: the top is the replica dispatch takes
-        # next (the earliest free, ties to the lower index).
-        self._free: list[tuple[float, int]] = []
-        # replica index -> ``(index, batch log record, batch)`` of its
-        # batch in flight; a batch is the ``(request, enqueued_s)``
-        # entries it took from the queue.
-        self._in_flight: dict[int, tuple] = {}
-        self._batch_log: list[dict] = []
-        self._retries = 0
-        self._deaths = 0
-
-    def _push(self, time_s: float, priority: int, payload) -> None:
-        heapq.heappush(
-            self._events, (time_s, priority, next(self._seq), payload)
-        )
-
-    # -- the run ---------------------------------------------------------------
-
     def run(self, requests: list[Request]) -> ServeResult:
         """Drive the event loop to completion and summarise.
+
+        Request indices must be distinct: the result keeps one outcome
+        per index, so a repeated index raises :class:`ValueError`.
 
         Arrivals come from a stable sort of *requests* by time, merged
         with the heap: the next arrival goes first when ``(arrival_s,
@@ -273,24 +344,50 @@ class Server:
         enqueued_s)``, its row count, and the time the head's delay
         trigger fires.  After each event it tests the trigger, then
         whether the earliest-free replica is free by now, and only then
-        runs a dispatch pass.
+        runs a dispatch pass.  Outcomes and the batch log go straight
+        into the result's columns.
         """
         pool, policy = self.pool, self.config.batch_policy
         max_rows, max_delay_s = policy.max_batch_rows, policy.max_delay_s
         queue_max = self.config.queue_max_requests
         service_s = pool.service_s
         replicas = pool.replicas
-        outcomes = self._outcomes = {r.index: _Outcome(r) for r in requests}
+        outcomes = _Outcomes(sorted(requests, key=attrgetter("index")))
+        # Request index -> its row in the outcome columns.
+        position = {r.index: p for p, r in enumerate(outcomes.requests)}
+        if len(position) < len(requests):
+            repeated = next(
+                a.index
+                for a, b in itertools.pairwise(outcomes.requests)
+                if a.index == b.index
+            )
+            raise ValueError(
+                f"request index {repeated} is used more than once; "
+                "each request needs its own index"
+            )
+        status, completed_s = outcomes.status, outcomes.completed_s
+        served_by, attempts = outcomes.replica, outcomes.attempts
+        log = _BatchLog(service_s, max_rows)
+        log_status = log.status
         arrivals = sorted(requests, key=attrgetter("arrival_s"))
+        # Every event but arrivals, as ``(time_s, priority, seq, payload)``.
+        events: list = []
+        seq = itertools.count()
         for replica_index, time_s in self.config.deaths:
             if 0 <= replica_index < pool.n_replicas:
-                self._push(time_s, _DEATH, replica_index)
-        free = self._free = [
-            (r.free_at_s, r.index) for r in replicas if r.healthy
-        ]
+                heapq.heappush(
+                    events, (time_s, _DEATH, next(seq), replica_index)
+                )
+        # ``(free_at_s, index)`` of every healthy replica, in step with
+        # ``Replica.free_at_s``: the top is the replica dispatch takes
+        # next (the earliest free, ties to the lower index).
+        free = [(r.free_at_s, r.index) for r in replicas if r.healthy]
         heapq.heapify(free)
-        events, in_flight, log = self._events, self._in_flight, self._batch_log
-        seq = self._seq
+        # replica index -> ``(index, batch number, batch)`` of its batch
+        # in flight; a batch is the ``(request, enqueued_s)`` entries it
+        # took from the queue, its number its row in the batch log.
+        in_flight: dict[int, tuple] = {}
+        retries = deaths = 0
 
         queue: list[tuple[Request, float]] = []
         queued_rows = 0
@@ -308,9 +405,9 @@ class Server:
             ):
                 now_s = request.arrival_s
                 if not free:
-                    outcomes[request.index].status = SHED_DEAD
+                    status[position[request.index]] = SHED_DEAD
                 elif len(queue) >= queue_max:
-                    outcomes[request.index].status = SHED_QUEUE
+                    status[position[request.index]] = SHED_QUEUE
                 else:
                     # Crude but deterministic finish-time estimate: the
                     # batches ahead, in waves over the healthy replicas,
@@ -321,26 +418,63 @@ class Server:
                         / len(free)
                     )
                     if start_s + waves * service_s > request.deadline_s:
-                        outcomes[request.index].status = SHED_SLO
+                        status[position[request.index]] = SHED_SLO
                     else:
                         offered = request
                 request = next(pending, None)
             else:
                 now_s, priority, _, payload = heapq.heappop(events)
                 if priority == _COMPLETE:
-                    index, record, batch = payload
+                    index, batch_no, batch = payload
                     # A batch lost to a death completes nothing; the slot
                     # may already hold the replica's next batch.
-                    if record["status"] == "ok":
+                    if log_status[batch_no] == "ok":
                         if in_flight.get(index) is payload:
                             del in_flight[index]
                         for done, _ in batch:
-                            outcome = outcomes[done.index]
-                            outcome.status = COMPLETED
-                            outcome.completed_s = now_s
-                            outcome.replica = index
+                            p = position[done.index]
+                            status[p] = COMPLETED
+                            completed_s[p] = now_s
+                            served_by[p] = index
                 elif priority == _DEATH:
-                    self._on_death(now_s, payload)
+                    replica = replicas[payload]
+                    entry = None
+                    if replica.healthy:
+                        replica.healthy = False
+                        replica.died_at_s = now_s
+                        deaths += 1
+                        free.remove((replica.free_at_s, payload))
+                        heapq.heapify(free)
+                        entry = in_flight.pop(payload, None)
+                    if entry is not None:
+                        # The batch is lost: give back the unserved tail
+                        # of its service time, retry or fail its requests.
+                        _, batch_no, batch = entry
+                        replica.busy_s -= max(
+                            0.0, log.start_s[batch_no] + service_s - now_s
+                        )
+                        log_status[batch_no] = "lost"
+                        guard = SERVE_GUARD
+                        for lost, _ in batch:
+                            p = position[lost.index]
+                            attempts[p] += 1
+                            error = ReplicaDeadError(
+                                f"replica {payload} died at {now_s:.6f}s "
+                                f"with request {lost.index} in flight"
+                            )
+                            if (
+                                classify_exception(error) is TRANSIENT
+                                and attempts[p] <= guard.retries
+                            ):
+                                retries += 1
+                                retry_s = now_s + guard.backoff_s(
+                                    lost.index, attempts[p]
+                                )
+                                heapq.heappush(
+                                    events, (retry_s, _RETRY, next(seq), lost)
+                                )
+                            else:
+                                status[p] = FAILED
                 elif priority == _RETRY:
                     # Retried requests were already admitted once; they
                     # bypass the queue bound and the SLO estimate (a late
@@ -348,7 +482,7 @@ class Server:
                     if free:
                         offered = payload
                     else:
-                        outcomes[payload.index].status = FAILED
+                        status[position[payload.index]] = FAILED
                 # A flush timer only wakes the dispatch pass below.
             if now_s > horizon_s:
                 horizon_s = now_s
@@ -391,18 +525,13 @@ class Server:
                 heapq.heapreplace(free, (replica.free_at_s, index))
                 replica.batches += 1
                 replica.busy_s += service_s
-                record = {
-                    "replica": index,
-                    "start_s": now_s,
-                    "service_s": service_s,
-                    "rows": rows,
-                    "pad_rows": max_rows - rows,
-                    "n_requests": taken,
-                    "reason": reason,
-                    "status": "ok",
-                }
-                log.append(record)
-                entry = in_flight[index] = (index, record, batch)
+                entry = in_flight[index] = (index, len(log_status), batch)
+                log.replica.append(index)
+                log.start_s.append(now_s)
+                log.rows.append(rows)
+                log.n_requests.append(taken)
+                log.reason.append(reason)
+                log_status.append("ok")
                 heapq.heappush(
                     events, (now_s + service_s, _COMPLETE, next(seq), entry)
                 )
@@ -420,53 +549,13 @@ class Server:
 
         return ServeResult(
             pool=pool,
-            outcomes=[outcomes[i] for i in sorted(outcomes)],
+            outcomes=outcomes,
             batches=log,
-            retries=self._retries,
-            deaths=self._deaths,
+            retries=retries,
+            deaths=deaths,
             horizon_s=horizon_s,
             last_arrival_s=arrivals[-1].arrival_s if arrivals else 0.0,
         )
-
-    # -- failure ---------------------------------------------------------------
-
-    def _on_death(self, now_s: float, replica_index: int) -> None:
-        replica = self.pool.replicas[replica_index]
-        if not replica.healthy:
-            return
-        replica.healthy = False
-        replica.died_at_s = now_s
-        self._deaths += 1
-        self._free.remove((replica.free_at_s, replica_index))
-        heapq.heapify(self._free)
-        entry = self._in_flight.pop(replica_index, None)
-        if entry is None:
-            return
-        _, record, batch = entry
-        # Give back the unserved tail of the lost batch's service time.
-        replica.busy_s -= max(
-            0.0, record["start_s"] + self.pool.service_s - now_s
-        )
-        record["status"] = "lost"
-        guard = SERVE_GUARD
-        for request, _ in batch:
-            outcome = self._outcomes[request.index]
-            outcome.attempts += 1
-            error = ReplicaDeadError(
-                f"replica {replica_index} died at "
-                f"{now_s:.6f}s with request {request.index} in flight"
-            )
-            if (
-                classify_exception(error) is TRANSIENT
-                and outcome.attempts <= guard.retries
-            ):
-                self._retries += 1
-                retry_s = now_s + guard.backoff_s(
-                    request.index, outcome.attempts
-                )
-                self._push(retry_s, _RETRY, request)
-            else:
-                outcome.status = FAILED
 
 
 def simulate(

@@ -42,7 +42,7 @@ class TestTriggers:
         # Every request is shed, so the queue stays empty at every event.
         result = _serve([_request(0, 2, slo_s=0.5)], max_delay_s=0.0)
         assert result.outcomes[0].status == "shed_slo"
-        assert result.batches == []
+        assert len(result.batches) == 0
 
     def test_exact_fill_triggers_full(self):
         result = _serve([_request(0, 4), _request(1, 4, arrival_s=0.001)])

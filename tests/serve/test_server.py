@@ -61,7 +61,7 @@ class TestHappyPath:
         assert outcome.status == "completed"
         assert outcome.completed_s == pytest.approx(1.0)
         assert outcome.latency_s == pytest.approx(1.0)
-        assert outcome.on_time
+        assert result.as_dict()["on_time"] == 1
 
     def test_partial_batch_waits_for_delay_trigger(self):
         result = Server(
@@ -116,7 +116,6 @@ class TestHappyPath:
         ).run([request(0, 0.0, rows=1, slo_s=1.2)])
         [outcome] = result.outcomes
         assert outcome.status == "completed"
-        assert not outcome.on_time
         assert result.as_dict()["on_time"] == 0
         assert result.as_dict()["completed"] == 1
 
@@ -155,6 +154,25 @@ class TestAdmission:
         )
         assert result.outcomes[1].status == "completed"
         assert result.outcomes[1].completed_s == pytest.approx(2.0)
+
+
+class TestResult:
+    def test_a_repeated_index_raises_before_any_event(self):
+        # Two outcomes under one index would collapse into one.
+        pool = make_pool()
+        requests = [request(0, 0.0), request(0, 0.5), request(1, 1.0)]
+        with pytest.raises(ValueError, match="request index 0 is used"):
+            Server(pool, make_config()).run(requests)
+        assert [r.batches for r in pool.replicas] == [0, 0]
+
+    def test_a_second_run_leaves_the_first_results_columns_alone(self):
+        serving = Server(make_pool(), make_config())
+        first = serving.run([request(0, 0.0, rows=4)])
+        outcomes, batches = list(first.outcomes), list(first.batches)
+        second = serving.run([request(0, 0.0, rows=4)])
+        assert len(first.batches) == len(second.batches) == 1
+        assert list(first.outcomes) == outcomes
+        assert list(first.batches) == batches
 
 
 class TestDeaths:

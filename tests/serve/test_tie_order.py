@@ -43,7 +43,9 @@ from repro.serve.server import (
     ServeConfig,
     ServeResult,
     Server,
+    _BatchLog,
     _Outcome,
+    _Outcomes,
 )
 from repro.serve.workload import Request
 from tests.serve.test_server import make_pool
@@ -155,13 +157,45 @@ class HeapServer:
 
         return ServeResult(
             pool=self.pool,
-            outcomes=[self.outcomes[i] for i in sorted(self.outcomes)],
-            batches=self.batch_log,
+            outcomes=self.outcome_columns(),
+            batches=self.batch_columns(),
             retries=self.retries,
             deaths=self.deaths,
             horizon_s=horizon_s,
             last_arrival_s=max((r.arrival_s for r in requests), default=0.0),
         )
+
+    def outcome_columns(self):
+        """The outcome records, copied into a result's columns."""
+        ordered = [self.outcomes[i] for i in sorted(self.outcomes)]
+        columns = _Outcomes([outcome.request for outcome in ordered])
+        for p, outcome in enumerate(ordered):
+            columns.status[p] = outcome.status
+            if outcome.completed_s is not None:
+                columns.completed_s[p] = outcome.completed_s
+            columns.attempts[p] = outcome.attempts
+            if outcome.replica is not None:
+                columns.replica[p] = outcome.replica
+        return columns
+
+    def batch_columns(self):
+        """The batch records, copied into a result's columns.
+
+        The columns keep one service time and one batch size for the
+        run, so each record's own must agree with them.
+        """
+        max_rows = self.config.batch_policy.max_batch_rows
+        columns = _BatchLog(self.pool.service_s, max_rows)
+        for record in self.batch_log:
+            assert record["service_s"] == self.pool.service_s
+            assert record["pad_rows"] == max_rows - record["rows"]
+            columns.replica.append(record["replica"])
+            columns.start_s.append(record["start_s"])
+            columns.rows.append(record["rows"])
+            columns.n_requests.append(record["n_requests"])
+            columns.reason.append(record["reason"])
+            columns.status.append(record["status"])
+        return columns
 
     def estimate_completion_s(self, now_s, rows):
         max_rows = self.config.batch_policy.max_batch_rows
